@@ -176,9 +176,11 @@ func (b *Browser) MarkVisited(url string) { b.visited[url] = true }
 func (b *Browser) Visited(url string) bool { return b.visited[url] }
 
 // RunScript schedules user code on the main thread at the current virtual
-// time and is the usual entry point for a page's inline script.
+// time and is the usual entry point for a page's inline script. The name
+// labels the script for readers of the calling code; the event loop does
+// not record it.
 func (b *Browser) RunScript(name string, script Script) {
-	b.main.PostTask(b.Sim.Now(), name, func(g *Global) { script(g) })
+	b.main.PostTask(b.Sim.Now(), func(g *Global) { script(g) })
 }
 
 // Run drives the simulation until no work remains.
@@ -203,11 +205,13 @@ func (b *Browser) DocumentTornDown() bool { return b.tornDown }
 func (b *Browser) newThread(name string, isMain bool) *Thread {
 	b.nextThread++
 	t := &Thread{
-		b:      b,
-		id:     b.nextThread,
-		name:   name,
-		isMain: isMain,
+		b:        b,
+		id:       b.nextThread,
+		name:     name,
+		isMain:   isMain,
+		loopName: "loop:" + name,
 	}
+	t.dispatch = t.dispatchOne
 	g := &Global{browser: b, thread: t}
 	b.nextScopeToken++
 	g.token = b.nextScopeToken

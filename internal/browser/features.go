@@ -121,7 +121,7 @@ func (g *Global) nativeTransferToParent(data any, buf *SharedBuffer) error {
 	}
 	st.inFlight++
 	deliverAt := g.thread.Now() + b.Profile.MessageLatency
-	st.parent.PostTask(deliverAt, "parent-onmessage-transfer", func(pg *Global) {
+	st.parent.PostTask(deliverAt, func(pg *Global) {
 		st.inFlight--
 		b.trace(TraceEvent{Kind: TraceMessageDelivered, ThreadID: st.parent.id, WorkerID: st.id, Detail: "transfer"})
 		if st.handleOnMessage != nil {

@@ -164,7 +164,7 @@ func (g *Global) nativeFetch(url string, opts FetchOptions, cb func(*Response, e
 				return
 			}
 			rec.cancel = nil
-			rec.thread.PostTask(failAt, "fetch-error", func(gg *Global) {
+			rec.thread.PostTask(failAt, func(gg *Global) {
 				if rec.aborted {
 					return
 				}
@@ -196,7 +196,7 @@ func (g *Global) nativeFetch(url string, opts FetchOptions, cb func(*Response, e
 			rec.done = true
 			delete(b.fetches, id)
 			b.trace(TraceEvent{Kind: TraceFetchDone, ThreadID: rec.thread.id, WorkerID: workerID, URL: url, Value: int64(id)})
-			rec.thread.PostTask(doneAt, "fetch-cb", func(gg *Global) {
+			rec.thread.PostTask(doneAt, func(gg *Global) {
 				if cb != nil {
 					cb(resp, nil)
 				}
@@ -241,7 +241,7 @@ func (g *Global) nativeAbortFetch(id FetchID) {
 	delete(b.fetches, id)
 	if rec.cb != nil && !rec.orphaned {
 		cb := rec.cb
-		rec.thread.PostTask(rec.thread.Now(), "fetch-abort-cb", func(gg *Global) { cb(nil, ErrAborted) })
+		rec.thread.PostTask(rec.thread.Now(), func(gg *Global) { cb(nil, ErrAborted) })
 	}
 }
 

@@ -81,7 +81,7 @@ func (f *FrameHandle) PostMessage(data any, targetOrigin string) {
 	}
 	b.trace(TraceEvent{Kind: TracePostMessage, ThreadID: st.parent.thread.id, Detail: "to-frame", Value: int64(st.id)})
 	deliverAt := st.parent.thread.Now() + b.Profile.MessageLatency
-	st.parent.thread.PostTask(deliverAt, "frame-onmessage", func(*Global) {
+	st.parent.thread.PostTask(deliverAt, func(*Global) {
 		if !st.attached {
 			return
 		}
@@ -90,14 +90,15 @@ func (f *FrameHandle) PostMessage(data any, targetOrigin string) {
 	})
 }
 
-// RunScript schedules script execution inside the frame.
+// RunScript schedules script execution inside the frame. Like
+// Browser.RunScript, the name is a label the event loop does not record.
 func (f *FrameHandle) RunScript(name string, script Script) {
 	st := f.state
 	if !st.attached || script == nil {
 		return
 	}
 	scope := st.scope
-	st.parent.thread.PostTask(st.parent.thread.Now(), "frame:"+name, func(*Global) {
+	st.parent.thread.PostTask(st.parent.thread.Now(), func(*Global) {
 		if st.attached {
 			script(scope)
 		}
@@ -198,7 +199,7 @@ func (st *frameState) setOnMessage(cb func(*Global, MessageEvent)) {
 	parent := st.parent
 	for _, m := range queued {
 		m := m
-		parent.thread.PostTask(parent.thread.Now(), "frame-inbox-drain", func(*Global) {
+		parent.thread.PostTask(parent.thread.Now(), func(*Global) {
 			if st.attached {
 				cb(st.scope, m)
 			}
@@ -216,7 +217,7 @@ func (g *Global) framePostToParent(data any) {
 	}
 	b.trace(TraceEvent{Kind: TracePostMessage, ThreadID: g.thread.id, Detail: "to-parent-window", Value: int64(st.id)})
 	deliverAt := g.thread.Now() + b.Profile.MessageLatency
-	st.parent.thread.PostTask(deliverAt, "parent-window-onmessage", func(*Global) {
+	st.parent.thread.PostTask(deliverAt, func(*Global) {
 		b.trace(TraceEvent{Kind: TraceMessageDelivered, ThreadID: st.parent.thread.id, Detail: "from-frame", Value: int64(st.id)})
 		st.parent.thread.deliverMessage(MessageEvent{Data: data, Origin: st.origin})
 	})

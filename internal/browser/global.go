@@ -2,7 +2,6 @@ package browser
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"jskernel/internal/dom"
@@ -94,7 +93,10 @@ type Global struct {
 	// dispatched tasks always receive the thread's global.
 	token int64
 
-	timers      map[int]*timer
+	// timers holds the IDs of live timeout, interval and animation-frame
+	// registrations; clearing one deletes it, and a queued firing whose
+	// ID is gone does nothing.
+	timers      map[int]struct{}
 	nextTimerID int
 
 	microtasks []func(*Global)
@@ -280,13 +282,6 @@ func (g *Global) BusyIters(n int) {
 
 // --- Native binding implementations ---
 
-// timer is a cancellable timeout/interval registration.
-type timer struct {
-	id        int
-	cancelled bool
-	interval  sim.Duration // 0 for one-shot
-}
-
 // nativeBindings builds the browser's unmediated API table for a scope.
 func nativeBindings(g *Global) *Bindings {
 	return &Bindings{
@@ -321,14 +316,20 @@ func nativeBindings(g *Global) *Bindings {
 	}
 }
 
-func (g *Global) newTimer(interval sim.Duration) *timer {
+// newTimer registers a live timer and returns its ID.
+func (g *Global) newTimer() int {
 	if g.timers == nil {
-		g.timers = make(map[int]*timer)
+		g.timers = make(map[int]struct{})
 	}
 	g.nextTimerID++
-	t := &timer{id: g.nextTimerID, interval: interval}
-	g.timers[t.id] = t
-	return t
+	g.timers[g.nextTimerID] = struct{}{}
+	return g.nextTimerID
+}
+
+// timerLive reports whether timer id is registered and not cleared.
+func (g *Global) timerLive(id int) bool {
+	_, ok := g.timers[id]
+	return ok
 }
 
 func (g *Global) nativeSetTimeout(cb func(*Global), d sim.Duration) int {
@@ -338,17 +339,16 @@ func (g *Global) nativeSetTimeout(cb func(*Global), d sim.Duration) int {
 	if d < g.browser.Profile.TimerClampMin {
 		d = g.browser.Profile.TimerClampMin
 	}
-	t := g.newTimer(0)
-	fireAt := g.thread.Now() + d
-	g.thread.PostTask(fireAt, fmt.Sprintf("timeout#%d", t.id), func(gg *Global) {
-		if t.cancelled {
+	id := g.newTimer()
+	g.thread.PostTask(g.thread.Now()+d, func(gg *Global) {
+		if !g.timerLive(id) {
 			return
 		}
-		delete(g.timers, t.id)
+		delete(g.timers, id)
 		cb(gg)
 		gg.drainMicrotasks()
 	})
-	return t.id
+	return id
 }
 
 func (g *Global) nativeSetInterval(cb func(*Global), d sim.Duration) int {
@@ -358,30 +358,23 @@ func (g *Global) nativeSetInterval(cb func(*Global), d sim.Duration) int {
 	if d < g.browser.Profile.TimerClampMin {
 		d = g.browser.Profile.TimerClampMin
 	}
-	t := g.newTimer(d)
-	var schedule func(at sim.Time)
-	schedule = func(at sim.Time) {
-		g.thread.PostTask(at, fmt.Sprintf("interval#%d", t.id), func(gg *Global) {
-			if t.cancelled {
-				return
-			}
-			cb(gg)
-			gg.drainMicrotasks()
-			if !t.cancelled {
-				schedule(gg.thread.Now() + d)
-			}
-		})
+	id := g.newTimer()
+	var tick func(gg *Global)
+	tick = func(gg *Global) {
+		if !g.timerLive(id) {
+			return
+		}
+		cb(gg)
+		gg.drainMicrotasks()
+		if g.timerLive(id) {
+			g.thread.PostTask(gg.thread.Now()+d, tick)
+		}
 	}
-	schedule(g.thread.Now() + d)
-	return t.id
+	g.thread.PostTask(g.thread.Now()+d, tick)
+	return id
 }
 
-func (g *Global) nativeClearTimer(id int) {
-	if t, ok := g.timers[id]; ok {
-		t.cancelled = true
-		delete(g.timers, id)
-	}
-}
+func (g *Global) nativeClearTimer(id int) { delete(g.timers, id) }
 
 func (g *Global) nativePerformanceNow() float64 {
 	now := g.thread.Now()
@@ -400,19 +393,19 @@ func (g *Global) nativeRequestAnimationFrame(cb func(*Global, float64)) int {
 	if cb == nil {
 		return 0
 	}
-	t := g.newTimer(0)
+	id := g.newTimer()
 	period := g.browser.Profile.FramePeriod
 	now := g.thread.Now()
 	next := (now/period + 1) * period
-	g.thread.PostTask(next, fmt.Sprintf("raf#%d", t.id), func(gg *Global) {
-		if t.cancelled {
+	g.thread.PostTask(next, func(gg *Global) {
+		if !g.timerLive(id) {
 			return
 		}
-		delete(g.timers, t.id)
+		delete(g.timers, id)
 		cb(gg, gg.bindings.PerformanceNow())
 		gg.drainMicrotasks()
 	})
-	return t.id
+	return id
 }
 
 func (g *Global) drainMicrotasks() {

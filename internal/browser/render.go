@@ -23,12 +23,12 @@ func (g *Global) nativeLoadScript(url string, onload func(*Global), onerror func
 	res, err := b.Net.Fetch(url, b.Origin)
 	if err != nil {
 		if onerror != nil {
-			g.thread.PostTask(g.thread.Now()+b.Profile.MessageLatency, "script-onerror", onerror)
+			g.thread.PostTask(g.thread.Now()+b.Profile.MessageLatency, onerror)
 		}
 		return
 	}
 	arriveAt := g.thread.Now() + res.Latency
-	g.thread.PostTask(arriveAt, "script-parse", func(gg *Global) {
+	g.thread.PostTask(arriveAt, func(gg *Global) {
 		// Parsing is synchronous main-thread work: the secret-bearing cost.
 		gg.thread.advance(perKBCost(res.Resource.Bytes, b.Profile.ScriptParsePerKB))
 		if onload != nil {
@@ -44,12 +44,12 @@ func (g *Global) nativeLoadImage(url string, onload func(*Global, *dom.Element),
 	res, err := b.Net.Fetch(url, b.Origin)
 	if err != nil {
 		if onerror != nil {
-			g.thread.PostTask(g.thread.Now()+b.Profile.MessageLatency, "img-onerror", onerror)
+			g.thread.PostTask(g.thread.Now()+b.Profile.MessageLatency, onerror)
 		}
 		return
 	}
 	arriveAt := g.thread.Now() + res.Latency
-	g.thread.PostTask(arriveAt, "img-decode", func(gg *Global) {
+	g.thread.PostTask(arriveAt, func(gg *Global) {
 		kpx := float64(res.Resource.Width) * float64(res.Resource.Height) / 1000
 		gg.thread.advance(sim.Duration(kpx * float64(b.Profile.ImageDecodePerKPx)))
 		var el *dom.Element
@@ -173,7 +173,7 @@ func (g *Global) nativeStartCSSAnimation(el *dom.Element, cb func(*Global, int))
 	frame := 0
 	var schedule func(at sim.Time)
 	schedule = func(at sim.Time) {
-		g.thread.PostTask(at, "css-anim", func(gg *Global) {
+		g.thread.PostTask(at, func(gg *Global) {
 			if anim.cancelled {
 				return
 			}
@@ -208,7 +208,7 @@ func (g *Global) nativePlayVideo(cueCb func(*Global, int)) (stop func()) {
 	cue := 0
 	var schedule func(at sim.Time)
 	schedule = func(at sim.Time) {
-		g.thread.PostTask(at, "webvtt-cue", func(gg *Global) {
+		g.thread.PostTask(at, func(gg *Global) {
 			if stopped {
 				return
 			}

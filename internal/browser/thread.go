@@ -9,8 +9,6 @@ import (
 // task is one unit of work queued on a thread's event loop.
 type task struct {
 	arrival sim.Time
-	seq     uint64
-	name    string
 	fn      func(g *Global)
 }
 
@@ -25,13 +23,22 @@ type Thread struct {
 	name   string
 	isMain bool
 
-	pending   []*task
-	seq       uint64
+	// pending[head:] is the queue in (arrival, insertion) order.
+	// Dispatch advances head instead of reslicing, so the backing array
+	// is reused once the queue empties (or compacted when an append
+	// would grow it).
+	pending   []task
+	head      int
 	running   bool
 	busyUntil sim.Time
 	cursor    sim.Time
 	wakeup    sim.EventID
 	hasWakeup bool
+
+	// loopName and dispatch are the wakeup event's name and callback,
+	// built once so rescheduling the loop allocates nothing.
+	loopName string
+	dispatch func()
 
 	global     *Global
 	terminated bool
@@ -81,37 +88,37 @@ func (t *Thread) Now() sim.Time {
 
 // PostTask enqueues fn to run on this thread no earlier than `at`. Tasks
 // run in (arrival, insertion) order, one at a time.
-func (t *Thread) PostTask(at sim.Time, name string, fn func(g *Global)) {
+func (t *Thread) PostTask(at sim.Time, fn func(g *Global)) {
 	if t.terminated || fn == nil {
 		return
 	}
-	t.seq++
-	tk := &task{arrival: at, seq: t.seq, name: name, fn: fn}
-	// Insert keeping (arrival, seq) order.
-	i := sort.Search(len(t.pending), func(i int) bool {
-		p := t.pending[i]
-		if p.arrival != tk.arrival {
-			return p.arrival > tk.arrival
-		}
-		return p.seq > tk.seq
-	})
-	t.pending = append(t.pending, nil)
+	// Insertion order breaks arrival ties, so the new task goes after
+	// every queued task arriving no later than it.
+	q := t.pending[t.head:]
+	i := t.head + sort.Search(len(q), func(i int) bool { return q[i].arrival > at })
+	if t.head > 0 && len(t.pending) == cap(t.pending) {
+		n := copy(t.pending, q)
+		clear(t.pending[n:])
+		t.pending = t.pending[:n]
+		i -= t.head
+		t.head = 0
+	}
+	t.pending = append(t.pending, task{})
 	copy(t.pending[i+1:], t.pending[i:])
-	t.pending[i] = tk
+	t.pending[i] = task{arrival: at, fn: fn}
 	t.pump()
 }
 
 // QueueDepth reports the number of tasks waiting to run.
-func (t *Thread) QueueDepth() int { return len(t.pending) }
+func (t *Thread) QueueDepth() int { return len(t.pending) - t.head }
 
 // pump (re)schedules the loop's next dispatch. Called whenever the queue or
 // busy state changes.
 func (t *Thread) pump() {
-	if t.running || t.terminated || len(t.pending) == 0 {
+	if t.running || t.terminated || t.QueueDepth() == 0 {
 		return
 	}
-	head := t.pending[0]
-	startAt := head.arrival
+	startAt := t.pending[t.head].arrival
 	if t.busyUntil > startAt {
 		startAt = t.busyUntil
 	}
@@ -121,23 +128,28 @@ func (t *Thread) pump() {
 	if t.hasWakeup {
 		t.b.Sim.Cancel(t.wakeup)
 	}
-	t.wakeup = t.b.Sim.Schedule(startAt, "loop:"+t.name, t.dispatchOne)
+	t.wakeup = t.b.Sim.Schedule(startAt, t.loopName, t.dispatch)
 	t.hasWakeup = true
 }
 
 // dispatchOne pops and runs the head task.
 func (t *Thread) dispatchOne() {
 	t.hasWakeup = false
-	if t.terminated || len(t.pending) == 0 {
+	if t.terminated || t.QueueDepth() == 0 {
 		return
 	}
-	head := t.pending[0]
-	t.pending = t.pending[1:]
+	fn := t.pending[t.head].fn
+	t.pending[t.head] = task{}
+	t.head++
+	if t.head == len(t.pending) {
+		t.pending = t.pending[:0]
+		t.head = 0
+	}
 	t.running = true
 	t.cursor = t.b.Sim.Now()
 	t.cursor += t.b.Profile.TaskDispatch
 	t.tasksExecuted++
-	head.fn(t.global)
+	fn(t.global)
 	t.global.drainMicrotasks()
 	t.running = false
 	t.busyUntil = t.cursor
@@ -166,7 +178,7 @@ func (t *Thread) terminate() {
 		return
 	}
 	t.terminated = true
-	t.pending = nil
+	t.pending, t.head = nil, 0
 	if t.hasWakeup {
 		t.b.Sim.Cancel(t.wakeup)
 		t.hasWakeup = false
@@ -197,6 +209,6 @@ func (t *Thread) setOnMessage(h func(g *Global, m MessageEvent)) {
 	t.inbox = nil
 	for _, m := range queued {
 		m := m
-		t.PostTask(t.Now(), "inbox-drain", func(g *Global) { h(g, m) })
+		t.PostTask(t.Now(), func(g *Global) { h(g, m) })
 	}
 }

@@ -101,7 +101,7 @@ func (w *WorkerHandle) post(m MessageEvent) {
 	}
 	st.inFlight++
 	deliverAt := st.parent.Now() + b.Profile.MessageLatency
-	st.thread.PostTask(deliverAt, "worker-onmessage", func(g *Global) {
+	st.thread.PostTask(deliverAt, func(g *Global) {
 		st.inFlight--
 		if h := b.faults; h != nil && h.WorkerDelivery != nil && h.WorkerDelivery(st.id) {
 			// Injected crash mid-message: the worker thread dies without
@@ -231,7 +231,7 @@ func (g *Global) nativeNewWorker(src string) (Worker, error) {
 	b.trace(TraceEvent{Kind: TraceWorkerCreated, ThreadID: g.thread.id, WorkerID: st.id, URL: src})
 	// The worker's script starts after the spawn cost elapses.
 	startAt := g.thread.Now() + b.Profile.WorkerSpawnCost
-	wt.PostTask(startAt, "worker-main:"+src, func(wg *Global) {
+	wt.PostTask(startAt, func(wg *Global) {
 		b.trace(TraceEvent{Kind: TraceWorkerReady, ThreadID: wt.id, WorkerID: st.id})
 		script(wg)
 	})
@@ -250,7 +250,7 @@ func (g *Global) nativePostMessage(data any) {
 		// Self-post on the main thread.
 		b.trace(TraceEvent{Kind: TracePostMessage, ThreadID: g.thread.id, Detail: "self"})
 		deliverAt := g.thread.Now() + b.Profile.MessageLatency
-		g.thread.PostTask(deliverAt, "self-onmessage", func(gg *Global) {
+		g.thread.PostTask(deliverAt, func(gg *Global) {
 			b.trace(TraceEvent{Kind: TraceMessageDelivered, ThreadID: g.thread.id, Detail: "self"})
 			gg.thread.deliverMessage(MessageEvent{Data: data})
 		})
@@ -266,7 +266,7 @@ func (g *Global) nativePostMessage(data any) {
 	}
 	st.inFlight++
 	deliverAt := g.thread.Now() + b.Profile.MessageLatency
-	st.parent.PostTask(deliverAt, "parent-onmessage", func(pg *Global) {
+	st.parent.PostTask(deliverAt, func(pg *Global) {
 		st.inFlight--
 		if detail == "after-teardown" {
 			// Hazard witness: the delivery dereferences the torn-down
@@ -313,7 +313,7 @@ func (g *Global) reportWorkerError(err *WorkerError) {
 	}
 	b := g.browser
 	deliverAt := g.thread.Now() + b.Profile.MessageLatency
-	st.parent.PostTask(deliverAt, "worker-onerror", func(pg *Global) {
+	st.parent.PostTask(deliverAt, func(pg *Global) {
 		st.handleOnError(pg, err)
 	})
 }

@@ -236,7 +236,7 @@ func newPolyfillWorker(main *browser.Global, src string, id int) (browser.Worker
 			return
 		}
 		w.inFlight++
-		main.Thread().PostTask(main.Thread().Now(), "polyfill-onmessage", func(gg *browser.Global) {
+		main.Thread().PostTask(main.Thread().Now(), func(gg *browser.Global) {
 			w.inFlight--
 			if w.alive && w.onMessage != nil {
 				w.onMessage(gg, browser.MessageEvent{Data: data, SourceWorker: w.id})
@@ -253,7 +253,7 @@ func newPolyfillWorker(main *browser.Global, src string, id int) (browser.Worker
 	sb.WorkerLocation = func() string { return "" }
 	scope.Freeze()
 	// Run the worker script inline on the main thread.
-	main.Thread().PostTask(main.Thread().Now(), "polyfill-start:"+src, func(*browser.Global) {
+	main.Thread().PostTask(main.Thread().Now(), func(*browser.Global) {
 		script(scope)
 	})
 	return w, nil
@@ -280,7 +280,7 @@ func (w *polyfillWorker) PostMessage(data any) {
 		return
 	}
 	w.inFlight++
-	w.main.Thread().PostTask(w.main.Thread().Now(), "polyfill-to-worker", func(gg *browser.Global) {
+	w.main.Thread().PostTask(w.main.Thread().Now(), func(gg *browser.Global) {
 		w.inFlight--
 		if w.alive && w.scopeOnMessage != nil {
 			w.scopeOnMessage(w.scope, browser.MessageEvent{Data: data})

@@ -392,7 +392,7 @@ func (in *Injector) Arm(b *browser.Browser) {
 	}
 	for i := 0; i < bf.CancelStorms; i++ {
 		at := sim.Time(200*sim.Millisecond) + sim.Time(i)*sim.Time(500*sim.Millisecond)
-		b.Main().PostTask(at, fmt.Sprintf("fault-cancel-storm#%d", i), func(g *browser.Global) {
+		b.Main().PostTask(at, func(g *browser.Global) {
 			in.bump(&in.counts.CancelStorms, cStorm)
 			for j := 0; j < stormSize; j++ {
 				id := g.SetTimeout(func(*browser.Global) {}, sim.Duration(1+j)*sim.Millisecond)
@@ -402,7 +402,7 @@ func (in *Injector) Arm(b *browser.Browser) {
 	}
 	for i := 0; i < bf.OverloadBursts; i++ {
 		at := sim.Time(300*sim.Millisecond) + sim.Time(i)*sim.Time(700*sim.Millisecond)
-		b.Main().PostTask(at, fmt.Sprintf("fault-overload#%d", i), func(g *browser.Global) {
+		b.Main().PostTask(at, func(g *browser.Global) {
 			in.bump(&in.counts.OverloadBursts, cBurst)
 			g.Busy(busy)
 		})

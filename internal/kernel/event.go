@@ -68,6 +68,10 @@ type Event struct {
 	seq   uint64
 	index int // heap index, -1 when not queued
 
+	// timerID is the native timer or animation-frame ID whose entry in
+	// the kernel's timer map names this event; 0 for other events.
+	timerID int
+
 	// Watchdog bookkeeping: while this event is a pending queue head, a
 	// simulator alarm is armed to force-expire it if confirmation never
 	// arrives (see Kernel.armWatchdog).

@@ -112,6 +112,7 @@ func (k *Kernel) drain() {
 		}
 		k.queue.Pop()
 		k.disarmWatchdog(head)
+		k.retireTimer(head)
 		if head.Status == StatusCancelled {
 			continue
 		}

@@ -29,8 +29,25 @@ func (k *Kernel) kSetTimeout(cb func(*browser.Global), d sim.Duration) int {
 		cb(g)
 	})
 	id := k.native.SetTimeout(func(*browser.Global) { k.confirm(ev, nil) }, d)
-	k.timerEv[id] = ev
+	k.trackTimer(id, ev)
 	return id
+}
+
+// trackTimer maps a native timer or animation-frame ID to its kernel
+// event so clearTimeout can find it until the event leaves the queue.
+func (k *Kernel) trackTimer(id int, ev *Event) {
+	ev.timerID = id
+	k.timerEv[id] = ev
+}
+
+// retireTimer drops the timer-map entry of an event the dispatcher has
+// popped: once the event has left the queue there is nothing left for
+// clearTimeout to cancel, and the entry would otherwise keep the event
+// and its callbacks alive for the rest of the run.
+func (k *Kernel) retireTimer(ev *Event) {
+	if ev.timerID != 0 {
+		delete(k.timerEv, ev.timerID)
+	}
 }
 
 // kClearTimer cancels a setTimeout or requestAnimationFrame registration.
@@ -111,7 +128,7 @@ func (k *Kernel) kRequestAnimationFrame(cb func(*browser.Global, float64)) int {
 		cb(g, k.clock.DisplayMillis())
 	})
 	id := k.native.RequestAnimationFrame(func(*browser.Global, float64) { k.confirm(ev, nil) })
-	k.timerEv[id] = ev
+	k.trackTimer(id, ev)
 	return id
 }
 

@@ -359,6 +359,54 @@ func (v ChannelVerdict) MarshalJSON() ([]byte, error) {
 	}{v.Channel, v.MeanA, v.MeanB, d, v.Leaks})
 }
 
+// UnmarshalJSON is MarshalJSON's inverse: cohens_d is a number or one of
+// the strings "+Inf", "-Inf" and "NaN".
+func (v *ChannelVerdict) UnmarshalJSON(b []byte) error {
+	var w struct {
+		Channel string          `json:"channel"`
+		MeanA   float64         `json:"mean_a"`
+		MeanB   float64         `json:"mean_b"`
+		CohensD json.RawMessage `json:"cohens_d"`
+		Leaks   bool            `json:"leaks"`
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	d, err := decodeEffectSize(w.CohensD)
+	if err != nil {
+		return err
+	}
+	*v = ChannelVerdict{Channel: w.Channel, MeanA: w.MeanA, MeanB: w.MeanB, CohensD: d, Leaks: w.Leaks}
+	return nil
+}
+
+// decodeEffectSize reads a cohens_d value as MarshalJSON writes it.
+func decodeEffectSize(raw json.RawMessage) (float64, error) {
+	if len(raw) == 0 {
+		return 0, nil
+	}
+	if raw[0] != '"' {
+		var d float64
+		if err := json.Unmarshal(raw, &d); err != nil {
+			return 0, fmt.Errorf("obs: cohens_d: %w", err)
+		}
+		return d, nil
+	}
+	var s string
+	if err := json.Unmarshal(raw, &s); err != nil {
+		return 0, fmt.Errorf("obs: cohens_d: %w", err)
+	}
+	switch s {
+	case "+Inf":
+		return math.Inf(1), nil
+	case "-Inf":
+		return math.Inf(-1), nil
+	case "NaN":
+		return math.NaN(), nil
+	}
+	return 0, fmt.Errorf("obs: cohens_d: %q is not +Inf, -Inf or NaN", s)
+}
+
 // JudgeTiming merges reconstructed readings across repetitions (in rep
 // order, exactly like the harness merges its samples) and re-judges
 // each channel with the paper's distinguishability criterion. It

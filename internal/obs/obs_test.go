@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -255,5 +256,30 @@ func TestJudgeTiming(t *testing.T) {
 	failed := append(leakReps, CellReadings{})
 	if _, defended := JudgeTiming(failed); defended {
 		t.Fatal("nil-variant rep flipped the verdict")
+	}
+}
+
+// TestChannelVerdictJSONRoundTrip: every effect size MarshalJSON writes —
+// finite as a number, non-finite as a string — decodes back to itself.
+func TestChannelVerdictJSONRoundTrip(t *testing.T) {
+	for _, d := range []float64{1.25, math.Inf(1), math.Inf(-1), math.NaN()} {
+		in := ChannelVerdict{Channel: "loop", MeanA: 1.5, MeanB: 2, CohensD: d, Leaks: true}
+		b, err := json.Marshal(in)
+		if err != nil {
+			t.Fatalf("marshal %v: %v", d, err)
+		}
+		var out ChannelVerdict
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatalf("unmarshal %s: %v", b, err)
+		}
+		same := out.CohensD == d || (math.IsNaN(d) && math.IsNaN(out.CohensD))
+		out.CohensD, in.CohensD = 0, 0
+		if !same || out != in {
+			t.Fatalf("round trip of %s gave %+v (cohens_d %v)", b, out, d)
+		}
+	}
+	var v ChannelVerdict
+	if err := json.Unmarshal([]byte(`{"cohens_d":"big"}`), &v); err == nil {
+		t.Fatal("an unknown cohens_d string decoded without error")
 	}
 }

@@ -76,6 +76,17 @@ func (c Channel) MarshalJSON() ([]byte, error) {
 	return v.MarshalJSON()
 }
 
+// UnmarshalJSON is MarshalJSON's inverse, so a client can decode the
+// responses this server writes.
+func (c *Channel) UnmarshalJSON(b []byte) error {
+	var v obs.ChannelVerdict
+	if err := v.UnmarshalJSON(b); err != nil {
+		return err
+	}
+	*c = Channel(v)
+	return nil
+}
+
 // TraceSummary reports the request's kernel lifecycle trace after
 // replay through the trace validator.
 type TraceSummary struct {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -114,15 +116,58 @@ func TestClientBackoffSchedule(t *testing.T) {
 		{2, 0, 200 * time.Millisecond},
 		{3, 0, 400 * time.Millisecond},
 		{4, 0, 800 * time.Millisecond},
-		{5, 0, 1 * time.Second},  // capped
-		{10, 0, 1 * time.Second}, // stays capped
-		{1, 300, 300 * time.Millisecond},  // hint dominates
-		{3, 300, 400 * time.Millisecond},  // schedule dominates
-		{1, 5000, 1 * time.Second},        // hint capped too
+		{5, 0, 1 * time.Second},          // capped
+		{10, 0, 1 * time.Second},         // stays capped
+		{1, 300, 300 * time.Millisecond}, // hint dominates
+		{3, 300, 400 * time.Millisecond}, // schedule dominates
+		{1, 5000, 1 * time.Second},       // hint capped too
 	}
 	for _, tc := range cases {
 		if got := c.backoffWait(tc.attempt, tc.hintMs); got != tc.want {
 			t.Errorf("backoffWait(%d, %d) = %v, want %v", tc.attempt, tc.hintMs, got, tc.want)
 		}
+	}
+}
+
+// TestChannelJSONRoundTrip: a Channel decodes from its own encoding for
+// finite and non-finite effect sizes alike.
+func TestChannelJSONRoundTrip(t *testing.T) {
+	for _, d := range []float64{-0.5, math.Inf(1), math.Inf(-1), math.NaN()} {
+		in := Channel{Channel: "loop", MeanA: 3, MeanB: 4.5, CohensD: d, Leaks: true}
+		b, err := json.Marshal(in)
+		if err != nil {
+			t.Fatalf("marshal %v: %v", d, err)
+		}
+		var out Channel
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatalf("unmarshal %s: %v", b, err)
+		}
+		same := out.CohensD == d || (math.IsNaN(d) && math.IsNaN(out.CohensD))
+		out.CohensD, in.CohensD = 0, 0
+		if !same || out != in {
+			t.Fatalf("round trip of %s gave %+v (cohens_d %v)", b, out, d)
+		}
+	}
+}
+
+// TestClientEvalNonFiniteEffect: Client.Eval decodes a live response
+// whose channel carries an infinite Cohen's d (a zero-variance channel
+// with distinct means; the cache attack against undefended Chrome at
+// seed 42, reps 1 produces one).
+func TestClientEvalNonFiniteEffect(t *testing.T) {
+	s := newTestServer(t, Config{Pool: 1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	cl := &Client{BaseURL: srv.URL, MaxAttempts: 1}
+	resp, err := cl.Eval(context.Background(), Request{Attack: "cache-attack", Defense: "chrome", Seed: 42, Reps: 1})
+	if err != nil {
+		t.Fatalf("eval: %v", err)
+	}
+	inf := false
+	for _, c := range resp.Channels {
+		inf = inf || math.IsInf(c.CohensD, 1)
+	}
+	if !inf {
+		t.Fatalf("no channel with cohens_d +Inf in %+v", resp.Channels)
 	}
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // This file is the simulator's scheduler seam. The priority queue orders
 // events by (time, seq), so whenever several events share the earliest
@@ -62,40 +59,39 @@ func (s *Simulator) SetChooser(c Chooser) {
 	s.observer, _ = c.(DispatchObserver)
 }
 
-// readyTies returns every pending event sharing the earliest timestamp,
-// in seq order. Only called on a non-empty queue.
-func (s *Simulator) readyTies() []*event {
-	at := s.queue[0].at
-	var ties []*event
-	for _, ev := range s.queue {
-		if ev.at == at {
-			ties = append(ties, ev)
+// readyTies returns the slot of every pending event sharing the earliest
+// timestamp, in seq order. Only called on a non-empty queue.
+func (s *Simulator) readyTies() []int32 {
+	at := s.events[s.queue[0]].at
+	var ties []int32
+	for _, slot := range s.queue {
+		if s.events[slot].at == at {
+			ties = append(ties, slot)
 		}
 	}
-	sort.Slice(ties, func(i, j int) bool { return ties[i].seq < ties[j].seq })
+	sort.Slice(ties, func(i, j int) bool { return s.events[ties[i]].seq < s.events[ties[j]].seq })
 	return ties
 }
 
 // chooseNext resolves the next event through the installed chooser and
-// removes it from the queue. A single ready candidate is forced and
-// never offered to Choose, so replayable choice vectors contain only
-// genuine decisions.
-func (s *Simulator) chooseNext() *event {
+// removes it from the queue, returning its slot. A single ready
+// candidate is forced and never offered to Choose, so replayable choice
+// vectors contain only genuine decisions.
+func (s *Simulator) chooseNext() int32 {
 	ties := s.readyTies()
-	if len(ties) == 1 {
-		ev := ties[0]
-		heap.Remove(&s.queue, ev.index)
-		return ev
+	idx := 0
+	if len(ties) > 1 {
+		cands := make([]Choice, len(ties))
+		for i, slot := range ties {
+			ev := &s.events[slot]
+			cands[i] = Choice{ID: makeID(slot, ev.gen), Seq: ev.seq, At: ev.at, Name: ev.name}
+		}
+		idx = s.chooser.Choose(s.now, cands)
+		if idx < 0 || idx >= len(ties) {
+			idx = 0
+		}
 	}
-	cands := make([]Choice, len(ties))
-	for i, ev := range ties {
-		cands[i] = Choice{ID: ev.id, Seq: ev.seq, At: ev.at, Name: ev.name}
-	}
-	idx := s.chooser.Choose(s.now, cands)
-	if idx < 0 || idx >= len(ties) {
-		idx = 0
-	}
-	ev := ties[idx]
-	heap.Remove(&s.queue, ev.index)
-	return ev
+	slot := ties[idx]
+	s.remove(int(s.events[slot].index))
+	return slot
 }

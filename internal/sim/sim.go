@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -41,8 +40,15 @@ func (t Time) String() string {
 	return fmt.Sprintf("%.3fms", t.Milliseconds())
 }
 
-// EventID names a scheduled event so that it can be cancelled.
+// EventID names a scheduled event so that it can be cancelled. The low
+// 32 bits index the event's slot in the simulator's event table and the
+// high 32 bits carry the slot's generation at scheduling time. A slot's
+// generation advances whenever its event fires or is cancelled, so a
+// spent ID never matches a later occupant of the same slot (until one
+// slot has been reused 2^32 times). A scheduled event's ID is never 0.
 type EventID uint64
+
+func makeID(slot int32, gen uint32) EventID { return EventID(gen)<<32 | EventID(uint32(slot)) }
 
 // ErrStopped is returned by Run when the simulation is halted by Stop
 // rather than by queue exhaustion or deadline.
@@ -62,52 +68,15 @@ var ErrCanceled = errors.New("sim: run canceled")
 // unmeasurable while bounding cancellation latency to 64 events.
 const cancelPollStride = 64
 
-// event is one pending entry in the simulator's priority queue.
+// event is one slot of the simulator's event table. Slots are recycled
+// through a free list, so scheduling in steady state allocates nothing.
 type event struct {
 	at    Time
 	seq   uint64
-	id    EventID
-	name  string
 	fn    func()
-	index int // heap index; -1 once removed
-}
-
-// eventHeap orders events by (at, seq); seq breaks ties deterministically
-// in scheduling order.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		return
-	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	name  string
+	gen   uint32 // generation of the slot's current (or next) occupant
+	index int32  // position in the queue heap; -1 while the slot is free
 }
 
 // Simulator is a deterministic discrete-event scheduler over virtual time.
@@ -116,9 +85,9 @@ func (h *eventHeap) Pop() any {
 type Simulator struct {
 	now     Time
 	seq     uint64
-	nextID  EventID
-	queue   eventHeap
-	byID    map[EventID]*event
+	events  []event // slot table, indexed by the low half of an EventID
+	free    []int32 // recycled slots, reused last-freed first
+	queue   []int32 // binary min-heap of slots ordered by (at, seq)
 	rng     *rand.Rand
 	stopped bool
 	steps   uint64
@@ -145,10 +114,7 @@ type Simulator struct {
 // New returns a simulator whose PRNG is seeded with seed. Two simulators
 // built with the same seed and fed the same schedule produce identical runs.
 func New(seed int64) *Simulator {
-	return &Simulator{
-		byID: make(map[EventID]*event),
-		rng:  rand.New(rand.NewSource(seed)),
-	}
+	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -176,11 +142,20 @@ func (s *Simulator) Schedule(at Time, name string, fn func()) EventID {
 		at = s.now
 	}
 	s.seq++
-	s.nextID++
-	ev := &event{at: at, seq: s.seq, id: s.nextID, name: name, fn: fn}
-	heap.Push(&s.queue, ev)
-	s.byID[ev.id] = ev
-	return ev.id
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		slot = int32(len(s.events))
+		s.events = append(s.events, event{gen: 1})
+	}
+	ev := &s.events[slot]
+	ev.at, ev.seq, ev.fn, ev.name = at, s.seq, fn, name
+	ev.index = int32(len(s.queue))
+	s.queue = append(s.queue, slot)
+	s.up(int(ev.index))
+	return makeID(slot, ev.gen)
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -189,14 +164,19 @@ func (s *Simulator) After(d Duration, name string, fn func()) EventID {
 }
 
 // Cancel removes a scheduled event. It reports whether the event was still
-// pending; cancelling an already-fired or unknown ID is a no-op.
+// pending; cancelling an already-fired, already-cancelled or unknown ID is
+// a no-op, even once the event's slot holds a newer event.
 func (s *Simulator) Cancel(id EventID) bool {
-	ev, ok := s.byID[id]
-	if !ok || ev.index < 0 {
+	slot := uint32(id)
+	if slot >= uint32(len(s.events)) {
 		return false
 	}
-	heap.Remove(&s.queue, ev.index)
-	delete(s.byID, id)
+	ev := &s.events[slot]
+	if ev.gen != uint32(id>>32) || ev.index < 0 {
+		return false
+	}
+	s.remove(int(ev.index))
+	s.release(int32(slot))
 	return true
 }
 
@@ -206,7 +186,7 @@ func (s *Simulator) NextAt() (Time, bool) {
 	if len(s.queue) == 0 {
 		return 0, false
 	}
-	return s.queue[0].at, true
+	return s.events[s.queue[0]].at, true
 }
 
 // Step dispatches the single earliest pending event, advancing virtual time
@@ -215,25 +195,100 @@ func (s *Simulator) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	var ev *event
+	var slot int32
 	if s.chooser == nil {
-		evAny := heap.Pop(&s.queue)
-		e, ok := evAny.(*event)
-		if !ok {
-			return false
-		}
-		ev = e
+		slot = s.queue[0]
+		s.remove(0)
 	} else {
-		ev = s.chooseNext()
+		slot = s.chooseNext()
 	}
-	delete(s.byID, ev.id)
-	s.now = ev.at
+	ev := &s.events[slot]
+	c := Choice{ID: makeID(slot, ev.gen), Seq: ev.seq, At: ev.at, Name: ev.name}
+	fn := ev.fn
+	// The slot is free before fn runs: the event's ID is spent, and
+	// anything fn schedules may take the slot over.
+	s.release(slot)
+	s.now = c.At
 	s.steps++
 	if s.observer != nil {
-		s.observer.Dispatched(s.steps, Choice{ID: ev.id, Seq: ev.seq, At: ev.at, Name: ev.name})
+		s.observer.Dispatched(s.steps, c)
 	}
-	ev.fn()
+	fn()
 	return true
+}
+
+// release retires a slot's event and returns the slot to the free list.
+// Advancing the generation is what makes the retired ID stale.
+func (s *Simulator) release(slot int32) {
+	ev := &s.events[slot]
+	ev.fn, ev.name = nil, ""
+	ev.index = -1
+	ev.gen++
+	if ev.gen == 0 {
+		ev.gen = 1
+	}
+	s.free = append(s.free, slot)
+}
+
+// less orders queue positions i and j by (at, seq); seq breaks ties
+// deterministically in scheduling order.
+func (s *Simulator) less(i, j int) bool {
+	a, b := &s.events[s.queue[i]], &s.events[s.queue[j]]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (s *Simulator) swap(i, j int) {
+	q := s.queue
+	q[i], q[j] = q[j], q[i]
+	s.events[q[i]].index = int32(i)
+	s.events[q[j]].index = int32(j)
+}
+
+func (s *Simulator) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !s.less(j, i) {
+			break
+		}
+		s.swap(i, j)
+		j = i
+	}
+}
+
+func (s *Simulator) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && s.less(j2, j1) {
+			j = j2
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+// remove deletes queue position i, restoring the heap order. The
+// removed slot stays allocated; the caller releases it.
+func (s *Simulator) remove(i int) {
+	n := len(s.queue) - 1
+	if n != i {
+		s.swap(i, n)
+		if !s.down(i, n) {
+			s.up(i)
+		}
+	}
+	s.queue = s.queue[:n]
 }
 
 // Stop halts a Run in progress after the current event returns.

@@ -36,19 +36,21 @@ func (s *Session) Absorb(part *Session) error {
 	if !part.closed {
 		return fmt.Errorf("trace: absorb of unclosed part (%d events still open)", part.Open())
 	}
-	if part.seq != uint64(len(part.records)) {
-		return fmt.Errorf("trace: absorb of retain-off part (%d of %d records retained)", len(part.records), part.seq)
+	if n := part.retained(); part.seq != uint64(n) {
+		return fmt.Errorf("trace: absorb of retain-off part (%d of %d records retained)", n, part.seq)
 	}
 	runBase, scopeBase := s.runs, s.scopes
-	for _, r := range part.records {
-		if r.Run != 0 {
-			r.Run += runBase
+	for _, c := range part.chunks {
+		for _, r := range c {
+			if r.Run != 0 {
+				r.Run += runBase
+			}
+			if r.Scope != 0 {
+				r.Scope += scopeBase
+			}
+			r.Seq = 0 // Emit restamps
+			s.Emit(r)
 		}
-		if r.Scope != 0 {
-			r.Scope += scopeBase
-		}
-		r.Seq = 0 // Emit restamps
-		s.Emit(r)
 	}
 	s.runs += part.runs
 	s.scopes += part.scopes

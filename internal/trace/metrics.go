@@ -224,23 +224,23 @@ type histogramJSON struct {
 // metricsJSON is the machine-readable registry dump; maps are exported
 // through the sorted accessors so the encoding is deterministic.
 type metricsJSON struct {
-	Installs           uint64         `json:"installs"`
-	Enqueued           uint64         `json:"enqueued"`
-	Confirmed          uint64         `json:"confirmed"`
-	Dispatched         uint64         `json:"dispatched"`
-	Shed               uint64         `json:"shed"`
-	Cancelled          uint64         `json:"cancelled"`
-	Expired            uint64         `json:"expired"`
-	Panics             uint64         `json:"panics"`
-	Quarantines        uint64         `json:"quarantines"`
-	Native             uint64         `json:"native"`
-	PolicyDecisions    uint64         `json:"policy_decisions"`
-	InterposeCrossings uint64         `json:"interpose_crossings"`
-	InterposeVirtualMs float64        `json:"interpose_virtual_ms"`
-	DispatchLatency    histogramJSON  `json:"dispatch_latency"`
-	APICounts          []Count        `json:"api_counts,omitempty"`
-	ActionCounts       []Count        `json:"action_counts,omitempty"`
-	QueueHighWater     []ScopeDepth   `json:"queue_high_water,omitempty"`
+	Installs           uint64        `json:"installs"`
+	Enqueued           uint64        `json:"enqueued"`
+	Confirmed          uint64        `json:"confirmed"`
+	Dispatched         uint64        `json:"dispatched"`
+	Shed               uint64        `json:"shed"`
+	Cancelled          uint64        `json:"cancelled"`
+	Expired            uint64        `json:"expired"`
+	Panics             uint64        `json:"panics"`
+	Quarantines        uint64        `json:"quarantines"`
+	Native             uint64        `json:"native"`
+	PolicyDecisions    uint64        `json:"policy_decisions"`
+	InterposeCrossings uint64        `json:"interpose_crossings"`
+	InterposeVirtualMs float64       `json:"interpose_virtual_ms"`
+	DispatchLatency    histogramJSON `json:"dispatch_latency"`
+	APICounts          []Count       `json:"api_counts,omitempty"`
+	ActionCounts       []Count       `json:"action_counts,omitempty"`
+	QueueHighWater     []ScopeDepth  `json:"queue_high_water,omitempty"`
 }
 
 // WriteJSON renders the registry as deterministic indented JSON: all

@@ -221,7 +221,7 @@ type openEvent struct {
 // unconditionally after one nil check.
 type Session struct {
 	seq     uint64
-	records []Record
+	chunks  [][]Record // retained records, in emission order
 	metrics *Metrics
 	sinks   []Sink
 	retain  bool // append records to the in-memory buffer
@@ -302,13 +302,42 @@ func (s *Session) Emit(r Record) {
 		s.scopeLC[r.Scope] = r.LC
 	}
 	if s.retain {
-		s.records = append(s.records, r)
+		s.keep(r)
 	}
 	s.track(r)
 	s.metrics.observe(r)
 	for _, sink := range s.sinks {
 		sink.Observe(r)
 	}
+}
+
+// recordChunk is how many records each retained chunk holds. The first
+// chunk grows by append up to this size, so short sessions pay only for
+// what they emit; every later chunk is allocated at full size, so a
+// long session never copies or re-zeroes records it already holds.
+const recordChunk = 4096
+
+// keep appends r to the retained records.
+func (s *Session) keep(r Record) {
+	n := len(s.chunks)
+	if n == 0 || len(s.chunks[n-1]) == recordChunk {
+		var c []Record
+		if n > 0 {
+			c = make([]Record, 0, recordChunk)
+		}
+		s.chunks = append(s.chunks, c)
+		n++
+	}
+	s.chunks[n-1] = append(s.chunks[n-1], r)
+}
+
+// retained reports how many records the session holds.
+func (s *Session) retained() int {
+	n := 0
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	return n
 }
 
 // track maintains the open-event set used by Close and the
@@ -401,8 +430,10 @@ func (s *Session) Records() []Record {
 	if s == nil {
 		return nil
 	}
-	out := make([]Record, len(s.records))
-	copy(out, s.records)
+	out := make([]Record, 0, s.retained())
+	for _, c := range s.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -460,7 +491,7 @@ func (s *Session) Reset() {
 		return
 	}
 	s.seq = 0
-	s.records = nil
+	s.chunks = nil
 	s.metrics = newMetrics()
 	s.sinks = nil
 	s.open = make(map[uint64]openEvent)

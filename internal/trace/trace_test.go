@@ -315,3 +315,35 @@ func TestResetKeepsScopeAllocator(t *testing.T) {
 		t.Fatalf("scope allocator reused IDs after reset: %d <= %d", next, first)
 	}
 }
+
+// TestRecordsAcrossChunks: a session retaining several chunks of records
+// returns them all in emission order, and a parent absorbs them intact.
+func TestRecordsAcrossChunks(t *testing.T) {
+	part := NewSession()
+	n := 2*recordChunk + 7
+	for i := 0; i < n; i++ {
+		part.Emit(Record{Run: 1, Thread: 1, Op: OpNative, API: "tick", Value: int64(i)})
+	}
+	part.Close()
+	if len(part.chunks) != 3 || cap(part.chunks[1]) != recordChunk {
+		t.Fatalf("%d chunks (second of capacity %d), want 3 with later chunks of %d",
+			len(part.chunks), cap(part.chunks[1]), recordChunk)
+	}
+	recs := part.Records()
+	if len(recs) != n {
+		t.Fatalf("Records returned %d, want %d", len(recs), n)
+	}
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) || r.Value != int64(i) {
+			t.Fatalf("record %d = seq %d value %d", i, r.Seq, r.Value)
+		}
+	}
+	parent := NewSession()
+	if err := parent.Absorb(part); err != nil {
+		t.Fatalf("absorb: %v", err)
+	}
+	got := parent.Records()
+	if len(got) != n || got[n-1].Value != int64(n-1) || got[n-1].Seq != uint64(n) {
+		t.Fatalf("parent holds %d records, want %d in order", len(got), n)
+	}
+}

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh — the pre-merge gate: build, vet, jsk-lint, race-test.
+# check.sh — the pre-merge gate: build, vet, gofmt, jsk-lint, race-test.
 # Usage: ./scripts/check.sh   (or: make check)
 #
 # Fails fast: the first failing stage stops the run, and the banner
@@ -26,6 +26,13 @@ go build ./... || fail "go build"
 
 stage "go vet ./..."
 go vet ./... || fail "go vet"
+
+stage "gofmt -l ."
+unformatted="$(gofmt -l .)" || fail "gofmt"
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	fail "gofmt (run gofmt -w on the files above)"
+fi
 
 stage "jsk-lint ./internal/... ./cmd/..."
 go run ./cmd/jsk-lint ./internal/... ./cmd/... || fail "jsk-lint"
