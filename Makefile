@@ -36,7 +36,7 @@ chaos:
 # detector (internal/hb); nonzero if any cell's race verdict disagrees
 # with the experiment's own exploited/defended verdict.
 races:
-	$(GO) run ./cmd/jsk-race
+	$(GO) run ./cmd/jsk-eval -race -reps 3
 
 # explore is the bounded schedule-search smoke: PCT + DPOR over two CVE
 # cells with the attack state machines unarmed; nonzero unless every

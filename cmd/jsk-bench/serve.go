@@ -11,8 +11,8 @@ import (
 	"sort"
 	"time"
 
-	"jskernel/internal/attack"
 	"jskernel/internal/defense"
+	"jskernel/internal/expr"
 	"jskernel/internal/expr/runner"
 	"jskernel/internal/serve"
 	"jskernel/internal/telemetry"
@@ -245,13 +245,8 @@ func benchMetrics() (*trace.Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	var a *attack.TimingAttack
-	for _, row := range attack.TimingAttacks() {
-		if row.ID == req.Attack {
-			a = row
-		}
-	}
-	if a == nil {
+	a, ok := expr.TimingRow(req.Attack)
+	if !ok {
 		return nil, fmt.Errorf("unknown bench attack %q", req.Attack)
 	}
 	sess := trace.NewSession()

@@ -1,21 +1,16 @@
 // Command jsk-race surfaces the happens-before race analysis
-// (internal/hb) over the kernel event stream.
+// (internal/hb) over the kernel event stream of one Table I cell. The
+// whole CVE half — every cell's race verdict checked against the
+// experiment's own verdict — is `jsk-eval -race`; jsk-race's cells use
+// the same seeds as that matrix at -reps 3, so they reproduce its
+// findings exactly.
 //
-// Matrix mode re-runs Table I's CVE half with a streaming detector on
-// every (CVE, defense) cell and compares the race verdict — at least
-// one data race on the CVE's channel target class — against the
-// experiment's own exploited/defended verdict:
-//
-//	jsk-race                               # full matrix, fail on disagreement
-//	jsk-race -json                         # same, as JSON
-//
-// Cell mode runs one (CVE, defense) pair, prints every finding with
-// its vector-clock evidence, and can export the raw record stream or
-// write the joined obs report:
+// Cell mode runs one CVE row against one or every defense column,
+// prints every finding with its vector-clock evidence, and can export
+// the raw record stream:
 //
 //	jsk-race -cve CVE-2018-5092 -defense chrome
 //	jsk-race -cve CVE-2018-5092 -defense chrome -export trace.jsonl
-//	jsk-race -cve CVE-2018-5092 -defense chrome -report out/
 //
 // Replay mode re-runs the detector offline over an exported stream —
 // the same records, the same findings, no simulation:
@@ -29,14 +24,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
-	"jskernel/internal/attack"
-	"jskernel/internal/defense"
 	"jskernel/internal/expr"
 	"jskernel/internal/hb"
-	"jskernel/internal/obs"
 	"jskernel/internal/trace"
+	"jskernel/internal/vuln"
 )
 
 func main() {
@@ -49,65 +41,29 @@ func main() {
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("jsk-race", flag.ContinueOnError)
 	var (
-		cve      = fs.String("cve", "", "run one CVE row (e.g. CVE-2018-5092)")
-		def      = fs.String("defense", "", "with -cve, run one defense column (default: all)")
-		seed     = fs.Int64("seed", 0, "override the experiment seed")
-		parallel = fs.Int("parallel", 0, "worker-pool width for the matrix (0 = one per CPU); output is byte-identical at any width")
-		asJSON   = fs.Bool("json", false, "emit results as JSON")
-		export   = fs.String("export", "", "with -cve and -defense, export the cell's raw record stream to this file (JSONL, replayable)")
-		replay   = fs.String("replay", "", "replay an exported record stream through the detector instead of simulating")
-		report   = fs.String("report", "", "with -cve and -defense, write the joined obs report (report.json + summary.txt) to this directory")
+		cve    = fs.String("cve", "", "run one CVE row (e.g. CVE-2018-5092)")
+		def    = fs.String("defense", "", "with -cve, run one defense column (default: all)")
+		seed   = fs.Int64("seed", 0, "override the experiment seed")
+		asJSON = fs.Bool("json", false, "emit results as JSON")
+		export = fs.String("export", "", "with -cve and -defense, export the cell's raw record stream to this file (JSONL, replayable)")
+		replay = fs.String("replay", "", "replay an exported record stream through the detector instead of simulating")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
+	if *replay != "" {
+		return replayFile(w, *replay, *asJSON)
+	}
+	if *cve == "" {
+		return fmt.Errorf("pass -cve to run a cell or -replay to re-judge an exported stream (the full race matrix is jsk-eval -race)")
+	}
 	cfg := expr.QuickConfig()
 	cfg.Reps = 3
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	cfg.Parallel = *parallel
-
-	if *replay != "" {
-		return replayFile(w, *replay, *asJSON)
-	}
-	if *cve != "" {
-		return runCells(w, cfg, *cve, *def, *export, *report, *asJSON)
-	}
-	if *export != "" || *report != "" {
-		return fmt.Errorf("-export and -report need a single cell: pass -cve and -defense")
-	}
-	return runMatrix(w, cfg, *asJSON)
-}
-
-// runMatrix re-judges the full CVE half and fails on any disagreement.
-func runMatrix(w io.Writer, cfg expr.Config, asJSON bool) error {
-	res, err := expr.RaceTable1(cfg)
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		if err := writeJSON(w, res); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintf(w, "race matrix: %d cells, %d flagged\n", len(res.Cells), len(res.Findings()))
-		for _, c := range res.Cells {
-			fmt.Fprintf(w, "  %-14s %-16s defended=%-5v races(%s)=%d total=%d\n",
-				c.Row, c.Defense, c.ActualDefended, c.Channel, c.ChannelRaces, c.TotalRaces)
-		}
-	}
-	if n := len(res.Mismatches); n > 0 {
-		for _, m := range res.Mismatches {
-			fmt.Fprintf(w, "race mismatch: %s\n", m)
-		}
-		return fmt.Errorf("%d cells disagree with the experiment verdicts", n)
-	}
-	if !asJSON {
-		fmt.Fprintln(w, "race verdicts agree with the experiment verdicts on every cell")
-	}
-	return nil
+	return runRow(w, cfg, vuln.CVE(*cve), *def, *export, *asJSON)
 }
 
 // cellResult is one cell's output in cell mode.
@@ -120,67 +76,42 @@ type cellResult struct {
 	Findings  []hb.Finding `json:"findings"`
 }
 
-// runCells runs one CVE row against one or all defenses.
-func runCells(w io.Writer, cfg expr.Config, cveID, defID, export, reportDir string, asJSON bool) error {
-	var row *attack.CVEAttack
-	rowIdx := -1
-	for i, a := range attack.CVEAttacks() {
-		if string(a.CVE) == cveID {
-			row, rowIdx = a, i
+// runRow runs one CVE row against one or all defenses.
+func runRow(w io.Writer, cfg expr.Config, cve vuln.CVE, defID, export string, asJSON bool) error {
+	cells, ok := expr.Table1CVECells(cfg, cve)
+	if !ok {
+		return fmt.Errorf("unknown CVE %q", cve)
+	}
+	if defID != "" {
+		var picked []expr.Cell
+		for _, c := range cells {
+			if c.Defense.ID == defID {
+				picked = append(picked, c)
+			}
 		}
-	}
-	if row == nil {
-		return fmt.Errorf("unknown CVE %q", cveID)
-	}
-	var cols []defense.Defense
-	var colIdx []int
-	for i, d := range defense.TableIDefenses() {
-		if defID == "" || d.ID == defID {
-			cols = append(cols, d)
-			colIdx = append(colIdx, i)
+		if len(picked) == 0 {
+			return fmt.Errorf("unknown defense %q", defID)
 		}
+		cells = picked
 	}
-	if len(cols) == 0 {
-		return fmt.Errorf("unknown defense %q", defID)
-	}
-	if (export != "" || reportDir != "") && len(cols) != 1 {
-		return fmt.Errorf("-export and -report need a single cell: pass -defense")
+	if export != "" && len(cells) != 1 {
+		return fmt.Errorf("-export needs a single cell: pass -defense")
 	}
 
-	channel, _ := expr.CVEChannel(row.CVE)
+	channel, _ := expr.CVEChannel(cve)
 	var results []cellResult
-	for ci, d := range cols {
-		sess := trace.NewSession()
-		retain := export != ""
-		sess.SetRetain(retain)
-		det := hb.NewDetector()
-		sess.Attach(det)
-		var prof *obs.Profiler
-		if reportDir != "" {
-			prof = obs.NewProfiler()
-			sess.Attach(prof)
-		}
-		// Same derived seed as the matrix cell, so findings here reproduce
-		// the matrix (and the checked-in goldens) exactly.
-		out := attack.EvaluateCVE(row, d.WithTracer(sess), expr.RaceCellSeed(cfg, rowIdx, colIdx[ci]))
-		sess.Close()
-		findings := det.Findings()
+	for _, c := range cells {
+		res := expr.RunCell(c, expr.Instruments{Records: export != "", Races: true})
 		results = append(results, cellResult{
-			Row: string(row.CVE), Defense: d.ID,
-			Defended: out.Defended, Exploited: out.Exploited,
-			Channel: channel, Findings: findings,
+			Row: string(cve), Defense: c.Defense.ID,
+			Defended: res.Outcome.Defended, Exploited: res.Outcome.Exploited,
+			Channel: channel, Findings: res.Races,
 		})
 		if export != "" {
-			if err := exportRecords(sess, export); err != nil {
+			if err := exportRecords(res.Trace.Records(), export); err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "exported record stream -> %s\n", export)
-		}
-		if reportDir != "" {
-			if err := writeReport(sess, prof, findings, string(row.CVE)+"/"+d.ID, reportDir); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "obs report -> %s\n", reportDir)
 		}
 	}
 	if asJSON {
@@ -214,52 +145,19 @@ func replayFile(w io.Writer, path string, asJSON bool) error {
 	return nil
 }
 
-// exportRecords writes a session's retained records as JSONL.
-func exportRecords(sess *trace.Session, path string) error {
+// exportRecords writes a cell's retained records as JSONL.
+func exportRecords(recs []trace.Record, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	rw := trace.NewRecordWriter(f)
-	rw.WriteAll(sess.Records())
+	rw.WriteAll(recs)
 	if err := rw.Flush(); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// writeReport joins the race findings into the obs telemetry report.
-func writeReport(sess *trace.Session, prof *obs.Profiler, findings []hb.Finding, title, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	in := obs.ReportInput{
-		Title:    title,
-		Profiler: prof,
-		Races:    findings,
-		Metrics:  sess.Metrics(),
-	}
-	jf, err := os.Create(filepath.Join(dir, "report.json"))
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteReportJSON(jf, in); err != nil {
-		jf.Close()
-		return err
-	}
-	if err := jf.Close(); err != nil {
-		return err
-	}
-	sf, err := os.Create(filepath.Join(dir, "summary.txt"))
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteReportSummary(sf, in); err != nil {
-		sf.Close()
-		return err
-	}
-	return sf.Close()
 }
 
 func printFindings(w io.Writer, findings []hb.Finding) {

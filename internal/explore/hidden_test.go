@@ -44,7 +44,7 @@ func hiddenRaceAttack() *attack.CVEAttack {
 
 func hiddenSpec(t *testing.T) runSpec {
 	t.Helper()
-	def, err := defenseByID("chrome")
+	_, def, err := column("chrome")
 	if err != nil {
 		t.Fatalf("defense: %v", err)
 	}

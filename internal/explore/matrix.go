@@ -87,40 +87,31 @@ type Report struct {
 	Discovered int          `json:"discovered"`
 }
 
-// defenseByID resolves a Table I defense column.
-func defenseByID(id string) (defense.Defense, error) {
-	for _, d := range defense.TableIDefenses() {
-		if d.ID == id {
-			return d, nil
-		}
+// column resolves the explored Table I defense column and its index.
+func column(id string) (int, defense.Defense, error) {
+	defIdx, def, ok := expr.Table1Column(id)
+	if !ok {
+		return 0, def, fmt.Errorf("explore: unknown defense %q (want a Table I column)", id)
 	}
-	return defense.Defense{}, fmt.Errorf("explore: unknown defense %q (want a Table I column)", id)
+	return defIdx, def, nil
 }
 
-// cellSeeds derives the per-cell seed stream. The cell index is the
+// cveRow resolves an explored CVE row: its attack, its channel class,
+// and its cell seed. The seed stream is explore's own, keyed by the
 // CVE's position in the full corpus (not the filtered subset) so a
 // -cves restriction explores exactly the schedules the full matrix
 // would.
-func cellSeed(rootSeed int64, cve vuln.CVE, defIdx int) int64 {
+func cveRow(rootSeed int64, cve vuln.CVE, defIdx int) (*attack.CVEAttack, string, int64, error) {
+	row, a, ok := expr.CVERow(cve)
+	if !ok {
+		return nil, "", 0, fmt.Errorf("explore: no exploit driver for %q", cve)
+	}
+	ch, ok := expr.CVEChannel(cve)
+	if !ok {
+		return nil, "", 0, fmt.Errorf("explore: no channel class for %q", cve)
+	}
 	nDef := len(defense.TableIDefenses())
-	row := 0
-	for i, c := range vuln.All() {
-		if c == cve {
-			row = i
-			break
-		}
-	}
-	return sim.DeriveSeed(rootSeed, int64(row*nDef+defIdx))
-}
-
-// attackFor returns the exploit driver for a CVE.
-func attackFor(cve vuln.CVE) (*attack.CVEAttack, error) {
-	for _, a := range attack.CVEAttacks() {
-		if a.CVE == cve {
-			return a, nil
-		}
-	}
-	return nil, fmt.Errorf("explore: no exploit driver for %q", cve)
+	return a, ch, sim.DeriveSeed(rootSeed, int64(row*nDef+defIdx)), nil
 }
 
 // schedOut is one (cell, schedule) execution's distilled result.
@@ -146,16 +137,9 @@ func Matrix(cfg Config) (*Report, error) {
 	if cfg.Horizon < 1 {
 		cfg.Horizon = 64
 	}
-	def, err := defenseByID(cfg.DefenseID)
+	defIdx, def, err := column(cfg.DefenseID)
 	if err != nil {
 		return nil, err
-	}
-	defIdx := 0
-	for i, d := range defense.TableIDefenses() {
-		if d.ID == cfg.DefenseID {
-			defIdx = i
-			break
-		}
 	}
 	cves := cfg.CVEs
 	if len(cves) == 0 {
@@ -163,17 +147,11 @@ func Matrix(cfg Config) (*Report, error) {
 	}
 	rows := make([]*attack.CVEAttack, len(cves))
 	channels := make([]string, len(cves))
+	seeds := make([]int64, len(cves))
 	for i, c := range cves {
-		a, err := attackFor(c)
-		if err != nil {
+		if rows[i], channels[i], seeds[i], err = cveRow(cfg.Seed, c, defIdx); err != nil {
 			return nil, err
 		}
-		ch, ok := expr.CVEChannel(c)
-		if !ok {
-			return nil, fmt.Errorf("explore: no channel class for %q", c)
-		}
-		rows[i] = a
-		channels[i] = ch
 	}
 
 	// Phase 1: baseline + PCT, flattened over (cell, schedule) so the
@@ -181,7 +159,7 @@ func Matrix(cfg Config) (*Report, error) {
 	nSched := 1 + cfg.Budget
 	flat := runner.Map(cfg.Parallel, len(cves)*nSched, func(i int) schedOut {
 		cell, s := i/nSched, i%nSched
-		base := cellSeed(cfg.Seed, cves[cell], defIdx)
+		base := seeds[cell]
 		var inner sim.Chooser
 		if s > 0 {
 			inner = NewPCT(sim.DeriveSeed(base, int64(s)), cfg.Depth, cfg.Horizon)
@@ -249,11 +227,10 @@ func Matrix(cfg Config) (*Report, error) {
 	if len(undiscovered) > 0 {
 		dporOuts := runner.Map(cfg.Parallel, len(undiscovered), func(i int) dporOut {
 			cell := undiscovered[i].cell
-			base := cellSeed(cfg.Seed, cves[cell], defIdx)
 			return dporSearch(runSpec{
 				Attack:  rows[cell],
 				Defense: def,
-				EnvSeed: base + 1,
+				EnvSeed: seeds[cell] + 1,
 			}, channels[cell], cfg.DPORBudget)
 		})
 		for i, out := range dporOuts {
@@ -305,26 +282,14 @@ func Matrix(cfg Config) (*Report, error) {
 // findings of the reproduced schedule, truncated at the same early-stop
 // point as the live run.
 func ReplayRun(t Token) ([]hb.Finding, error) {
-	def, err := defenseByID(t.Defense)
+	defIdx, def, err := column(t.Defense)
 	if err != nil {
 		return nil, err
 	}
-	defIdx := 0
-	for i, d := range defense.TableIDefenses() {
-		if d.ID == t.Defense {
-			defIdx = i
-			break
-		}
-	}
-	a, err := attackFor(t.CVE)
+	a, ch, base, err := cveRow(t.RootSeed, t.CVE, defIdx)
 	if err != nil {
 		return nil, err
 	}
-	ch, ok := expr.CVEChannel(t.CVE)
-	if !ok {
-		return nil, fmt.Errorf("explore: no channel class for %q", t.CVE)
-	}
-	base := cellSeed(t.RootSeed, t.CVE, defIdx)
 	res := runSchedule(runSpec{
 		Attack:    a,
 		Defense:   def,

@@ -10,7 +10,8 @@ import (
 // internal/expr/runner. A driver flattens its matrix into cells —
 // independent units of work that build their own environments — and
 // runCells executes them at cfg.Parallel width while keeping every
-// observable output byte-identical to a serial run:
+// observable output byte-identical to a serial run (Table I's matrices
+// run their cells through RunCell over the same pool; see cell.go):
 //
 //   - seeds: each cell receives sim.DeriveSeed(cfg.Seed, index), a pure
 //     function of its position in the canonical enumeration, never of

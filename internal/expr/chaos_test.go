@@ -9,10 +9,7 @@ import (
 // Table I matrix under every standard fault plan must not flip any
 // defended cell to vulnerable.
 func TestChaosNoWeakenedVerdicts(t *testing.T) {
-	res, err := Chaos(QuickConfig())
-	if err != nil {
-		t.Fatalf("Chaos: %v", err)
-	}
+	res := quickChaos(t)
 	if len(res.Plans) < 3 {
 		t.Fatalf("expected >=3 fault plans, got %d", len(res.Plans))
 	}
@@ -37,11 +34,7 @@ func TestChaosNoWeakenedVerdicts(t *testing.T) {
 // byte-identical: a run is a pure function of (defense, workload,
 // fault plan, seed).
 func TestChaosDeterminism(t *testing.T) {
-	render := func() string {
-		res, err := Chaos(QuickConfig())
-		if err != nil {
-			t.Fatalf("Chaos: %v", err)
-		}
+	render := func(res *ChaosResult) string {
 		var sb strings.Builder
 		if err := res.Table.Render(&sb); err != nil {
 			t.Fatalf("render: %v", err)
@@ -54,7 +47,11 @@ func TestChaosDeterminism(t *testing.T) {
 		}
 		return sb.String()
 	}
-	a, b := render(), render()
+	fresh, err := Chaos(QuickConfig())
+	if err != nil {
+		t.Fatalf("Chaos: %v", err)
+	}
+	a, b := render(quickChaos(t)), render(fresh)
 	if a != b {
 		t.Fatalf("chaos experiment is not reproducible:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}

@@ -17,8 +17,12 @@ import (
 // the property jsk-lint's analyzers exist to protect; the test catches
 // whatever a static check cannot.
 func TestTable1PlainDeterminism(t *testing.T) {
-	a := renderTable1(t)
-	b := renderTable1(t)
+	a := renderTable1(t, quickTable1(t))
+	fresh, err := Table1(QuickConfig())
+	if err != nil {
+		t.Fatalf("Table1: %v", err)
+	}
+	b := renderTable1(t, fresh)
 	if a == b {
 		return
 	}
@@ -32,12 +36,8 @@ func TestTable1PlainDeterminism(t *testing.T) {
 }
 
 // renderTable1 serializes one full Table I run with bit-exact floats.
-func renderTable1(t *testing.T) string {
+func renderTable1(t *testing.T, res *Table1Result) string {
 	t.Helper()
-	res, err := Table1(QuickConfig())
-	if err != nil {
-		t.Fatalf("Table1: %v", err)
-	}
 	var sb strings.Builder
 	if err := res.Table.Render(&sb); err != nil {
 		t.Fatalf("render: %v", err)

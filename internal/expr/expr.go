@@ -49,23 +49,6 @@ type Config struct {
 	Obs bool
 }
 
-// traced wires the config's trace session onto one defense.
-func (c Config) traced(d defense.Defense) defense.Defense {
-	return c.tracedWith(d, c.Trace)
-}
-
-// tracedAll wires the config's trace session onto a defense list.
-func (c Config) tracedAll(ds []defense.Defense) []defense.Defense {
-	if c.Trace == nil {
-		return ds
-	}
-	out := make([]defense.Defense, len(ds))
-	for i, d := range ds {
-		out[i] = c.traced(d)
-	}
-	return out
-}
-
 // tracedWith attaches a (usually per-cell) trace session to a defense,
 // carrying the config's obs setting along; a nil session (tracing off)
 // leaves the defense untouched.

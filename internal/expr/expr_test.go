@@ -14,10 +14,7 @@ func TestTable1PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	res, err := Table1(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickTable1(t)
 
 	jsk := defense.JSKernel("chrome").ID
 	// JSKernel defends every row.

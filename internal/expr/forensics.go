@@ -3,12 +3,9 @@ package expr
 import (
 	"fmt"
 
-	"jskernel/internal/attack"
 	"jskernel/internal/defense"
 	"jskernel/internal/expr/runner"
 	"jskernel/internal/obs"
-	"jskernel/internal/sim"
-	"jskernel/internal/trace"
 )
 
 // Online attack forensics over the Table I matrix: every cell runs with
@@ -18,11 +15,10 @@ import (
 // harness's own measurements. The two must agree on every cell: an
 // undefended cell is flagged, a defended cell produces no finding.
 //
-// Cells are enumerated, seeded and assembled exactly like table1Matrix
-// (same index arithmetic, same sim.DeriveSeed stream), so the forensic
-// matrix is deterministic at any parallel width and its actual verdicts
-// are identical to Table1's. Observability events never perturb
-// execution, which is what keeps the two matrices comparable.
+// The cells are Table1's own (table1Grid), so the forensic matrix is
+// deterministic at any parallel width and its actual verdicts are
+// identical to Table1's. Observability events never perturb execution,
+// which is what keeps the two matrices comparable.
 
 // ForensicsCell is one (row, defense) cell of the forensic matrix.
 type ForensicsCell struct {
@@ -34,18 +30,10 @@ type ForensicsCell struct {
 	Kind string `json:"kind"`
 	// ActualDefended is the experiment's own verdict for the cell.
 	ActualDefended bool `json:"actual_defended"`
-	// Flagged is the forensic verdict: the obs layer concluded from the
-	// event stream that the attack succeeded.
-	Flagged bool `json:"flagged"`
-	// Channels carries the forensic per-channel statistics (timing rows).
-	Channels []obs.ChannelVerdict `json:"channels,omitempty"`
-	// Evidence cites the record sequence numbers that triggered the CVE
-	// mirror (CVE rows of flagged cells).
-	Evidence []uint64 `json:"evidence,omitempty"`
-	// Signatures are the streaming detectors' findings for the cell's
-	// first repetition (flagged cells only): the attack-construction
-	// evidence accompanying the verdict.
-	Signatures []obs.Signature `json:"signatures,omitempty"`
+	// Verdict is the forensic verdict. A timing cell's signatures are
+	// its first repetition's: the attack-construction evidence
+	// accompanying the verdict.
+	Verdict
 }
 
 // ForensicsResult is the full forensic matrix.
@@ -68,78 +56,14 @@ func (r *ForensicsResult) Findings() []ForensicsCell {
 	return out
 }
 
-// forensicsCellOut is one scheduled cell's raw result.
-type forensicsCellOut struct {
-	samples  attack.RepSamples
-	readings obs.CellReadings
-	out      attack.Outcome
-	flagged  bool
-	evidence []uint64
-	sigs     []obs.Signature
-}
-
 // ForensicsTable1 runs the Table I matrix with streaming forensics.
 // Every cell traces into its own retain-off session (cfg.Trace is not
 // used: the obs consumers see each cell's stream directly and nothing
 // needs to be buffered or absorbed).
 func ForensicsTable1(cfg Config) (*ForensicsResult, error) {
-	reps := cfg.Reps
-	if reps <= 0 {
-		reps = attack.Reps
-	}
-	defenses := defense.TableIDefenses()
-
-	// Canonical row order, identical to table1Matrix.
-	group := "setTimeout"
-	var timingRows []*attack.TimingAttack
-	for _, a := range attack.TimingAttacks() {
-		if a.ClockGroup == group {
-			timingRows = append(timingRows, a)
-		}
-	}
-	for _, a := range attack.TimingAttacks() {
-		if a.ClockGroup != group {
-			timingRows = append(timingRows, a)
-		}
-	}
-	cveRows := attack.CVEAttacks()
-
-	perDefense := reps
-	perTimingRow := len(defenses) * perDefense
-	nTiming := len(timingRows) * perTimingRow
-	nCells := nTiming + len(cveRows)*len(defenses)
-
-	outs := runner.Map(cfg.Parallel, nCells, func(i int) forensicsCellOut {
-		seed := sim.DeriveSeed(cfg.Seed, int64(i))
-		sess := trace.NewSession()
-		sess.SetRetain(false)
-		col := obs.NewCollector()
-		det := obs.NewDetectors(obs.DefaultDetectorConfig())
-		sess.Attach(col)
-		sess.Attach(det)
-
-		var out forensicsCellOut
-		if i < nTiming {
-			a := timingRows[i/perTimingRow]
-			rem := i % perTimingRow
-			d := defenses[rem/perDefense].WithTracer(sess).WithObs(true)
-			out.samples = a.MeasureRep(d, seed)
-			sess.Close()
-			// MeasureRep builds the variant-0 environment first, so the
-			// session's runs 1 and 2 are the two secret variants in order.
-			for v := 0; v < 2; v++ {
-				out.readings.Variants[v] = obs.ExtractReadings(a.ID, col.Run(v+1))
-			}
-		} else {
-			j := i - nTiming
-			a := cveRows[j/len(defenses)]
-			d := defenses[j%len(defenses)].WithTracer(sess).WithObs(true)
-			out.out = attack.EvaluateCVE(a, d, seed)
-			sess.Close()
-			out.flagged, out.evidence = obs.MirrorExploited(col.Run(1), a.CVE)
-		}
-		out.sigs = det.Finish()
-		return out
+	g := newTable1Grid(cfg, defense.TableIDefenses())
+	outs := runner.Map(cfg.Parallel, len(g.cells), func(i int) CellResult {
+		return RunCell(g.cells[i], Instruments{Forensics: true})
 	})
 
 	res := &ForensicsResult{Mismatches: []string{}}
@@ -152,46 +76,37 @@ func ForensicsTable1(cfg Config) (*ForensicsResult, error) {
 		}
 	}
 
-	for ri, a := range timingRows {
-		for di, d := range defenses {
-			base := ri*perTimingRow + di*perDefense
-			parts := make([]attack.RepSamples, reps)
-			repReadings := make([]obs.CellReadings, reps)
-			for rep := 0; rep < reps; rep++ {
-				parts[rep] = outs[base+rep].samples
-				repReadings[rep] = outs[base+rep].readings
+	for ri, a := range g.timing {
+		for di, d := range g.defenses {
+			reps := g.timingReps(outs, ri, di)
+			readings := make([]obs.CellReadings, len(reps))
+			for r, o := range reps {
+				readings[r] = o.Readings[0]
 			}
-			actual := a.AssembleOutcome(d.ID, attack.MergeSamples(parts))
-			verdicts, forensicDefended := obs.JudgeTiming(repReadings)
+			channels, defended := obs.JudgeTiming(readings)
 			cell := ForensicsCell{
 				Row:            a.ID,
 				Defense:        d.ID,
 				Kind:           "timing",
-				ActualDefended: actual.Defended,
-				Flagged:        !forensicDefended,
-				Channels:       verdicts,
+				ActualDefended: g.mergedOutcome(outs, ri, di).Defended,
+				Verdict:        Verdict{Flagged: !defended, Channels: channels},
 			}
 			if cell.Flagged {
-				cell.Signatures = outs[base].sigs
+				cell.Signatures = reps[0].Signatures
 			}
 			addCell(cell)
 		}
 	}
-	for ci, a := range cveRows {
-		for di, d := range defenses {
-			o := outs[nTiming+ci*len(defenses)+di]
-			cell := ForensicsCell{
+	for ci, a := range g.cves {
+		for di, d := range g.defenses {
+			o := outs[g.cveAt[ci][di]]
+			addCell(ForensicsCell{
 				Row:            string(a.CVE),
 				Defense:        d.ID,
 				Kind:           "cve",
-				ActualDefended: o.out.Defended,
-				Flagged:        o.flagged,
-				Evidence:       o.evidence,
-			}
-			if cell.Flagged {
-				cell.Signatures = o.sigs
-			}
-			addCell(cell)
+				ActualDefended: o.Outcome.Defended,
+				Verdict:        *o.Verdict,
+			})
 		}
 	}
 	return res, nil

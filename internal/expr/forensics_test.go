@@ -12,27 +12,13 @@ import (
 // golden-trace harness in internal/trace.
 var updateForensics = flag.Bool("update", false, "rewrite golden forensic findings")
 
-// forensicsConfig is the shared scaled-down matrix: quick seed, three
-// reps — enough for Cohen's d to separate the undefended cells while
-// keeping the doubled matrix (forensics + verdict cross-check) fast.
-func forensicsConfig() Config {
-	cfg := QuickConfig()
-	cfg.Reps = 3
-	return cfg
-}
-
 // TestForensicsTable1 is the golden forensics gate: every undefended
 // Table I cell is flagged from the event stream alone, defended cells
 // produce zero findings, the forensic matrix is byte-identical between
 // serial and 8-wide parallel execution, and running with observability
 // on does not perturb the experiment's own verdicts.
 func TestForensicsTable1(t *testing.T) {
-	cfg := forensicsConfig()
-	cfg.Parallel = 1
-	serial, err := ForensicsTable1(cfg)
-	if err != nil {
-		t.Fatalf("ForensicsTable1 serial: %v", err)
-	}
+	serial := forensicsAt(t, 1)
 
 	if len(serial.Mismatches) != 0 {
 		for _, m := range serial.Mismatches {
@@ -58,12 +44,7 @@ func TestForensicsTable1(t *testing.T) {
 		}
 	}
 
-	cfgPar := cfg
-	cfgPar.Parallel = 8
-	parallel, err := ForensicsTable1(cfgPar)
-	if err != nil {
-		t.Fatalf("ForensicsTable1 parallel: %v", err)
-	}
+	parallel := forensicsAt(t, 8)
 	sb := mustJSON(t, serial)
 	pb := mustJSON(t, parallel)
 	if !bytes.Equal(sb, pb) {
@@ -73,10 +54,7 @@ func TestForensicsTable1(t *testing.T) {
 	// Cross-check: the obs-on matrix reaches exactly the verdicts the
 	// plain (obs-off) Table I run reaches — observability events never
 	// perturb execution.
-	t1, err := Table1(cfgPar)
-	if err != nil {
-		t.Fatalf("Table1: %v", err)
-	}
+	t1 := table1Reps3(t)
 	for _, c := range serial.Cells {
 		want, ok := t1.Defended(c.Row, c.Defense)
 		if !ok {
@@ -93,12 +71,7 @@ func TestForensicsTable1(t *testing.T) {
 // CVE-2018-5092 row against a checked-in golden file (use -update to
 // regenerate after an intentional behaviour change).
 func TestForensicsGoldenCVE20185092(t *testing.T) {
-	cfg := forensicsConfig()
-	cfg.Parallel = 8
-	res, err := ForensicsTable1(cfg)
-	if err != nil {
-		t.Fatalf("ForensicsTable1: %v", err)
-	}
+	res := forensicsAt(t, 8)
 	var row []ForensicsCell
 	for _, c := range res.Cells {
 		if c.Row == "CVE-2018-5092" {

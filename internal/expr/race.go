@@ -3,12 +3,9 @@ package expr
 import (
 	"fmt"
 
-	"jskernel/internal/attack"
 	"jskernel/internal/defense"
 	"jskernel/internal/expr/runner"
 	"jskernel/internal/hb"
-	"jskernel/internal/sim"
-	"jskernel/internal/trace"
 	"jskernel/internal/vuln"
 )
 
@@ -19,9 +16,8 @@ import (
 // defended verdict. The two must agree on every cell: an exploited cell
 // shows a race on its channel, a defended one shows none.
 //
-// Cells are seeded with the same sim.DeriveSeed stream as table1Matrix
-// and ForensicsTable1 (the CVE half begins after the timing cells), so
-// the actual verdicts here are identical to Table1's and the matrix is
+// The cells are the CVE half of Table1's own (table1Grid), so the actual
+// verdicts here are identical to Table1's and the matrix is
 // deterministic at any parallel width.
 
 // cveChannel maps each CVE row to the shared-target class its race
@@ -43,7 +39,8 @@ var cveChannel = map[vuln.CVE]string{
 	vuln.CVE20104576: "doc",    // delivery after document teardown
 }
 
-// CVEChannel exposes the CVE → channel-class mapping (jsk-race lists it).
+// CVEChannel exposes the CVE → channel-class mapping (jsk-race and
+// internal/explore judge findings by it).
 func CVEChannel(cve vuln.CVE) (string, bool) {
 	c, ok := cveChannel[cve]
 	return c, ok
@@ -90,87 +87,45 @@ func (r *RaceResult) Findings() []RaceCell {
 	return out
 }
 
-// RaceCellSeed returns the derived seed the race matrix uses for the
-// cell at (rowIdx, defIdx) — the same sim.DeriveSeed stream position as
-// table1Matrix, so a single cell re-run (jsk-race -cve/-defense)
-// reproduces the matrix's findings exactly.
-func RaceCellSeed(cfg Config, rowIdx, defIdx int) int64 {
-	reps := cfg.Reps
-	if reps <= 0 {
-		reps = attack.Reps
-	}
-	nDef := len(defense.TableIDefenses())
-	nTiming := len(attack.TimingAttacks()) * nDef * reps
-	return sim.DeriveSeed(cfg.Seed, int64(nTiming+rowIdx*nDef+defIdx))
-}
-
-// raceCellOut is one scheduled cell's raw result.
-type raceCellOut struct {
-	out      attack.Outcome
-	findings []hb.Finding
-}
-
 // RaceTable1 runs the CVE half of the Table I matrix with a streaming
 // race detector on every cell. Each cell traces into its own retain-off
 // session; nothing is buffered or absorbed.
 func RaceTable1(cfg Config) (*RaceResult, error) {
-	reps := cfg.Reps
-	if reps <= 0 {
-		reps = attack.Reps
+	g := newTable1Grid(cfg, defense.TableIDefenses())
+	var cells []Cell
+	for _, at := range g.cveAt {
+		for _, i := range at {
+			cells = append(cells, g.cells[i])
+		}
 	}
-	defenses := defense.TableIDefenses()
-	cveRows := attack.CVEAttacks()
-
-	// Seed parity with table1Matrix/ForensicsTable1: the CVE cells start
-	// after the timing half's derived-seed stream.
-	nTiming := len(attack.TimingAttacks()) * len(defenses) * reps
-	nCells := len(cveRows) * len(defenses)
-
-	outs := runner.Map(cfg.Parallel, nCells, func(i int) raceCellOut {
-		seed := sim.DeriveSeed(cfg.Seed, int64(nTiming+i))
-		sess := trace.NewSession()
-		sess.SetRetain(false)
-		det := hb.NewDetector()
-		sess.Attach(det)
-
-		a := cveRows[i/len(defenses)]
-		d := defenses[i%len(defenses)].WithTracer(sess)
-		var out raceCellOut
-		out.out = attack.EvaluateCVE(a, d, seed)
-		sess.Close()
-		out.findings = det.Findings()
-		return out
+	outs := runner.Map(cfg.Parallel, len(cells), func(i int) CellResult {
+		return RunCell(cells[i], Instruments{Races: true})
 	})
 
 	res := &RaceResult{Mismatches: []string{}}
-	for ci, a := range cveRows {
-		for di, d := range defenses {
-			o := outs[ci*len(defenses)+di]
-			channel := cveChannel[a.CVE]
-			cell := RaceCell{
-				Row:            string(a.CVE),
-				Defense:        d.ID,
-				ActualDefended: o.out.Defended,
-				Channel:        channel,
-				TotalRaces:     len(o.findings),
+	for i, o := range outs {
+		row := cells[i].CVE.CVE
+		channel := cveChannel[row]
+		cell := RaceCell{
+			Row:            string(row),
+			Defense:        cells[i].Defense.ID,
+			ActualDefended: o.Outcome.Defended,
+			Channel:        channel,
+			TotalRaces:     len(o.Races),
+		}
+		for _, f := range o.Races {
+			if f.Class == channel {
+				cell.ChannelRaces++
+				cell.Findings = append(cell.Findings, f)
 			}
-			for _, f := range o.findings {
-				if f.Class == channel {
-					cell.ChannelRaces++
-					cell.Findings = append(cell.Findings, f)
-				}
-			}
-			cell.Flagged = cell.ChannelRaces > 0
-			if !cell.Flagged {
-				cell.Findings = nil
-			}
-			res.Cells = append(res.Cells, cell)
-			if cell.Flagged == cell.ActualDefended {
-				res.Mismatches = append(res.Mismatches, fmt.Sprintf(
-					"%s/%s: actual defended=%v, race flagged=%v (%d races on %q, %d total)",
-					cell.Row, cell.Defense, cell.ActualDefended, cell.Flagged,
-					cell.ChannelRaces, channel, cell.TotalRaces))
-			}
+		}
+		cell.Flagged = cell.ChannelRaces > 0
+		res.Cells = append(res.Cells, cell)
+		if cell.Flagged == cell.ActualDefended {
+			res.Mismatches = append(res.Mismatches, fmt.Sprintf(
+				"%s/%s: actual defended=%v, race flagged=%v (%d races on %q, %d total)",
+				cell.Row, cell.Defense, cell.ActualDefended, cell.Flagged,
+				cell.ChannelRaces, channel, cell.TotalRaces))
 		}
 	}
 	return res, nil

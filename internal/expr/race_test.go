@@ -13,12 +13,7 @@ import (
 // execution, and the race-judged verdicts equal the plain Table I
 // verdicts (the detector never perturbs execution).
 func TestRaceTable1(t *testing.T) {
-	cfg := forensicsConfig()
-	cfg.Parallel = 1
-	serial, err := RaceTable1(cfg)
-	if err != nil {
-		t.Fatalf("RaceTable1 serial: %v", err)
-	}
+	serial := raceAt(t, 1)
 
 	if len(serial.Mismatches) != 0 {
 		for _, m := range serial.Mismatches {
@@ -59,12 +54,7 @@ func TestRaceTable1(t *testing.T) {
 		t.Fatalf("no flagged cells at all: legacy browsers should be exploited")
 	}
 
-	cfgPar := cfg
-	cfgPar.Parallel = 8
-	parallel, err := RaceTable1(cfgPar)
-	if err != nil {
-		t.Fatalf("RaceTable1 parallel: %v", err)
-	}
+	parallel := raceAt(t, 8)
 	sb := mustJSON(t, serial)
 	pb := mustJSON(t, parallel)
 	if !bytes.Equal(sb, pb) {
@@ -73,10 +63,7 @@ func TestRaceTable1(t *testing.T) {
 
 	// Cross-check: racing the cells reaches exactly the verdicts the
 	// plain Table I run reaches.
-	t1, err := Table1(cfgPar)
-	if err != nil {
-		t.Fatalf("Table1: %v", err)
-	}
+	t1 := table1Reps3(t)
 	for _, c := range serial.Cells {
 		want, ok := t1.Defended(c.Row, c.Defense)
 		if !ok {
@@ -94,12 +81,7 @@ func TestRaceTable1(t *testing.T) {
 // an intentional behaviour change). The golden carries the full
 // findings: both access sites, epochs and vector clocks.
 func TestRaceGoldenCVE20185092(t *testing.T) {
-	cfg := forensicsConfig()
-	cfg.Parallel = 8
-	res, err := RaceTable1(cfg)
-	if err != nil {
-		t.Fatalf("RaceTable1: %v", err)
-	}
+	res := raceAt(t, 8)
 	var row []RaceCell
 	for _, c := range res.Cells {
 		if c.Row == "CVE-2018-5092" {

@@ -3,8 +3,10 @@ package expr
 import (
 	"jskernel/internal/attack"
 	"jskernel/internal/defense"
+	"jskernel/internal/expr/runner"
 	"jskernel/internal/report"
-	"jskernel/internal/trace"
+	"jskernel/internal/sim"
+	"jskernel/internal/vuln"
 )
 
 // Table1Result is the full defense matrix with per-cell outcomes, so
@@ -37,65 +39,157 @@ func Table1(cfg Config) (*Table1Result, error) {
 	return table1Matrix(cfg, defense.TableIDefenses())
 }
 
-// table1Cell is one unit of Table I work: a single repetition of a
-// timing attack (samples set) or a full CVE trigger (out set).
-type table1Cell struct {
-	samples attack.RepSamples
-	out     attack.Outcome
+// table1Grid is Table I's canonical cell enumeration, shared by every
+// matrix over it — Table1 (and the chaos matrix over that),
+// ForensicsTable1, RaceTable1 — and by Table1CVECells. Rows come in
+// Table I's layout: the setTimeout clock group, then the
+// requestAnimationFrame group, then the CVE rows. Every timing (row,
+// defense) pair contributes one single-rep cell per repetition, so reps
+// of one pair can run on different workers; every CVE (row, defense)
+// pair contributes one cell. Cell i of that order is seeded
+// sim.DeriveSeed(cfg.Seed, i), a pure function of its position, so
+// neighbouring cells never share random streams and every result is
+// identical at any pool width.
+type table1Grid struct {
+	timing   []*attack.TimingAttack
+	firstRAF int // index of the first requestAnimationFrame row
+	cves     []*attack.CVEAttack
+	defenses []defense.Defense
+	reps     int
+	cells    []Cell
+	// timingAt[ri][di] indexes the first of timing row ri's reps under
+	// defense di (the other reps follow it); cveAt[ci][di] indexes CVE
+	// row ci's cell under defense di.
+	timingAt, cveAt [][]int
+}
+
+// newTable1Grid enumerates the matrix of defenses at cfg's seed and
+// repetition budget.
+func newTable1Grid(cfg Config, defenses []defense.Defense) *table1Grid {
+	g := &table1Grid{cves: attack.CVEAttacks(), defenses: defenses, reps: cfg.Reps}
+	if g.reps <= 0 {
+		g.reps = attack.Reps
+	}
+	for _, a := range attack.TimingAttacks() {
+		if a.ClockGroup == "setTimeout" {
+			g.timing = append(g.timing, a)
+		}
+	}
+	g.firstRAF = len(g.timing)
+	for _, a := range attack.TimingAttacks() {
+		if a.ClockGroup != "setTimeout" {
+			g.timing = append(g.timing, a)
+		}
+	}
+	add := func(c Cell) int {
+		c.Seed = sim.DeriveSeed(cfg.Seed, int64(len(g.cells)))
+		g.cells = append(g.cells, c)
+		return len(g.cells) - 1
+	}
+	for _, a := range g.timing {
+		at := make([]int, len(defenses))
+		for di, d := range defenses {
+			at[di] = len(g.cells)
+			for rep := 0; rep < g.reps; rep++ {
+				add(Cell{Timing: a, Defense: d, Reps: 1})
+			}
+		}
+		g.timingAt = append(g.timingAt, at)
+	}
+	for _, a := range g.cves {
+		at := make([]int, len(defenses))
+		for di, d := range defenses {
+			at[di] = add(Cell{CVE: a, Defense: d})
+		}
+		g.cveAt = append(g.cveAt, at)
+	}
+	return g
+}
+
+// timingReps returns timing row ri's per-rep results under defense di,
+// in rep order.
+func (g *table1Grid) timingReps(outs []CellResult, ri, di int) []CellResult {
+	i := g.timingAt[ri][di]
+	return outs[i : i+g.reps]
+}
+
+// mergedOutcome judges a timing pair's merged reps — the statistics a
+// serial TimingAttack.Evaluate computes.
+func (g *table1Grid) mergedOutcome(outs []CellResult, ri, di int) attack.Outcome {
+	reps := g.timingReps(outs, ri, di)
+	parts := make([]attack.RepSamples, len(reps))
+	for r, o := range reps {
+		parts[r] = o.Samples[0]
+	}
+	return g.timing[ri].AssembleOutcome(g.defenses[di].ID, attack.MergeSamples(parts))
+}
+
+// Table1CVECells returns one CVE row's Table I cells, one per defense
+// column in TableIDefenses order, seeded exactly as the matrices seed
+// them, so a single cell re-run reproduces the matrices' findings.
+func Table1CVECells(cfg Config, cve vuln.CVE) ([]Cell, bool) {
+	ci, _, ok := CVERow(cve)
+	if !ok {
+		return nil, false
+	}
+	g := newTable1Grid(cfg, defense.TableIDefenses())
+	cells := make([]Cell, len(g.defenses))
+	for di, i := range g.cveAt[ci] {
+		cells[di] = g.cells[i]
+	}
+	return cells, true
+}
+
+// TimingRow resolves a Table I timing row by attack ID.
+func TimingRow(id string) (*attack.TimingAttack, bool) {
+	for _, a := range attack.TimingAttacks() {
+		if a.ID == id {
+			return a, true
+		}
+	}
+	return nil, false
+}
+
+// CVERow resolves a Table I CVE row and its index in CVEAttacks order.
+func CVERow(cve vuln.CVE) (int, *attack.CVEAttack, bool) {
+	for i, a := range attack.CVEAttacks() {
+		if a.CVE == cve {
+			return i, a, true
+		}
+	}
+	return 0, nil, false
+}
+
+// Table1Column resolves a Table I defense column by ID and its index in
+// TableIDefenses order.
+func Table1Column(id string) (int, defense.Defense, bool) {
+	for i, d := range defense.TableIDefenses() {
+		if d.ID == id {
+			return i, d, true
+		}
+	}
+	return 0, defense.Defense{}, false
 }
 
 // table1Matrix runs the Table I attack matrix against an arbitrary
 // defense list — the chaos experiment reuses it with fault-carrying
-// defense variants.
-//
-// The matrix is flattened into cells — (timing row, defense, rep)
-// triples followed by (CVE row, defense) pairs — and executed on the
-// cfg.Parallel worker pool. Every cell seeds its environments from
-// sim.DeriveSeed(cfg.Seed, cell index), so neighbouring cells never
-// share random streams and the verdicts are identical at any pool
-// width.
+// defense variants. The grid's cells run on the cfg.Parallel worker
+// pool; with cfg.Trace set, each cell retains its records and the
+// parts are absorbed into cfg.Trace in cell order once the pool drains,
+// so the merged trace is independent of completion order.
 func table1Matrix(cfg Config, defenses []defense.Defense) (*Table1Result, error) {
-	reps := cfg.Reps
-	if reps <= 0 {
-		reps = attack.Reps
-	}
-
-	// Canonical row order: the setTimeout clock group, then the
-	// requestAnimationFrame group, then the CVE rows — Table I's layout.
-	group := "setTimeout"
-	var timingRows []*attack.TimingAttack
-	for _, a := range attack.TimingAttacks() {
-		if a.ClockGroup == group {
-			timingRows = append(timingRows, a)
-		}
-	}
-	firstRAF := len(timingRows)
-	for _, a := range attack.TimingAttacks() {
-		if a.ClockGroup != group {
-			timingRows = append(timingRows, a)
-		}
-	}
-	cveRows := attack.CVEAttacks()
-
-	perDefense := reps
-	perTimingRow := len(defenses) * perDefense
-	nTiming := len(timingRows) * perTimingRow
-	nCells := nTiming + len(cveRows)*len(defenses)
-
-	cells, err := runCells(cfg, nCells, func(i int, seed int64, tr *trace.Session) (table1Cell, error) {
-		if i < nTiming {
-			a := timingRows[i/perTimingRow]
-			rem := i % perTimingRow
-			d := cfg.tracedWith(defenses[rem/perDefense], tr)
-			return table1Cell{samples: a.MeasureRep(d, seed)}, nil
-		}
-		j := i - nTiming
-		a := cveRows[j/len(defenses)]
-		d := cfg.tracedWith(defenses[j%len(defenses)], tr)
-		return table1Cell{out: attack.EvaluateCVE(a, d, seed)}, nil
+	g := newTable1Grid(cfg, defenses)
+	traced := cfg.Trace != nil
+	ins := Instruments{Records: traced, Obs: traced && cfg.Obs}
+	outs := runner.Map(cfg.Parallel, len(g.cells), func(i int) CellResult {
+		return RunCell(g.cells[i], ins)
 	})
-	if err != nil {
-		return nil, err
+	if traced {
+		for _, o := range outs {
+			if err := cfg.Trace.Absorb(o.Trace); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	res := &Table1Result{
@@ -118,38 +212,31 @@ func table1Matrix(cfg Config, defenses []defense.Defense) (*Table1Result, error)
 	addGroup := func(name string) { tbl.AddRow("-- " + name + " --") }
 
 	addGroup("setTimeout as the implicit clock")
-	for ri, a := range timingRows {
-		if ri == firstRAF {
+	for ri, a := range g.timing {
+		if ri == g.firstRAF {
 			addGroup("requestAnimationFrame as the implicit clock")
 		}
 		res.Timing[a.ID] = make(map[string]attack.Outcome, len(defenses))
 		row := []string{a.Label}
 		for di, d := range defenses {
-			// Merge the defense's reps in rep order and judge the merged
-			// samples — the same statistics a serial Evaluate computes.
-			base := ri*perTimingRow + di*perDefense
-			parts := make([]attack.RepSamples, reps)
-			for rep := 0; rep < reps; rep++ {
-				parts[rep] = cells[base+rep].samples
-			}
-			out := a.AssembleOutcome(d.ID, attack.MergeSamples(parts))
+			out := g.mergedOutcome(outs, ri, di)
 			res.Timing[a.ID][d.ID] = out
 			row = append(row, report.Mark(out.Defended))
 		}
 		tbl.AddRow(row...)
 	}
-	if firstRAF == len(timingRows) {
+	if g.firstRAF == len(g.timing) {
 		// No rAF rows registered: still emit the group header, as the
 		// serial layout always did.
 		addGroup("requestAnimationFrame as the implicit clock")
 	}
 
 	addGroup("Other web concurrency attacks")
-	for ci, a := range cveRows {
+	for ci, a := range g.cves {
 		res.CVE[string(a.CVE)] = make(map[string]attack.Outcome, len(defenses))
 		row := []string{a.Label}
 		for di, d := range defenses {
-			out := cells[nTiming+ci*len(defenses)+di].out
+			out := outs[g.cveAt[ci][di]].Outcome
 			res.CVE[string(a.CVE)][d.ID] = out
 			row = append(row, report.Mark(out.Defended))
 		}

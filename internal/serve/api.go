@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"jskernel/internal/expr"
 	"jskernel/internal/obs"
 	"jskernel/internal/trace"
 )
@@ -97,18 +98,9 @@ type TraceSummary struct {
 }
 
 // ForensicsSummary is the obs layer's independent re-judgement of the
-// cell, reconstructed from the event stream alone.
-type ForensicsSummary struct {
-	// Flagged is the forensic verdict: the stream shows the attack
-	// succeeding. On a healthy server Flagged == !Defended.
-	Flagged bool `json:"flagged"`
-	// Channels carries the forensic per-channel statistics (timing rows).
-	Channels []obs.ChannelVerdict `json:"channels,omitempty"`
-	// Evidence cites the record sequences that triggered the CVE mirror.
-	Evidence []uint64 `json:"evidence,omitempty"`
-	// Signatures are the streaming detectors' findings.
-	Signatures []obs.Signature `json:"signatures,omitempty"`
-}
+// cell, reconstructed from the event stream alone: expr.RunCell's
+// forensic verdict.
+type ForensicsSummary = expr.Verdict
 
 // Response is one completed evaluation. All fields derive from the
 // deterministic simulation: no wall-clock times, pool identities or

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"strings"
 
-	"jskernel/internal/attack"
 	"jskernel/internal/defense"
+	"jskernel/internal/expr"
 	"jskernel/internal/hb"
-	"jskernel/internal/obs"
 	"jskernel/internal/report"
 	"jskernel/internal/telemetry"
 	"jskernel/internal/trace"
+	"jskernel/internal/vuln"
 )
 
 // This file is the deterministic heart of the service: resolve turns a
@@ -20,34 +20,12 @@ import (
 // the determinism tests compare response bytes across pool widths and
 // environment-reuse depths to hold that line.
 
-// cell is a resolved, validated request: exactly one Table I coordinate.
+// cell is a resolved, validated request: exactly one Table I
+// coordinate, with the repetition budget resolved (timing rows only).
 type cell struct {
-	req     Request
-	kind    string // "timing" or "cve"
-	timing  *attack.TimingAttack
-	cve     *attack.CVEAttack
-	defense defense.Defense
-	reps    int // resolved repetition budget (timing only)
-}
-
-// timingByID finds a timing-attack row.
-func timingByID(id string) *attack.TimingAttack {
-	for _, a := range attack.TimingAttacks() {
-		if a.ID == id {
-			return a
-		}
-	}
-	return nil
-}
-
-// cveByID finds a CVE row by its identifier.
-func cveByID(id string) *attack.CVEAttack {
-	for _, a := range attack.CVEAttacks() {
-		if string(a.CVE) == id {
-			return a
-		}
-	}
-	return nil
+	req  Request
+	kind string // "timing" or "cve"
+	expr.Cell
 }
 
 // resolve validates the request against the catalog and the server's
@@ -55,6 +33,7 @@ func cveByID(id string) *attack.CVEAttack {
 // capacity is spent, so malformed work is rejected without queueing.
 func (c *Config) resolve(req Request) (*cell, *Error) {
 	cl := &cell{req: req}
+	cl.Seed = req.Seed
 	if req.Attack == "" {
 		return nil, errf(CodeBadRequest, "missing attack")
 	}
@@ -65,25 +44,25 @@ func (c *Config) resolve(req Request) (*cell, *Error) {
 	if err != nil {
 		return nil, errf(CodeUnknownDefense, "unknown defense %q", req.Defense)
 	}
-	cl.defense = d
+	cl.Defense = d
 	if strings.HasPrefix(req.Attack, "CVE-") {
 		cl.kind = "cve"
-		cl.cve = cveByID(req.Attack)
-		if cl.cve == nil {
+		_, cl.CVE, _ = expr.CVERow(vuln.CVE(req.Attack))
+		if cl.CVE == nil {
 			return nil, errf(CodeUnknownAttack, "unknown CVE row %q", req.Attack)
 		}
 	} else {
 		cl.kind = "timing"
-		cl.timing = timingByID(req.Attack)
-		if cl.timing == nil {
+		cl.Timing, _ = expr.TimingRow(req.Attack)
+		if cl.Timing == nil {
 			return nil, errf(CodeUnknownAttack, "unknown timing row %q", req.Attack)
 		}
-		cl.reps = req.Reps
-		if cl.reps == 0 {
-			cl.reps = c.defaultReps()
+		cl.Reps = req.Reps
+		if cl.Reps == 0 {
+			cl.Reps = c.defaultReps()
 		}
-		if cl.reps < 0 || cl.reps > c.maxReps() {
-			return nil, errf(CodeBadRequest, "reps %d outside [1, %d]", cl.reps, c.maxReps())
+		if cl.Reps < 0 || cl.Reps > c.maxReps() {
+			return nil, errf(CodeBadRequest, "reps %d outside [1, %d]", cl.Reps, c.maxReps())
 		}
 	}
 	if req.DeadlineMs < 0 {
@@ -116,124 +95,81 @@ type evalCapture struct {
 
 // evaluate runs one resolved cell and assembles the wire response. rt
 // binds the worker's pooled environment and the request's cancellation
-// hook into every environment the evaluation builds; tel, when
-// non-nil, receives the run's kernel metrics for /statsz aggregation;
-// cap, when non-nil, additionally captures the streaming-forensics view
-// for the observability plane.
+// hook into every environment the evaluation builds; cap, when
+// non-nil, additionally captures the plane's view of the run: kernel
+// metrics, streaming forensics, ledger fragments and races.
 //
 // A canceled run never reaches response assembly: the worker checks the
 // request context after evaluate returns and discards the result — a
 // simulation abandoned mid-run has partial, meaningless samples, and
 // returning them would be exactly the silent wrong answer this layer
 // exists to prevent.
-func evaluate(cl *cell, rt *defense.Runtime, tel func(*trace.Metrics), cap *evalCapture) (*Response, *Error) {
-	d := cl.defense.WithRuntime(rt)
-
-	// One trace session serves every consumer of this request: the
-	// response's validated trace summary (retained records), the
-	// forensic re-judgement (collector + detectors), the server's
-	// telemetry aggregation (metrics registry), and the live plane's
-	// streaming forensics (capture). Tracing and obs events never
-	// perturb execution — the PR 5 pin — so attaching any subset
-	// leaves the response bytes unchanged.
-	var sess *trace.Session
-	var col *obs.Collector
-	var det *obs.Detectors
-	var races *hb.Detector
-	wantTrace := cl.req.Trace
-	wantForensics := cl.req.Forensics || cap != nil
-	if wantTrace || wantForensics || tel != nil {
-		sess = trace.NewSession()
-		sess.SetRetain(wantTrace)
-		if wantForensics {
-			col = obs.NewCollector()
-			det = obs.NewDetectors(obs.DefaultDetectorConfig())
-			sess.Attach(col)
-			sess.Attach(det)
-			d = d.WithObs(true)
-		}
-		if cap != nil {
-			races = hb.NewDetector()
-			sess.Attach(races)
-		}
-		d = d.WithTracer(sess)
-	}
+func evaluate(cl *cell, rt *defense.Runtime, cap *evalCapture) (*Response, *Error) {
+	// The cell's one trace session serves every consumer of this
+	// request: the response's trace summary (validated as the records
+	// stream past, none retained), the forensic re-judgement, and the
+	// plane's capture.
+	// Tracing and obs events never perturb execution, so attaching any
+	// subset leaves the response bytes unchanged. The plane forces
+	// forensics on; a trace summary then leaves out the obs-only records
+	// unless the request asked for forensics itself, so it reads exactly
+	// as it would with the plane off.
+	c := cl.Cell
+	c.Defense = c.Defense.WithRuntime(rt)
+	res := expr.RunCell(c, expr.Instruments{
+		Validate:  cl.req.Trace,
+		Obs:       cl.req.Forensics,
+		Forensics: cl.req.Forensics || cap != nil,
+		Races:     cap != nil,
+	})
 
 	resp := &Response{
-		Attack:  cl.req.Attack,
-		Defense: cl.req.Defense,
-		Kind:    cl.kind,
-		Seed:    cl.req.Seed,
+		Attack:   cl.req.Attack,
+		Defense:  cl.req.Defense,
+		Kind:     cl.kind,
+		Seed:     cl.req.Seed,
+		Reps:     cl.Reps,
+		Defended: res.Outcome.Defended,
 	}
-	var out attack.Outcome
-	switch cl.kind {
-	case "timing":
-		resp.Reps = cl.reps
-		out = cl.timing.Evaluate(d, cl.reps, cl.req.Seed)
-		resp.Defended = out.Defended
-		for _, ch := range out.Channels {
+	var label string
+	if cl.kind == "timing" {
+		label = cl.Timing.Label
+		for _, ch := range res.Outcome.Channels {
 			resp.Channels = append(resp.Channels, Channel{
 				Channel: ch.Channel, MeanA: ch.MeanA, MeanB: ch.MeanB,
 				CohensD: ch.CohensD, Leaks: ch.Leaks,
 			})
 		}
-	default:
-		out = attack.EvaluateCVE(cl.cve, d, cl.req.Seed)
-		resp.Defended = out.Defended
-		resp.Exploited = out.Exploited
+	} else {
+		label = cl.CVE.Label
+		resp.Exploited = res.Outcome.Exploited
 	}
-
-	if sess != nil {
-		sess.Close()
-		if tel != nil {
-			tel(sess.Metrics())
+	if cl.req.Trace {
+		if res.ReportErr != nil {
+			return nil, errf(CodeInternal, "trace failed validation: %v", res.ReportErr)
 		}
-	}
-	if wantTrace {
-		recs := sess.Records()
-		if cap != nil && !cl.req.Forensics {
-			// The plane forced obs events on for its streaming detectors,
-			// but this request did not ask for forensics: its trace summary
-			// must read exactly as it would with the plane off, so the
-			// obs-only records are stripped before validation. Obs emission
-			// never advances simulated time or perturbs other records (the
-			// PR 5 pin), so the remainder is byte-identical to a plane-off
-			// run's record set.
-			recs = stripObsRecords(recs)
-		}
-		rep, err := trace.Validate(recs)
-		if err != nil {
-			return nil, errf(CodeInternal, "trace failed validation: %v", err)
-		}
-		resp.Trace = &TraceSummary{Validated: true, Report: *rep}
+		resp.Trace = &TraceSummary{Validated: true, Report: *res.Report}
 	}
 	if cl.req.Forensics {
-		resp.Forensics = assembleForensics(cl, col, det)
+		resp.Forensics = res.Verdict
 	}
 	if cap != nil {
-		cap.metrics = sess.Metrics()
+		cap.metrics = res.Trace.Metrics()
 		cap.link = telemetry.SpanLink{
-			Runs:    sess.Runs(),
-			LastSeq: sess.LastSeq(),
-			VTMaxMs: sess.MaxVT().Milliseconds(),
+			Runs:    res.Trace.Runs(),
+			LastSeq: res.Trace.LastSeq(),
+			VTMaxMs: res.Trace.MaxVT().Milliseconds(),
 		}
-		// The streaming verdict reuses the exact per-response judgement,
-		// so the /v1/events stream agrees with body forensics on every
-		// request by construction.
-		cap.forensics = assembleForensics(cl, col, det)
-		cap.races = races.Findings()
-		cap.fragments = captureFragments(det, races)
+		// The streaming verdict is the per-response judgement itself, so
+		// the /v1/events stream agrees with body forensics by construction.
+		cap.forensics = res.Verdict
+		cap.races = res.Races
+		cap.fragments = captureFragments(res.Fragments, res.Races)
 	}
 
-	var label string
-	if cl.kind == "timing" {
-		label = cl.timing.Label
-	} else {
-		label = cl.cve.Label
-	}
 	tbl := &report.Table{
 		Title:   "Table I cell",
-		Columns: []string{"Attack", cl.defense.Label},
+		Columns: []string{"Attack", cl.Defense.Label},
 	}
 	tbl.AddRow(label, report.Mark(resp.Defended))
 	var buf bytes.Buffer
@@ -242,56 +178,4 @@ func evaluate(cl *cell, rt *defense.Runtime, tel func(*trace.Metrics), cap *eval
 	}
 	resp.Table = buf.String()
 	return resp, nil
-}
-
-// obsOnlyNativeKinds are the native-record API names emitted solely
-// when a defense runs with obs events on (browser.TraceTimerFired and
-// friends). Everything else in the record stream is present with obs
-// off too.
-var obsOnlyNativeKinds = map[string]bool{
-	"timer-fired":      true,
-	"clock-read":       true,
-	"message-callback": true,
-	"frame-tick":       true,
-	"load-done":        true,
-}
-
-// stripObsRecords removes the obs-only native records, recovering the
-// record set an obs-off run of the same cell would have produced.
-func stripObsRecords(recs []trace.Record) []trace.Record {
-	out := make([]trace.Record, 0, len(recs))
-	for _, r := range recs {
-		if r.Op == trace.OpNative && obsOnlyNativeKinds[r.API] {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// assembleForensics re-judges the cell from its event stream alone,
-// mirroring expr.ForensicsTable1's per-cell logic: timing rows
-// reconstruct each repetition's readings (environments are built in
-// (rep, variant) order, so rep r's variants are runs 2r+1 and 2r+2) and
-// re-judge with the paper's criterion; CVE rows replay the exploit
-// state machine over the native event mirror.
-func assembleForensics(cl *cell, col *obs.Collector, det *obs.Detectors) *ForensicsSummary {
-	fs := &ForensicsSummary{}
-	if cl.kind == "timing" {
-		reps := make([]obs.CellReadings, cl.reps)
-		for r := 0; r < cl.reps; r++ {
-			for v := 0; v < 2; v++ {
-				reps[r].Variants[v] = obs.ExtractReadings(cl.timing.ID, col.Run(2*r+1+v))
-			}
-		}
-		verdicts, defended := obs.JudgeTiming(reps)
-		fs.Channels = verdicts
-		fs.Flagged = !defended
-	} else {
-		fs.Flagged, fs.Evidence = obs.MirrorExploited(col.Run(1), cl.cve.CVE)
-	}
-	if fs.Flagged {
-		fs.Signatures = det.Finish()
-	}
-	return fs
 }

@@ -2,18 +2,14 @@ package serve
 
 import (
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"jskernel/internal/trace"
 )
 
-// stats is the server's operational counter set. Service-layer counters
-// are lock-free atomics updated on hot paths; the kernel aggregate is a
-// mutex-guarded fold of per-request trace metrics (telemetry mode only).
-// None of this feeds back into evaluation — /statsz observes the server,
-// it never steers it, which keeps responses independent of history.
+// stats is the server's operational counter set: lock-free atomics
+// updated on hot paths. None of this feeds back into evaluation —
+// /statsz observes the server, it never steers it, which keeps
+// responses independent of history.
 type stats struct {
 	admitted           atomic.Uint64
 	completed          atomic.Uint64
@@ -25,14 +21,13 @@ type stats struct {
 	canceled           atomic.Uint64
 	internalErrors     atomic.Uint64
 	envReplaced        atomic.Uint64
-
-	kernelMu sync.Mutex
-	kernel   KernelTotals
 }
 
-// KernelTotals aggregates the kernel metrics registries of every traced
-// evaluation (Config.Telemetry). Virtual-time totals accumulate across
-// requests; they share no clock with the service layer's wall time.
+// KernelTotals is the /statsz view of the plane's kernel aggregate: the
+// kernel metrics registries of every completed evaluation
+// (Config.Telemetry), the same fold /metricsz renders. Virtual-time
+// totals accumulate across requests; they share no clock with the
+// service layer's wall time.
 type KernelTotals struct {
 	Runs               uint64 `json:"runs"`
 	Installs           uint64 `json:"installs"`
@@ -46,28 +41,6 @@ type KernelTotals struct {
 	PolicyDecisions    uint64 `json:"policy_decisions"`
 	InterposeCrossings uint64 `json:"interpose_crossings"`
 	InterposeVirtual   uint64 `json:"interpose_virtual"`
-}
-
-// absorbKernel folds one request's kernel metrics into the totals.
-func (st *stats) absorbKernel(m *trace.Metrics) {
-	if m == nil {
-		return
-	}
-	st.kernelMu.Lock()
-	defer st.kernelMu.Unlock()
-	k := &st.kernel
-	k.Runs++
-	k.Installs += m.Installs
-	k.Enqueued += m.Enqueued
-	k.Dispatched += m.Dispatched
-	k.Shed += m.Shed
-	k.Cancelled += m.Cancelled
-	k.Expired += m.Expired
-	k.Panics += m.Panics
-	k.Quarantines += m.Quarantines
-	k.PolicyDecisions += m.PolicyDecisions
-	k.InterposeCrossings += m.InterposeCrossings
-	k.InterposeVirtual += uint64(m.InterposeVirtual)
 }
 
 // Stats is the /statsz wire format (and the programmatic snapshot used
@@ -95,9 +68,35 @@ type Stats struct {
 	Kernel *KernelTotals `json:"kernel,omitempty"`
 }
 
-// Snapshot captures the server's counters at this instant.
+// Snapshot captures the server's counters at this instant. With the
+// telemetry plane on, the kernel block is the plane's aggregate,
+// settled through a plane barrier like /metricsz and /ledgerz.
 func (s *Server) Snapshot() Stats {
-	snap := Stats{
+	snap := s.serviceSnapshot()
+	if s.plane != nil {
+		s.plane.Barrier()
+		agg := s.plane.KernelSnapshot()
+		snap.Kernel = &KernelTotals{
+			Runs:               agg.Requests,
+			Installs:           agg.Installs,
+			Enqueued:           agg.Enqueued,
+			Dispatched:         agg.Dispatched,
+			Shed:               agg.Shed,
+			Cancelled:          agg.Cancelled,
+			Expired:            agg.Expired,
+			Panics:             agg.Panics,
+			Quarantines:        agg.Quarantines,
+			PolicyDecisions:    agg.PolicyDecisions,
+			InterposeCrossings: agg.InterposeCrossings,
+			InterposeVirtual:   uint64(agg.InterposeVirtual),
+		}
+	}
+	return snap
+}
+
+// serviceSnapshot captures the service-layer counters alone.
+func (s *Server) serviceSnapshot() Stats {
+	return Stats{
 		Admitted:           s.stats.admitted.Load(),
 		Completed:          s.stats.completed.Load(),
 		RejectedOverload:   s.stats.rejectedOverload.Load(),
@@ -113,13 +112,6 @@ func (s *Server) Snapshot() Stats {
 		Draining:           s.Draining(),
 		EwmaServiceMs:      time.Duration(s.ewmaNs.Load()).Milliseconds(),
 	}
-	if s.cfg.Telemetry {
-		s.stats.kernelMu.Lock()
-		k := s.stats.kernel
-		s.stats.kernelMu.Unlock()
-		snap.Kernel = &k
-	}
-	return snap
 }
 
 // handleHealthz is liveness: the process is up and serving HTTP.

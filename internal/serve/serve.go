@@ -18,7 +18,6 @@ import (
 	"jskernel/internal/defense"
 	"jskernel/internal/kernel"
 	"jskernel/internal/telemetry"
-	"jskernel/internal/trace"
 )
 
 // The service layer deliberately lives on the wall clock — deadlines,
@@ -57,11 +56,11 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Telemetry attaches a retain-off trace session to every evaluation
-	// and aggregates its kernel metrics registry into /statsz. It also
-	// mounts the live observability plane: per-request spans and
-	// streaming forensics on /v1/events, kernel aggregates on /metricsz,
-	// the cross-request ledger on /ledgerz. Tracing never perturbs a
-	// run, so responses are byte-identical either way.
+	// and mounts the live observability plane: per-request spans and
+	// streaming forensics on /v1/events, the kernel metrics aggregate on
+	// /metricsz and /statsz, the cross-request ledger on /ledgerz.
+	// Tracing never perturbs a run, so responses are byte-identical
+	// either way.
 	Telemetry bool
 	// TelemetrySync disables the plane's batching flusher, applying
 	// every telemetry item inline on the submitting goroutine. This is
@@ -304,15 +303,11 @@ func (s *Server) serveJob(j *job, env *kernel.Environment) (next *kernel.Environ
 			return j.ctx.Err() != nil
 		},
 	}
-	var tel func(*trace.Metrics)
-	if s.cfg.Telemetry {
-		tel = s.stats.absorbKernel
-	}
 	var cap *evalCapture
 	if s.plane != nil {
 		cap = &evalCapture{}
 	}
-	resp, eerr := evaluate(j.cl, rt, tel, cap)
+	resp, eerr := evaluate(j.cl, rt, cap)
 	evalNs := time.Since(start).Nanoseconds()
 	if j.ctx.Err() != nil {
 		// Canceled mid-run: the simulation was abandoned and whatever

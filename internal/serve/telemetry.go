@@ -41,14 +41,14 @@ type ForensicsEvent struct {
 // — not thresholded signatures — are the point: a probe split across
 // requests stays under every per-request threshold, and only the
 // ledger's accumulation sees it.
-func captureFragments(det *obs.Detectors, races *hb.Detector) []telemetry.ClassFragment {
+func captureFragments(tallies []obs.FragmentCount, races []hb.Finding) []telemetry.ClassFragment {
 	var frags []telemetry.ClassFragment
-	for _, f := range det.Fragments() {
+	for _, f := range tallies {
 		frags = append(frags, telemetry.ClassFragment{Class: f.Detector, Score: int64(f.Count)})
 	}
 	raceWeight := telemetry.DefaultLedgerConfig().RaceWeight
 	byClass := map[string]int64{}
-	for _, f := range races.Findings() {
+	for _, f := range races {
 		byClass["race-"+f.Class] += raceWeight
 	}
 	for _, f := range telemetry.SortedFragments(byClass) {
@@ -80,7 +80,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 
 // serviceFamilies renders the service-layer counters.
 func (s *Server) serviceFamilies() []telemetry.Family {
-	snap := s.Snapshot()
+	snap := s.serviceSnapshot()
 	rejected := map[string]uint64{
 		"overload":    snap.RejectedOverload,
 		"draining":    snap.RejectedDraining,

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,6 +98,86 @@ func TestStatszGolden(t *testing.T) {
 	const golden = `{"admitted":0,"completed":0,"rejected_overload":0,"rejected_draining":0,"rejected_breaker":0,"rejected_bad_request":0,"deadline_exceeded":0,"canceled":0,"internal_errors":0,"env_replaced":0,"queue_depth":0,"pool":2,"draining":false,"ewma_service_ms":0}` + "\n"
 	if got := w.Body.String(); got != golden {
 		t.Fatalf("statsz wire format changed:\n got: %s\nwant: %s", got, golden)
+	}
+}
+
+// TestStatszAgreesWithMetricsz: /statsz's kernel block and /metricsz's
+// kernel families render one aggregate, so they agree after any request
+// sequence — including a request whose deadline expires mid-run, whose
+// partial metrics must reach neither endpoint.
+func TestStatszAgreesWithMetricsz(t *testing.T) {
+	var canceledPolls atomic.Int64
+	s := newTestServer(t, Config{Pool: 1, Telemetry: true, FaultHook: func(req *Request, polls int) {
+		if req.Reps != 25 {
+			return
+		}
+		canceledPolls.Add(1)
+		if polls == 1 {
+			// Outlive the request's deadline after the run has started,
+			// so the evaluation is abandoned mid-run.
+			time.Sleep(300 * time.Millisecond)
+		}
+	}})
+	w := postEval(t, s, `{"attack":"loopscan","defense":"jskernel-chrome","seed":5,"reps":25,"deadline_ms":200}`)
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("deadline request: status %d, want 504: %s", w.Code, w.Body.String())
+	}
+	// One worker: the completed request runs after the canceled one ends.
+	if w := postEval(t, s, `{"attack":"loopscan","defense":"jskernel-chrome","seed":5,"reps":1}`); w.Code != http.StatusOK {
+		t.Fatalf("eval: %d", w.Code)
+	}
+	if canceledPolls.Load() == 0 {
+		t.Fatal("the deadline request never started evaluating; the scenario was not exercised")
+	}
+
+	var snap Stats
+	if err := json.Unmarshal(getPath(t, s, "/statsz").Body.Bytes(), &snap); err != nil {
+		t.Fatalf("decode statsz: %v", err)
+	}
+	fams, err := telemetry.ParseExposition(getPath(t, s, "/metricsz").Body.String())
+	if err != nil {
+		t.Fatalf("metricsz: %v", err)
+	}
+	metric := map[string]uint64{}
+	for _, f := range fams {
+		if len(f.Samples) == 1 {
+			metric[f.Name] = uint64(f.Samples[0].Value)
+		}
+	}
+	k := snap.Kernel
+	if k == nil {
+		t.Fatal("statsz has no kernel block with telemetry on")
+	}
+	for _, c := range []struct {
+		name         string
+		statsz, want uint64
+	}{
+		{"jsk_kernel_requests", k.Runs, 1},
+		{"jsk_kernel_installs", k.Installs, 0},
+		{"jsk_kernel_enqueued", k.Enqueued, 0},
+		{"jsk_kernel_dispatched", k.Dispatched, 0},
+		{"jsk_kernel_shed", k.Shed, 0},
+		{"jsk_kernel_cancelled", k.Cancelled, 0},
+		{"jsk_kernel_expired", k.Expired, 0},
+		{"jsk_kernel_panics", k.Panics, 0},
+		{"jsk_kernel_quarantines", k.Quarantines, 0},
+		{"jsk_kernel_policy_decisions", k.PolicyDecisions, 0},
+		{"jsk_kernel_interpose_crossings", k.InterposeCrossings, 0},
+	} {
+		got, ok := metric[c.name]
+		if !ok {
+			t.Errorf("%s missing from /metricsz", c.name)
+			continue
+		}
+		if got != c.statsz {
+			t.Errorf("%s = %d on /metricsz but %d on /statsz", c.name, got, c.statsz)
+		}
+		if c.want != 0 && got != c.want {
+			t.Errorf("%s = %d, want %d (only the completed request counts)", c.name, got, c.want)
+		}
+	}
+	if k.Enqueued == 0 {
+		t.Error("kernel aggregate is empty after a completed request")
 	}
 }
 
@@ -190,28 +271,36 @@ func TestTraceQueryParam(t *testing.T) {
 // wall clock only exists on the serve/telemetry side of the boundary,
 // so the same request must return identical bytes under every mode at
 // any time — this is the lint boundary test backing the detwalltime
-// allowlist extension.
+// allowlist extension. The plane forces obs events on, so the
+// trace:true bodies also pin that a trace summary leaves the obs-only
+// records out when the request did not ask for forensics.
 func TestResponseDeterminismAcrossPlaneModes(t *testing.T) {
-	body := `{"attack":"loopscan","defense":"jskernel-chrome","seed":11,"reps":2,"forensics":true,"tenant":"t-a"}`
+	bodies := []string{
+		`{"attack":"loopscan","defense":"jskernel-chrome","seed":11,"reps":2,"forensics":true,"tenant":"t-a"}`,
+		`{"attack":"loopscan","defense":"jskernel-chrome","seed":5,"reps":1,"trace":true}`,
+		`{"attack":"CVE-2018-5092","defense":"jskernel-chrome","seed":42,"trace":true}`,
+	}
 	configs := []Config{
 		{Pool: 1},
 		{Pool: 1, Telemetry: true},
 		{Pool: 1, Telemetry: true, TelemetrySync: true},
 	}
-	var want []byte
+	want := make([][]byte, len(bodies))
 	for i, cfg := range configs {
 		s := newTestServer(t, cfg)
-		for rep := 0; rep < 2; rep++ {
-			w := postEval(t, s, body)
-			if w.Code != http.StatusOK {
-				t.Fatalf("config %d rep %d: %d", i, rep, w.Code)
-			}
-			if want == nil {
-				want = append([]byte(nil), w.Body.Bytes()...)
-				continue
-			}
-			if !bytes.Equal(w.Body.Bytes(), want) {
-				t.Fatalf("config %d rep %d diverged: plane mode leaked into response bytes", i, rep)
+		for b, body := range bodies {
+			for rep := 0; rep < 2; rep++ {
+				w := postEval(t, s, body)
+				if w.Code != http.StatusOK {
+					t.Fatalf("body %d config %d rep %d: %d", b, i, rep, w.Code)
+				}
+				if want[b] == nil {
+					want[b] = append([]byte(nil), w.Body.Bytes()...)
+					continue
+				}
+				if !bytes.Equal(w.Body.Bytes(), want[b]) {
+					t.Fatalf("body %d config %d rep %d diverged: plane mode leaked into response bytes", b, i, rep)
+				}
 			}
 		}
 	}
@@ -229,10 +318,8 @@ func TestStreamingForensicsAgreement(t *testing.T) {
 		`{"attack":"CVE-2018-5092","defense":"chrome","seed":3,"forensics":true}`,
 		`{"attack":"CVE-2018-5092","defense":"jskernel-firefox","seed":3,"forensics":true}`,
 	}
-	// Forensics summaries stay as raw JSON throughout: infinite effect
-	// sizes encode as strings, which the typed structs marshal but do
-	// not unmarshal, and a byte-level comparison is the stronger claim
-	// anyway.
+	// Forensics summaries stay as raw JSON throughout: a byte-level
+	// comparison is the stronger claim.
 	type rawBody struct {
 		Forensics json.RawMessage `json:"forensics"`
 	}

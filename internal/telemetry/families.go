@@ -7,6 +7,14 @@ package telemetry
 
 // Families renders the kernel aggregate.
 func (a *KernelAggregate) Families() []Family {
+	apis := make(map[string]uint64)
+	for _, c := range a.APICounts() {
+		apis[c.Name] = c.Count
+	}
+	highWater := 0
+	for _, d := range a.QueueHighWater() {
+		highWater = max(highWater, d.HighWater)
+	}
 	fams := []Family{
 		Counter("jsk_kernel_requests", "Evaluations whose kernel metrics were folded into this aggregate.", a.Requests),
 		Counter("jsk_kernel_installs", "Event-handler installs observed by the kernel.", a.Installs),
@@ -23,9 +31,9 @@ func (a *KernelAggregate) Families() []Family {
 		Counter("jsk_kernel_interpose_crossings", "Kernel-boundary interposition crossings.", a.InterposeCrossings),
 		Gauge("jsk_kernel_interpose_virtual_seconds",
 			"Virtual time charged to interposition, in seconds.",
-			float64(a.InterposeVirtualNs)/1e9),
-		LabeledCounter("jsk_kernel_api_enqueues", "Events enqueued per web API kind.", "api", a.APIEnqueues),
-		Gauge("jsk_kernel_queue_high_water", "Highest per-scope queue depth observed across requests.", float64(a.QueueHighWater)),
+			SecondsOf(a.InterposeVirtual)),
+		LabeledCounter("jsk_kernel_api_enqueues", "Events enqueued per web API kind.", "api", apis),
+		Gauge("jsk_kernel_queue_high_water", "Highest per-scope queue depth observed across requests.", float64(highWater)),
 		HistogramFamily("jsk_kernel_dispatch_latency_seconds",
 			"Virtual time between event enqueue and dispatch, in virtual seconds.",
 			&a.DispatchLatency),

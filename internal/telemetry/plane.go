@@ -55,28 +55,13 @@ type item struct {
 }
 
 // KernelAggregate is the cross-request fold of per-session kernel
-// metrics registries: the same totals /statsz reported since PR 6,
-// plus the distributions — dispatch-latency histogram, per-API
-// enqueue counters, queue-depth high water — that the OpenMetrics
-// exposition needs and a scalar fold cannot carry.
+// metrics registries, merged with trace.Metrics.Merge: the totals,
+// the dispatch-latency histogram, the per-API enqueue counters and the
+// per-scope queue-depth high water that /metricsz and /statsz render.
 type KernelAggregate struct {
-	Requests           uint64
-	Installs           uint64
-	Enqueued           uint64
-	Confirmed          uint64
-	Dispatched         uint64
-	Shed               uint64
-	Cancelled          uint64
-	Expired            uint64
-	Panics             uint64
-	Quarantines        uint64
-	Native             uint64
-	PolicyDecisions    uint64
-	InterposeCrossings uint64
-	InterposeVirtualNs uint64
-	DispatchLatency    trace.Histogram
-	APIEnqueues        map[string]uint64
-	QueueHighWater     int
+	// Requests counts the registries folded in.
+	Requests uint64
+	trace.Metrics
 }
 
 // fold adds one request's registry.
@@ -85,48 +70,13 @@ func (a *KernelAggregate) fold(m *trace.Metrics) {
 		return
 	}
 	a.Requests++
-	a.Installs += m.Installs
-	a.Enqueued += m.Enqueued
-	a.Confirmed += m.Confirmed
-	a.Dispatched += m.Dispatched
-	a.Shed += m.Shed
-	a.Cancelled += m.Cancelled
-	a.Expired += m.Expired
-	a.Panics += m.Panics
-	a.Quarantines += m.Quarantines
-	a.Native += m.Native
-	a.PolicyDecisions += m.PolicyDecisions
-	a.InterposeCrossings += m.InterposeCrossings
-	a.InterposeVirtualNs += uint64(m.InterposeVirtual)
-	lat := m.DispatchLatency
-	for i, c := range lat.Counts {
-		a.DispatchLatency.Counts[i] += c
-	}
-	a.DispatchLatency.Total += lat.Total
-	a.DispatchLatency.Sum += lat.Sum
-	if lat.Max > a.DispatchLatency.Max {
-		a.DispatchLatency.Max = lat.Max
-	}
-	if a.APIEnqueues == nil {
-		a.APIEnqueues = make(map[string]uint64)
-	}
-	for _, c := range m.APICounts() {
-		a.APIEnqueues[c.Name] += c.Count
-	}
-	for _, d := range m.QueueHighWater() {
-		if d.HighWater > a.QueueHighWater {
-			a.QueueHighWater = d.HighWater
-		}
-	}
+	a.Merge(m)
 }
 
 // clone deep-copies the aggregate for snapshots.
 func (a *KernelAggregate) clone() KernelAggregate {
-	out := *a
-	out.APIEnqueues = make(map[string]uint64, len(a.APIEnqueues))
-	for k, v := range a.APIEnqueues {
-		out.APIEnqueues[k] = v
-	}
+	out := KernelAggregate{Requests: a.Requests}
+	out.Merge(&a.Metrics)
 	return out
 }
 

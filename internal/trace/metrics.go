@@ -43,6 +43,18 @@ func (h *Histogram) Observe(d sim.Duration) {
 	}
 }
 
+// Merge folds another histogram's observations into h.
+func (h *Histogram) Merge(o *Histogram) {
+	for i, c := range o.Counts {
+		h.Counts[i] += c
+	}
+	h.Total += o.Total
+	h.Sum += o.Sum
+	if o.Max > h.Max {
+		h.Max = o.Max
+	}
+}
+
 // Mean returns the mean observed duration.
 func (h *Histogram) Mean() sim.Duration {
 	if h.Total == 0 {
@@ -155,6 +167,52 @@ func (m *Metrics) observe(r Record) {
 }
 
 func (m *Metrics) observeLatency(d sim.Duration) { m.DispatchLatency.Observe(d) }
+
+// Merge folds another registry into m: counters and the latency
+// histogram add, and the per-scope queue high-water marks merge by raw
+// scope ID with max semantics (a scope's thread is the first one seen).
+// Scope IDs are only unique within one session, so merging many
+// sessions keeps one entry per ID ever used — the merged registry
+// stays as small as the largest session. The zero Metrics is a valid
+// receiver.
+func (m *Metrics) Merge(o *Metrics) {
+	m.Installs += o.Installs
+	m.Enqueued += o.Enqueued
+	m.Confirmed += o.Confirmed
+	m.Dispatched += o.Dispatched
+	m.Shed += o.Shed
+	m.Cancelled += o.Cancelled
+	m.Expired += o.Expired
+	m.Panics += o.Panics
+	m.Quarantines += o.Quarantines
+	m.Native += o.Native
+	m.PolicyDecisions += o.PolicyDecisions
+	m.InterposeCrossings += o.InterposeCrossings
+	m.InterposeVirtual += o.InterposeVirtual
+	m.DispatchLatency.Merge(&o.DispatchLatency)
+	if m.perAPI == nil {
+		m.perAPI = make(map[string]uint64)
+		m.perAction = make(map[string]uint64)
+		m.depthHWM = make(map[int]int)
+		m.scopeThreads = make(map[int]int)
+	}
+	for k, v := range o.perAPI {
+		m.perAPI[k] += v
+	}
+	for k, v := range o.perAction {
+		m.perAction[k] += v
+	}
+	for s, d := range o.depthHWM {
+		if d > m.depthHWM[s] {
+			m.depthHWM[s] = d
+		}
+	}
+	for s, t := range o.scopeThreads {
+		if _, ok := m.scopeThreads[s]; !ok {
+			m.scopeThreads[s] = t
+		}
+	}
+}
 
 // Count is one (name, count) pair of a sorted counter dump.
 type Count struct {

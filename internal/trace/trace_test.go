@@ -347,3 +347,52 @@ func TestRecordsAcrossChunks(t *testing.T) {
 		t.Fatalf("parent holds %d records, want %d in order", len(got), n)
 	}
 }
+
+// TestMetricsMerge: merging registries adds counters, histograms and
+// per-API/per-action counts, keeps the per-scope queue high water as a
+// max by raw scope ID, and accepts the zero Metrics as a receiver.
+func TestMetricsMerge(t *testing.T) {
+	session := func(depth int, api string, lat sim.Time) *Metrics {
+		s := NewSession()
+		sc := s.NextScope()
+		s.Emit(Record{VT: 0, Thread: 1, Scope: sc, Op: OpInstall, API: "window"})
+		s.Emit(Record{VT: 0, Thread: 1, Scope: sc, Op: OpPolicy, API: api, Event: 1, Action: "schedule"})
+		s.Emit(Record{VT: 0, Thread: 1, Scope: sc, Op: OpEnqueue, API: api, Event: 1, Depth: depth})
+		s.Emit(Record{VT: lat, Thread: 1, Scope: sc, Op: OpDispatch, API: api, Event: 1})
+		s.CountInterpose(50 * sim.Nanosecond)
+		s.Close()
+		return s.Metrics()
+	}
+	a := session(3, "setTimeout", 2*sim.Millisecond)
+	b := session(5, "fetch", 9*sim.Millisecond)
+
+	var agg Metrics
+	agg.Merge(a)
+	agg.Merge(b)
+	if agg.Installs != 2 || agg.Enqueued != 2 || agg.Dispatched != 2 || agg.PolicyDecisions != 2 {
+		t.Fatalf("counters: %+v", agg)
+	}
+	if agg.InterposeCrossings != 2 || agg.InterposeVirtual != 100*sim.Nanosecond {
+		t.Fatalf("interpose: crossings=%d virtual=%v", agg.InterposeCrossings, agg.InterposeVirtual)
+	}
+	lat := agg.DispatchLatency
+	if lat.Total != 2 || lat.Max != 9*sim.Millisecond || lat.Sum != 11*sim.Millisecond {
+		t.Fatalf("latency: total=%d max=%v sum=%v", lat.Total, lat.Max, lat.Sum)
+	}
+	apis := agg.APICounts()
+	if len(apis) != 2 || apis[0] != (Count{"fetch", 1}) || apis[1] != (Count{"setTimeout", 1}) {
+		t.Fatalf("api counts: %+v", apis)
+	}
+	if acts := agg.ActionCounts(); len(acts) != 1 || acts[0] != (Count{"schedule", 2}) {
+		t.Fatalf("action counts: %+v", acts)
+	}
+	// Both sessions allocated scope 1: one entry, the larger depth.
+	if hwm := agg.QueueHighWater(); len(hwm) != 1 || hwm[0] != (ScopeDepth{Scope: 1, Thread: 1, HighWater: 5}) {
+		t.Fatalf("queue high-water: %+v", hwm)
+	}
+	// Merging does not alias the source's maps.
+	agg.Merge(a)
+	if a.APICounts()[0].Count != 1 {
+		t.Fatalf("merge wrote through to its source")
+	}
+}

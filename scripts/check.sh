@@ -70,13 +70,14 @@ test -s "$trace_tmp/obs/summary.txt" || fail "obs smoke (empty summary.txt)"
 test -s "$trace_tmp/metrics.json" || fail "obs smoke (empty metrics.json)"
 
 # Race smoke: re-judge Table I's CVE half with the happens-before race
-# detector — jsk-race exits nonzero unless the race verdict (≥1 race on
-# the CVE's channel target class) agrees with the experiment's own
-# exploited/defended verdict on every cell. Then round-trip one cell
-# through export → offline replay and require the identical findings:
-# the streaming detector and the replayer must be the same analysis.
-stage "jsk-race (Table I agreement + export/replay round-trip)"
-go run ./cmd/jsk-race >/dev/null || fail "jsk-race matrix"
+# detector — jsk-eval -race exits nonzero unless the race verdict (≥1
+# race on the CVE's channel target class) agrees with the experiment's
+# own exploited/defended verdict on every cell. Then round-trip one cell
+# through jsk-race's export → offline replay and require the identical
+# findings: the streaming detector and the replayer must be the same
+# analysis.
+stage "race matrix (Table I agreement) + jsk-race export/replay round-trip"
+go run ./cmd/jsk-eval -race -reps 3 >/dev/null || fail "jsk-eval -race matrix"
 go run ./cmd/jsk-race -cve CVE-2018-5092 -defense chrome \
 	-export "$trace_tmp/cve5092.jsonl" >"$trace_tmp/race-live.txt" || fail "jsk-race export"
 go run ./cmd/jsk-race -replay "$trace_tmp/cve5092.jsonl" >"$trace_tmp/race-replay.txt" || fail "jsk-race replay"
