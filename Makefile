@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check chaos races explore bench-parallel bench-obs bench-serve clean
+.PHONY: all build test race vet lint check chaos races explore clean
 
 all: build
 
@@ -22,8 +22,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the pre-merge gate: compile, vet, jsk-lint, and the full
-# test suite under the race detector.
+# check is the pre-merge gate: compile, vet, the perfbench module's vet
+# and unit tests, jsk-lint, the full test suite under the race
+# detector, and the smoke stages.
 check:
 	./scripts/check.sh
 
@@ -43,25 +44,6 @@ races:
 # discovery's replay token reproduces its finding byte-identically.
 explore:
 	$(GO) run ./cmd/jsk-explore -matrix -cves CVE-2018-5092,CVE-2014-3194 -budget 2 -dpor-budget 4
-
-# bench-parallel times Table I serially vs. on the worker pool, checks
-# byte-identity, and writes BENCH_parallel.json (includes the host's
-# CPU count — expect speedup ~1.0 on single-CPU machines).
-bench-parallel:
-	$(GO) run ./cmd/jsk-bench -out BENCH_parallel.json
-
-# bench-obs times Dromaeo with streaming telemetry off vs fully on
-# (trace session + obs events + profiler + detectors), checks the
-# results are byte-identical either way, and writes BENCH_obs.json.
-bench-obs:
-	$(GO) run ./cmd/jsk-bench -obs -out BENCH_obs.json
-
-# bench-serve load-tests the jsk-serve daemon: sustained throughput and
-# p50/p95/p99 latency, then an overload run on a pool-1 queue-1 server
-# that must shed load (429s) while every served response stays
-# byte-identical to the unloaded reference. Writes BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/jsk-bench -serve -out BENCH_serve.json
 
 clean:
 	$(GO) clean ./...

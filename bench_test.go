@@ -3,7 +3,7 @@ package jskernel_test
 // The benchmark harness regenerates every table and figure of the paper's
 // evaluation (run with `go test -bench=. -benchmem`):
 //
-//	BenchmarkTable1*  — the defense matrix (Table I)
+//	BenchmarkTable1*  — the defense matrix (Table I), serial vs pooled
 //	BenchmarkTable2*  — SVG filtering & Loopscan measured values (Table II)
 //	BenchmarkTable3   — Raptor tp6-1 loading times (Table III)
 //	BenchmarkFig2     — script parsing vs file size curves (Figure 2)
@@ -15,6 +15,7 @@ package jskernel_test
 // plus micro-benchmarks of the substrate and the kernel hot paths.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -71,6 +72,29 @@ func BenchmarkTable1CVERows(b *testing.B) {
 				_ = attack.EvaluateCVE(a, d, cfg.Seed)
 			}
 		}
+	}
+}
+
+// BenchmarkTable1Pool times the full quick-scale Table I on the serial
+// loop (width=1) and on an 8-wide worker pool (width=8). At -cpu 1 the
+// width=8/width=1 ratio is the pool's overhead, at -cpu 2 its speedup:
+//
+//	go test -run '^$' -bench Table1Pool -cpu 1,2 .
+//
+// TestTable1ParallelByteIdentical (internal/expr) pins that both widths
+// render the same bytes.
+func BenchmarkTable1Pool(b *testing.B) {
+	for _, width := range []int{1, 8} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			cfg := expr.QuickConfig()
+			cfg.Parallel = width
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := expr.Table1(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -158,9 +182,9 @@ func BenchmarkDromaeoJSKernel(b *testing.B) {
 
 // BenchmarkDromaeoJSKernelTraced is BenchmarkDromaeoJSKernel with a live
 // trace session attached — compare the two to see the tracing tax when
-// on (BENCH_trace.json records a sample). The nil-sink (tracing off)
-// case is BenchmarkDromaeoJSKernel itself, and TestTraceNilSinkOverhead
-// bounds its overhead against a tracer-free build of the same workload.
+// on. The nil-sink (tracing off) case is BenchmarkDromaeoJSKernel
+// itself, and TestTraceNilSinkOverhead bounds its overhead against a
+// tracer-free build of the same workload.
 func BenchmarkDromaeoJSKernelTraced(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -214,8 +238,8 @@ func TestTraceNilSinkOverhead(t *testing.T) {
 
 // BenchmarkDromaeoJSKernelObs is the traced benchmark with the
 // browser's observability events on and the streaming profiler and
-// detectors attached — the full telemetry tax (BENCH_obs.json records a
-// sample via jsk-bench -obs).
+// detectors attached — the full telemetry tax. TestDromaeoObsNeutral
+// (internal/expr) pins that it leaves the Dromaeo results unchanged.
 func BenchmarkDromaeoJSKernelObs(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

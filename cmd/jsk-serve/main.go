@@ -55,7 +55,6 @@ func run(w io.Writer, args []string) error {
 		maxReps   = fs.Int("max-reps", 0, "repetition budget cap (0 = 25)")
 		drain     = fs.Duration("drain-timeout", 60*time.Second, "graceful drain bound after SIGTERM/SIGINT")
 		telemetry = fs.Bool("telemetry", false, "mount the live observability plane (/metricsz, /v1/events, /ledgerz) and aggregate kernel metrics in /statsz")
-		telSync   = fs.Bool("telemetry-sync", false, "disable the telemetry batching flusher, applying every item inline (benchmark baseline)")
 		smoke     = fs.Bool("smoke", false, "run the service smoke suite (determinism, overload shedding, drain, telemetry) and exit")
 		ledgerOut = fs.String("ledger-report", "", "with -smoke: also write the forensics ledger report JSON to this path (CI artifact)")
 	)
@@ -74,7 +73,6 @@ func run(w io.Writer, args []string) error {
 		DefaultReps:     *reps,
 		MaxReps:         *maxReps,
 		Telemetry:       *telemetry,
-		TelemetrySync:   *telSync,
 		Log:             w,
 	}
 	ln, err := net.Listen("tcp", *addr)

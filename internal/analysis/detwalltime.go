@@ -27,10 +27,6 @@ var wallClockFuncs = map[string]bool{
 // legitimate by design. Extend deliberately, with a comment, if another
 // wall-clock use case ever appears.
 var wallClockAllowedPkgs = []string{
-	// jsk-bench measures the real wall-clock speedup of the parallel
-	// experiment runner — the one number in the repo that is *about*
-	// real time. The experiments it times remain fully virtual-clocked.
-	"cmd/jsk-bench",
 	// The service layer's deadlines, Retry-After hints, circuit-breaker
 	// cooldowns and drain timeouts are promises to real HTTP clients, so
 	// they must live on the real clock. The simulations it runs stay on

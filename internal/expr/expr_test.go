@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"jskernel/internal/defense"
+	"jskernel/internal/obs"
+	"jskernel/internal/trace"
 	"jskernel/internal/vuln"
 )
 
@@ -263,6 +265,53 @@ func TestDromaeoReport(t *testing.T) {
 	if rep.MedianOverhead > rep.MeanOverhead {
 		t.Errorf("median (%.3f) should not exceed mean (%.3f): distribution is skewed by dom-attr",
 			rep.MedianOverhead, rep.MeanOverhead)
+	}
+}
+
+// obsOnlyCounter counts the records an obs-off run would not emit.
+type obsOnlyCounter struct{ n int }
+
+func (c *obsOnlyCounter) Observe(r trace.Record) {
+	if r.Op == trace.OpNative && obsOnlyNativeKinds[r.API] {
+		c.n++
+	}
+}
+
+// TestDromaeoObsNeutral pins that streaming observability never
+// perturbs the §V-A Dromaeo experiment: the rendered table with no
+// tracer and with a retain-off session carrying obs events, the
+// profiler and the detectors must be byte-identical.
+func TestDromaeoObsNeutral(t *testing.T) {
+	render := func(cfg Config) string {
+		t.Helper()
+		rep, err := Dromaeo(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := rep.Table.Render(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	off := render(QuickConfig())
+
+	s := trace.NewSession()
+	s.SetRetain(false)
+	s.Attach(obs.NewProfiler())
+	s.Attach(obs.NewDetectors(obs.DefaultDetectorConfig()))
+	obsOnly := &obsOnlyCounter{}
+	s.Attach(obsOnly)
+	cfg := QuickConfig()
+	cfg.Trace, cfg.Obs = s, true
+	on := render(cfg)
+	s.Close()
+
+	if obsOnly.n == 0 {
+		t.Fatalf("obs-on run streamed %d records, none obs-only: obs events were not on", s.Len())
+	}
+	if on != off {
+		t.Fatalf("obs changed the Dromaeo table:\n--- obs off\n%s\n--- obs on\n%s", off, on)
 	}
 }
 

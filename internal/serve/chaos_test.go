@@ -212,7 +212,7 @@ func TestTelemetryChaos(t *testing.T) {
 		BreakerThreshold:   1000,
 		ReadTimeout:        300 * time.Millisecond,
 		Telemetry:          true,
-		TelemetryEventRing: 8, // tiny on purpose: lagging consumers must overrun it
+		telemetryEventRing: 8, // tiny on purpose: lagging consumers must overrun it
 		FaultHook: func(req *Request, polls int) {
 			idx := int(req.Seed - seedBase)
 			if idx >= 0 && idx < n && polls == 4 && injector.Peek(idx) == fault.ServiceEnvPanic {

@@ -44,7 +44,7 @@ type KernelTotals struct {
 }
 
 // Stats is the /statsz wire format (and the programmatic snapshot used
-// by jsk-bench -serve and the chaos tests).
+// by the smoke suite and the chaos tests).
 type Stats struct {
 	Admitted           uint64 `json:"admitted"`
 	Completed          uint64 `json:"completed"`

@@ -62,16 +62,11 @@ type Config struct {
 	// Tracing never perturbs a run, so responses are byte-identical
 	// either way.
 	Telemetry bool
-	// TelemetrySync disables the plane's batching flusher, applying
-	// every telemetry item inline on the submitting goroutine. This is
-	// the un-batched baseline jsk-bench -serve quantifies the flusher
-	// against; production keeps it off.
-	TelemetrySync bool
-	// TelemetryEventRing overrides the /v1/events replay ring size.
+	// telemetryEventRing overrides the /v1/events replay ring size.
 	// Consumers that fall behind the ring receive an explicit gap event
-	// rather than applying backpressure; chaos tests shrink the ring to
-	// force that path. Default: the plane's own default.
-	TelemetryEventRing int
+	// rather than applying backpressure; the chaos tests shrink the ring
+	// to force that path. Default: the plane's own default.
+	telemetryEventRing int
 	// FaultHook, when non-nil, is called from every cancellation poll of
 	// a running evaluation (chaos harness only). It may panic to model a
 	// poisoned environment mid-request; the worker's recover path then
@@ -212,8 +207,7 @@ func New(cfg Config) *Server {
 	s.breaker.log = s.cfg.log()
 	if cfg.Telemetry {
 		s.plane = telemetry.NewPlane(telemetry.PlaneConfig{
-			Sync:      cfg.TelemetrySync,
-			EventRing: cfg.TelemetryEventRing,
+			EventRing: cfg.telemetryEventRing,
 			Ledger:    telemetry.DefaultLedgerConfig(),
 		})
 	}

@@ -267,11 +267,11 @@ func TestTraceQueryParam(t *testing.T) {
 }
 
 // TestResponseDeterminismAcrossPlaneModes extends the telemetry
-// byte-identity pin to the full plane matrix: off, batched, sync. The
-// wall clock only exists on the serve/telemetry side of the boundary,
-// so the same request must return identical bytes under every mode at
-// any time — this is the lint boundary test backing the detwalltime
-// allowlist extension. The plane forces obs events on, so the
+// byte-identity pin to both plane modes: off and on. The wall clock
+// only exists on the serve/telemetry side of the boundary, so the same
+// request must return identical bytes under either mode at any time —
+// this is the lint boundary test backing the detwalltime allowlist
+// extension. The plane forces obs events on, so the
 // trace:true bodies also pin that a trace summary leaves the obs-only
 // records out when the request did not ask for forensics.
 func TestResponseDeterminismAcrossPlaneModes(t *testing.T) {
@@ -283,7 +283,6 @@ func TestResponseDeterminismAcrossPlaneModes(t *testing.T) {
 	configs := []Config{
 		{Pool: 1},
 		{Pool: 1, Telemetry: true},
-		{Pool: 1, Telemetry: true, TelemetrySync: true},
 	}
 	want := make([][]byte, len(bodies))
 	for i, cfg := range configs {

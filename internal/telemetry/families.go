@@ -49,7 +49,7 @@ func (p *Plane) Families() []Family {
 	fams := []Family{
 		Counter("jsk_telemetry_flush_batches", "Flusher batches applied.", batches),
 		Counter("jsk_telemetry_flush_items", "Telemetry items applied (batched or inline).", items),
-		Counter("jsk_telemetry_inline_applies", "Items applied inline (sync mode or closed plane).", syncApplied),
+		Counter("jsk_telemetry_inline_applies", "Items applied inline because the plane was closed.", syncApplied),
 		Counter("jsk_telemetry_inline_fallbacks", "Items applied inline because the flusher queue was full.", syncFallbacks),
 		LabeledCounter("jsk_events_published", "Events published to the hub per type.", "type", published),
 		Counter("jsk_events_evicted", "Events evicted from the hub replay ring.", evicted),

@@ -22,10 +22,10 @@ import (
 
 // LedgerConfig tunes accumulation and flagging.
 type LedgerConfig struct {
-	// Decay multiplies a tenant's accumulated scores by Num/Den on each
-	// of that tenant's requests before the new fragments are added, so
-	// old probing fades as a tenant sends innocuous traffic. Expressed
-	// as a rational to keep the arithmetic exact and the verdicts
+	// Decay scales a tenant's accumulated scores to score*Num/Den, an
+	// integer floor division, on each of that tenant's requests before
+	// the new fragments are added, so old probing fades as a tenant
+	// sends innocuous traffic. Integer arithmetic keeps the verdicts
 	// platform-independent. Default 3/4.
 	DecayNum, DecayDen int64
 	// CampaignScore is the decayed fragment mass at which an entry
@@ -129,15 +129,22 @@ type ledgerEntry struct {
 
 const ledgerEvidenceCap = 8
 
-// Ledger accumulates fragments across requests. Observe is serialized
-// by the plane's flusher (or by the caller in sync mode); the mutex
-// exists for concurrent Report/WriteJSON snapshots.
+// tenantLedger is one tenant's request count and accumulators, so a
+// request decays only its own tenant's entries.
+type tenantLedger struct {
+	requests int
+	entries  map[LedgerKey]*ledgerEntry
+}
+
+// Ledger accumulates fragments across requests. Observe runs on the
+// plane's flusher, or inline on a submitter when the flusher queue is
+// full or the plane is closed; the mutex serializes those calls and
+// concurrent Report/WriteJSON snapshots.
 type Ledger struct {
 	cfg LedgerConfig
 
 	mu       sync.Mutex
-	entries  map[LedgerKey]*ledgerEntry
-	tenants  map[string]int // tenant -> requests observed
+	tenants  map[string]*tenantLedger
 	flagged  uint64
 	observed uint64
 }
@@ -146,8 +153,7 @@ type Ledger struct {
 func NewLedger(cfg LedgerConfig) *Ledger {
 	return &Ledger{
 		cfg:     cfg.withDefaults(),
-		entries: make(map[LedgerKey]*ledgerEntry),
-		tenants: make(map[string]int),
+		tenants: make(map[string]*tenantLedger),
 	}
 }
 
@@ -166,13 +172,14 @@ func (l *Ledger) Observe(requestID, tenant, scope string, frags []ClassFragment)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.observed++
-	l.tenants[tenant]++
-	tenantReqs := l.tenants[tenant]
+	tl := l.tenants[tenant]
+	if tl == nil {
+		tl = &tenantLedger{entries: make(map[LedgerKey]*ledgerEntry)}
+		l.tenants[tenant] = tl
+	}
+	tl.requests++
 
-	for k, e := range l.entries {
-		if k.Tenant != tenant {
-			continue
-		}
+	for _, e := range tl.entries {
 		e.score = e.score * l.cfg.DecayNum / l.cfg.DecayDen
 		if e.flagged && e.score < l.cfg.CampaignScore/2 {
 			e.flagged = false
@@ -185,10 +192,10 @@ func (l *Ledger) Observe(requestID, tenant, scope string, frags []ClassFragment)
 			continue
 		}
 		k := LedgerKey{Tenant: tenant, Scope: scope, Class: fr.Class}
-		e := l.entries[k]
+		e := tl.entries[k]
 		if e == nil {
 			e = &ledgerEntry{}
-			l.entries[k] = e
+			tl.entries[k] = e
 		}
 		e.score += fr.Score
 		e.requests++
@@ -205,7 +212,7 @@ func (l *Ledger) Observe(requestID, tenant, scope string, frags []ClassFragment)
 				LedgerKey:      k,
 				Score:          e.score,
 				Requests:       e.requests,
-				TenantRequests: tenantReqs,
+				TenantRequests: tl.requests,
 				RequestIDs:     append([]string(nil), e.requestIDs...),
 			})
 		}
@@ -240,9 +247,15 @@ func (l *Ledger) Report() LedgerReport {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	rep := LedgerReport{Observed: l.observed, Tenants: len(l.tenants), Campaigns: l.flagged}
-	entries := make([]LedgerEntry, 0, len(l.entries))
-	for k, e := range l.entries {
-		entries = append(entries, LedgerEntry{LedgerKey: k, Score: e.score, Requests: e.requests, Flagged: e.flagged})
+	n := 0
+	for _, tl := range l.tenants {
+		n += len(tl.entries)
+	}
+	entries := make([]LedgerEntry, 0, n)
+	for _, tl := range l.tenants {
+		for k, e := range tl.entries {
+			entries = append(entries, LedgerEntry{LedgerKey: k, Score: e.score, Requests: e.requests, Flagged: e.flagged})
+		}
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i], entries[j]

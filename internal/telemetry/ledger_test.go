@@ -107,7 +107,7 @@ func TestLedgerEvidenceCap(t *testing.T) {
 		t.Fatalf("requests = %d", rep.Entries[0].Requests)
 	}
 	l.mu.Lock()
-	e := l.entries[LedgerKey{Tenant: "t", Scope: "s", Class: "implicit-clock"}]
+	e := l.tenants["t"].entries[LedgerKey{Tenant: "t", Scope: "s", Class: "implicit-clock"}]
 	ids := append([]string(nil), e.requestIDs...)
 	l.mu.Unlock()
 	if len(ids) != ledgerEvidenceCap {

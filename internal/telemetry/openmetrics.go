@@ -1,10 +1,10 @@
 // Package telemetry is the service's live observability plane: an
 // OpenMetrics text exposition with its own self-check parser, a
-// bounded batching flusher that amortizes per-request telemetry work,
-// a resumable server-sent-event hub for streaming forensics, and a
-// cross-request forensics ledger that accumulates per-request
-// signature fragments with decay to catch slow multi-request probe
-// campaigns no single-request detector can see.
+// bounded batching flusher that takes per-request telemetry work off
+// the response path, a resumable server-sent-event hub for streaming
+// forensics, and a cross-request forensics ledger that accumulates
+// per-request signature fragments with decay to catch slow
+// multi-request probe campaigns no single-request detector can see.
 //
 // The determinism boundary runs through this package the same way it
 // runs through internal/serve: everything here lives in the wall-clock

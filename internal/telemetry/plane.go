@@ -7,20 +7,19 @@ import (
 	"jskernel/internal/trace"
 )
 
-// PlaneConfig tunes the observability plane.
-type PlaneConfig struct {
-	// QueueDepth bounds the flusher queue. A full queue never blocks and
+const (
+	// queueDepth bounds the flusher queue. A full queue never blocks and
 	// never drops: the submitter applies its item inline (counted as a
 	// sync fallback) so eval workers stay wait-free and no telemetry is
-	// lost. Default 256.
-	QueueDepth int
-	// BatchMax bounds how many queued items one flush folds under a
-	// single aggregate-lock acquisition. Default 64.
-	BatchMax int
-	// Sync disables the flusher entirely: every submission applies
-	// inline. This is the un-batched baseline jsk-bench compares the
-	// flusher against; production keeps it off.
-	Sync bool
+	// lost.
+	queueDepth = 256
+	// batchMax bounds how many queued items one flush folds under a
+	// single aggregate-lock acquisition.
+	batchMax = 64
+)
+
+// PlaneConfig tunes the observability plane.
+type PlaneConfig struct {
 	// EventRing is the hub's replay ring capacity. Default 1024.
 	EventRing int
 	// Ledger tunes the cross-request forensics ledger.
@@ -86,16 +85,14 @@ func (a *KernelAggregate) clone() KernelAggregate {
 //
 // Submission is wait-free for eval workers: items go through a bounded
 // queue drained in batches by a single flusher goroutine, and when the
-// queue is full (or the plane is closed, or Sync is set) the submitter
-// applies the item inline instead — telemetry is never dropped and
-// never blocks an evaluation, which is the flusher half of the chaos
-// SLO. Scrapes read the aggregates under their own mutex and never
-// touch the queue, so a scrape cannot block eval either.
+// queue is full (or the plane is closed) the submitter applies the
+// item inline instead — telemetry is never dropped and never blocks an
+// evaluation, which is the flusher half of the chaos SLO. Scrapes read
+// the aggregates under their own mutex and never touch the queue, so a
+// scrape cannot block eval either.
 type Plane struct {
 	Hub    *Hub
 	Ledger *Ledger
-
-	cfg PlaneConfig
 
 	mu     sync.Mutex // guards ch send vs. close
 	ch     chan item
@@ -108,28 +105,19 @@ type Plane struct {
 
 	flushBatches  atomic.Uint64
 	flushItems    atomic.Uint64
-	syncApplied   atomic.Uint64 // inline applications (Sync mode or closed plane)
+	syncApplied   atomic.Uint64 // inline applications on a closed plane
 	syncFallbacks atomic.Uint64 // inline applications forced by a full queue
 }
 
 // NewPlane builds and starts the plane. Callers must Close it.
 func NewPlane(cfg PlaneConfig) *Plane {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 64
-	}
 	p := &Plane{
 		Hub:    NewHub(cfg.EventRing),
 		Ledger: NewLedger(cfg.Ledger),
-		cfg:    cfg,
-		ch:     make(chan item, cfg.QueueDepth),
+		ch:     make(chan item, queueDepth),
 		done:   make(chan struct{}),
 	}
-	if !cfg.Sync {
-		p.start()
-	}
+	p.start()
 	return p
 }
 
@@ -142,10 +130,10 @@ func (p *Plane) start() {
 	go func() {
 		defer close(p.done)
 		for it := range p.ch {
-			batch := make([]item, 1, p.cfg.BatchMax)
+			batch := make([]item, 1, batchMax)
 			batch[0] = it
 		drain:
-			for len(batch) < p.cfg.BatchMax {
+			for len(batch) < batchMax {
 				select {
 				case more, ok := <-p.ch:
 					if !ok {
@@ -177,12 +165,12 @@ func (p *Plane) Barrier() {
 }
 
 // submit enqueues an item, falling back to inline application when the
-// queue is full, the plane is closed, or Sync mode is on. The inline
-// path applies the same code the flusher runs, so ordering is the only
-// thing batching changes — never content.
+// queue is full or the plane is closed. The inline path applies the
+// same code the flusher runs, so ordering is the only thing batching
+// changes — never content.
 func (p *Plane) submit(it item) {
 	p.mu.Lock()
-	if p.closed || p.cfg.Sync {
+	if p.closed {
 		p.mu.Unlock()
 		p.syncApplied.Add(1)
 		p.applyBatch([]item{it})
@@ -246,7 +234,7 @@ func (p *Plane) SpanSnapshot() SpanStats {
 }
 
 // FlushStats reports the flusher's batching counters: batches, items,
-// inline applications (sync mode/closed) and full-queue fallbacks.
+// inline applications on a closed plane, and full-queue fallbacks.
 func (p *Plane) FlushStats() (batches, items, syncApplied, syncFallbacks uint64) {
 	return p.flushBatches.Load(), p.flushItems.Load(), p.syncApplied.Load(), p.syncFallbacks.Load()
 }
@@ -261,12 +249,8 @@ func (p *Plane) Close() {
 		return
 	}
 	p.closed = true
-	if !p.cfg.Sync {
-		close(p.ch)
-	}
+	close(p.ch)
 	p.mu.Unlock()
-	if !p.cfg.Sync {
-		<-p.done
-	}
+	<-p.done
 	p.Hub.Close()
 }

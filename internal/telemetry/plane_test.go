@@ -55,20 +55,6 @@ func TestPlaneFoldsAndPublishes(t *testing.T) {
 	}
 }
 
-func TestPlaneSyncModeAppliesInline(t *testing.T) {
-	p := NewPlane(PlaneConfig{Sync: true})
-	defer p.Close()
-	p.SubmitEval(&EvalRecord{RequestID: "r", Metrics: metricsFixture(t)})
-	// No barrier needed: sync mode applied on the submitting goroutine.
-	if agg := p.KernelSnapshot(); agg.Requests != 1 {
-		t.Fatalf("sync submit not applied: %+v", agg)
-	}
-	_, _, syncApplied, _ := p.FlushStats()
-	if syncApplied != 1 {
-		t.Fatalf("syncApplied = %d, want 1", syncApplied)
-	}
-}
-
 func TestPlaneSubmitAfterCloseNeverDrops(t *testing.T) {
 	p := NewPlane(PlaneConfig{})
 	p.Close()
@@ -88,7 +74,7 @@ func TestPlaneSubmitAfterCloseNeverDrops(t *testing.T) {
 }
 
 func TestPlaneBatches(t *testing.T) {
-	p := NewPlane(PlaneConfig{QueueDepth: 128, BatchMax: 64})
+	p := NewPlane(PlaneConfig{})
 	defer p.Close()
 	const n = 100
 	for i := 0; i < n; i++ {

@@ -1,5 +1,6 @@
 #!/bin/sh
-# check.sh — the pre-merge gate: build, vet, gofmt, jsk-lint, race-test.
+# check.sh — the pre-merge gate: build, vet, perfbench, gofmt, jsk-lint,
+# race-test, smoke stages.
 # Usage: ./scripts/check.sh   (or: make check)
 #
 # Fails fast: the first failing stage stops the run, and the banner
@@ -26,6 +27,16 @@ go build ./... || fail "go build"
 
 stage "go vet ./..."
 go vet ./... || fail "go vet"
+
+# perfbench is a nested module (its own go.mod, replacing jskernel with
+# this checkout), so ./... above does not reach it. Build and unit-test
+# it here: a change to a shape it reads (serve.Config, Plane.FlushStats,
+# expr.Table1Result) or a metric-name drift from BENCHMARK.json
+# (TestMetricsMatchBenchmarkFile) must fail the gate, not the next
+# benchmark run.
+stage "perfbench: go vet + go test"
+go -C perfbench vet ./... || fail "perfbench go vet"
+go -C perfbench test ./... || fail "perfbench go test"
 
 stage "gofmt -l ."
 unformatted="$(gofmt -l .)" || fail "gofmt"
