@@ -87,6 +87,26 @@ type Runtime struct {
 	// Callers must then surface a typed cancellation error, never any
 	// partial verdict.
 	Canceled func() bool
+
+	// stopped latches the first true result of a Canceled poll.
+	stopped bool
+}
+
+// poll is the simulator's cancellation hook: it runs Canceled once and
+// latches a true result.
+func (rt *Runtime) poll() bool {
+	if rt.Canceled() {
+		rt.stopped = true
+		return true
+	}
+	return false
+}
+
+// Stopped reports whether a simulator has seen Canceled return true, so
+// that a caller building one environment after another can stop without
+// polling again. It is false on a nil Runtime.
+func (rt *Runtime) Stopped() bool {
+	return rt != nil && rt.stopped
 }
 
 // WithFaults returns a copy of the defense that builds every
@@ -210,7 +230,7 @@ func (d Defense) NewEnv(opts EnvOptions) *Env {
 	}
 	s.MaxSteps = opts.MaxSteps
 	if d.Runtime != nil && d.Runtime.Canceled != nil {
-		s.SetCanceled(d.Runtime.Canceled)
+		s.SetCanceled(d.Runtime.poll)
 	}
 
 	cfg := webnet.DefaultConfig()

@@ -46,11 +46,12 @@ type Instruments struct {
 	Validate bool
 	// Obs turns on the browser's observability events.
 	Obs bool
-	// Forensics attaches an obs.Collector and obs.Detectors and returns
-	// the forensic verdict, the detector signatures and the ledger
-	// fragments. It forces obs events on; when Obs is not also set, the
-	// validator does not see the obs-only records, so its report reads
-	// as the same cell's obs-off run.
+	// Forensics attaches obs.Detectors, and an obs.Collector (timing
+	// rows) or an obs.CVEMirror (CVE rows), and returns the forensic
+	// verdict, the detector signatures and the ledger fragments. It
+	// forces obs events on; when Obs is not also set, the validator does
+	// not see the obs-only records, so its report reads as the same
+	// cell's obs-off run.
 	Forensics bool
 	// Races attaches an hb.Detector and returns its findings.
 	Races bool
@@ -104,6 +105,7 @@ func RunCell(c Cell, ins Instruments) CellResult {
 	var res CellResult
 	d := c.Defense
 	var col *obs.Collector
+	var mirror *obs.CVEMirror
 	var det *obs.Detectors
 	var races *hb.Detector
 	var sv *trace.StreamValidator
@@ -111,9 +113,15 @@ func RunCell(c Cell, ins Instruments) CellResult {
 		sess := trace.NewSession()
 		sess.SetRetain(ins.Records)
 		if ins.Forensics {
-			col = obs.NewCollector()
+			if c.Timing != nil {
+				col = obs.NewCollector()
+				sess.Attach(col)
+			} else {
+				// A CVE row runs its trigger once, in the session's run 1.
+				mirror = obs.NewCVEMirror(c.CVE.CVE, 1)
+				sess.Attach(mirror)
+			}
 			det = obs.NewDetectors(obs.DefaultDetectorConfig())
-			sess.Attach(col)
 			sess.Attach(det)
 		}
 		if ins.Races {
@@ -142,6 +150,12 @@ func RunCell(c Cell, ins Instruments) CellResult {
 		}
 		res.Samples = make([]attack.RepSamples, reps)
 		for r := range res.Samples {
+			if d.Runtime.Stopped() {
+				// Canceled: the remaining reps' environments would each
+				// be abandoned at their first poll.
+				res.Samples = res.Samples[:r]
+				break
+			}
 			res.Samples[r] = c.Timing.MeasureRep(d, c.Seed+int64(r)*2)
 		}
 		res.Outcome = c.Timing.AssembleOutcome(d.ID, attack.MergeSamples(res.Samples))
@@ -153,21 +167,21 @@ func RunCell(c Cell, ins Instruments) CellResult {
 	}
 	res.Trace.Close()
 
-	if col != nil {
+	if det != nil {
 		v := &Verdict{}
-		if c.Timing != nil {
+		if col != nil {
 			// MeasureRep builds variant 0's environment before variant
 			// 1's, so rep r's variants are the session's runs 2r+1, 2r+2.
 			res.Readings = make([]obs.CellReadings, len(res.Samples))
 			for r := range res.Readings {
 				for variant := 0; variant < 2; variant++ {
-					res.Readings[r].Variants[variant] = obs.ExtractReadings(c.Timing.ID, col.Run(2*r+1+variant))
+					res.Readings[r].Variants[variant] = obs.ExtractReadings(c.Timing.ID, col.Measurements(2*r+1+variant))
 				}
 			}
 			channels, defended := obs.JudgeTiming(res.Readings)
 			v.Channels, v.Flagged = channels, !defended
 		} else {
-			v.Flagged, v.Evidence = obs.MirrorExploited(col.Run(1), c.CVE.CVE)
+			v.Flagged, v.Evidence = mirror.Exploited()
 		}
 		res.Signatures = det.Finish()
 		if v.Flagged {

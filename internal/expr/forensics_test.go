@@ -2,6 +2,8 @@ package expr
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"path/filepath"
@@ -12,11 +14,19 @@ import (
 // golden-trace harness in internal/trace.
 var updateForensics = flag.Bool("update", false, "rewrite golden forensic findings")
 
+// forensicsMatrixSHA256 pins the whole forensic matrix at
+// forensicsConfig: every cell's channel means and effect sizes, evidence
+// Seqs and signatures, not only its verdict. A change that moves any of
+// them while the verdicts still agree fails here; one that is meant to
+// must say why and re-pin.
+const forensicsMatrixSHA256 = "d21c9775e360987ef8f71dce3d79515199e8b793ac80b4619d3e260dba8463ca"
+
 // TestForensicsTable1 is the golden forensics gate: every undefended
 // Table I cell is flagged from the event stream alone, defended cells
 // produce zero findings, the forensic matrix is byte-identical between
-// serial and 8-wide parallel execution, and running with observability
-// on does not perturb the experiment's own verdicts.
+// serial and 8-wide parallel execution and matches its pinned digest,
+// and running with observability on does not perturb the experiment's
+// own verdicts.
 func TestForensicsTable1(t *testing.T) {
 	serial := forensicsAt(t, 1)
 
@@ -49,6 +59,9 @@ func TestForensicsTable1(t *testing.T) {
 	pb := mustJSON(t, parallel)
 	if !bytes.Equal(sb, pb) {
 		t.Fatalf("forensic matrix differs between -parallel 1 and -parallel 8")
+	}
+	if sum := sha256.Sum256(sb); hex.EncodeToString(sum[:]) != forensicsMatrixSHA256 {
+		t.Fatalf("forensic matrix (%d bytes) has SHA-256 %x, want %s", len(sb), sum, forensicsMatrixSHA256)
 	}
 
 	// Cross-check: the obs-on matrix reaches exactly the verdicts the

@@ -40,6 +40,7 @@ package hb
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"jskernel/internal/sim"
@@ -179,6 +180,9 @@ type runState struct {
 	ctxIdx  map[string]int
 	ctxName []string
 	vcs     []VC
+	// threads caches each thread's context index, so the per-record
+	// path never formats a context name.
+	threads map[int]int
 
 	syncs   map[syncKey]VC
 	events  map[evKey]VC
@@ -192,6 +196,7 @@ type runState struct {
 func newRunState() *runState {
 	return &runState{
 		ctxIdx:  make(map[string]int),
+		threads: make(map[int]int),
 		syncs:   make(map[syncKey]VC),
 		events:  make(map[evKey]VC),
 		chans:   make(map[chanKey][]chanMsg),
@@ -221,9 +226,14 @@ func (rs *runState) tick(i int) uint64 {
 	return c
 }
 
-// threadCtx interns the context for a thread ID.
+// threadCtx interns the context for a thread ID, "t<id>".
 func (rs *runState) threadCtx(thread int) int {
-	return rs.ctx(fmt.Sprintf("t%d", thread))
+	if i, ok := rs.threads[thread]; ok {
+		return i
+	}
+	i := rs.ctx("t" + strconv.Itoa(thread))
+	rs.threads[thread] = i
+	return i
 }
 
 // renderVC formats a vector clock with context names, for findings.

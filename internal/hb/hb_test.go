@@ -260,3 +260,22 @@ func TestReplayDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestObserveKnownThreadAllocs pins the per-record path: once a thread's
+// context is interned, a native record and a dispatch on that thread
+// allocate nothing.
+func TestObserveKnownThreadAllocs(t *testing.T) {
+	d := NewDetector()
+	d.Observe(native(1, 3, "timer-fired", "", 0, 1))
+	for _, tc := range []struct {
+		name string
+		r    trace.Record
+	}{
+		{"native", native(2, 3, "timer-fired", "", 0, 1)},
+		{"dispatch", trace.Record{Seq: 3, Run: 1, Thread: 3, Op: trace.OpDispatch, API: "setTimeout", Scope: 1, Event: 9}},
+	} {
+		if n := testing.AllocsPerRun(100, func() { d.Observe(tc.r) }); n != 0 {
+			t.Errorf("%s: Observe allocated %v times per record, want 0", tc.name, n)
+		}
+	}
+}

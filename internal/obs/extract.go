@@ -10,10 +10,12 @@ import (
 	"jskernel/internal/browser"
 	"jskernel/internal/sim"
 	"jskernel/internal/stats"
+	"jskernel/internal/trace"
 )
 
-// Measurement reconstruction: given only a run's native observability
-// events, re-derive the per-channel readings the timing-attack harness
+// Measurement reconstruction: given only a run's measurement events (the
+// main-window slice of its native observability stream a Collector
+// keeps), re-derive the per-channel readings the timing-attack harness
 // in internal/attack reported for that run. Each Table I attack has a
 // fixed measurement shape (warmup timer, implicit-clock ticks between
 // two markers, explicit clock-read deltas), so the extractor replays
@@ -50,21 +52,98 @@ const (
 	loopscanMinProbes = 10
 )
 
+// Measurement is one measurement event a Collector keeps: a native
+// observability record of the main window reduced to what the harness
+// shapes read.
+type Measurement struct {
+	kind measureKind
+	// frame codes a frame tick's detail; zero for other kinds.
+	frame frameDetail
+	// aux is the record's Aux: a timer's requested delay, a clock read's
+	// value bits, a frame or cue index.
+	aux int64
+}
+
+// measureKind is a Measurement's native kind.
+type measureKind uint8
+
+const (
+	mTimer   measureKind = iota + 1 // timer-fired, no detail (setTimeout)
+	mClock                          // clock-read, no detail (performance.now)
+	mMessage                        // message-callback
+	mFrame                          // frame-tick, any detail
+	mLoad                           // load-done
+)
+
+// frameDetail codes the frame-tick details the frame-clock extractors
+// count; every other detail (requestAnimationFrame's "raf") is
+// frameOther, still kept because loopscan's probe-adjacency test reads
+// every event in sequence.
+type frameDetail uint8
+
+const (
+	frameOther frameDetail = iota
+	frameAnimation
+	frameCue
+)
+
+// measurementOf reduces r to a Measurement, reporting false for every
+// record the harness shapes are not built from: non-native records,
+// unknown kinds, worker-side events (scope token ≠ 1), interval timers
+// and Date.now reads.
+func measurementOf(r trace.Record) (Measurement, bool) {
+	if r.Op != trace.OpNative || r.Value != mainToken {
+		return Measurement{}, false
+	}
+	kind, ok := browser.KindByName(r.API)
+	if !ok {
+		return Measurement{}, false
+	}
+	m := Measurement{aux: r.Aux}
+	switch kind {
+	case browser.TraceTimerFired:
+		if r.Reason != "" { // interval timers: not used by harnesses
+			return Measurement{}, false
+		}
+		m.kind = mTimer
+	case browser.TraceClockRead:
+		if r.Reason != "" { // "date" reads: not used by harnesses
+			return Measurement{}, false
+		}
+		m.kind = mClock
+	case browser.TraceMessageCallback:
+		m.kind = mMessage
+	case browser.TraceFrameTick:
+		m.kind = mFrame
+		switch r.Reason {
+		case "animation":
+			m.frame = frameAnimation
+		case "cue":
+			m.frame = frameCue
+		}
+	case browser.TraceLoadDone:
+		m.kind = mLoad
+	default:
+		return Measurement{}, false
+	}
+	return m, true
+}
+
 // ExtractReadings reconstructs the per-channel measurement of one
-// timing-attack run from its native event stream. It returns nil when
-// the run's measurement cannot be reconstructed (harness never
-// completed under this defense), mirroring a skipped variant.
-func ExtractReadings(attackID string, events []NativeEvent) map[string]float64 {
-	fs := filterMeasurement(events)
+// timing-attack run from the measurement events a Collector kept for
+// it. It returns nil when the run's measurement cannot be reconstructed
+// (harness never completed under this defense), mirroring a skipped
+// variant.
+func ExtractReadings(attackID string, fs []Measurement) map[string]float64 {
 	switch attackID {
 	case "history-sniffing", "svg-filtering", "floating-point":
 		return extractSync(fs)
 	case "cache-attack", "script-parsing", "image-decoding":
 		return extractAsync(fs)
 	case "css-animation":
-		return extractFrame(fs, "animation", chFrames)
+		return extractFrame(fs, frameAnimation, chFrames)
 	case "video-webvtt":
-		return extractFrame(fs, "cue", chCues)
+		return extractFrame(fs, frameCue, chCues)
 	case "clock-edge":
 		return extractEdge(fs)
 	case "loopscan":
@@ -73,44 +152,16 @@ func ExtractReadings(attackID string, events []NativeEvent) map[string]float64 {
 	return nil
 }
 
-// filterMeasurement keeps the main-window events the harness shapes are
-// built from: plain timer fires, performance.now reads, message
-// callbacks, frame ticks and load completions. Worker-side events
-// (token ≠ 1) and Date.now reads are not part of any harness.
-func filterMeasurement(events []NativeEvent) []NativeEvent {
-	var fs []NativeEvent
-	for _, ev := range events {
-		if ev.Value != mainToken {
-			continue
-		}
-		switch ev.Kind {
-		case browser.TraceTimerFired:
-			if ev.Detail != "" { // interval timers: not used by harnesses
-				continue
-			}
-		case browser.TraceClockRead:
-			if ev.Detail != "" { // "date" reads: not used by harnesses
-				continue
-			}
-		case browser.TraceMessageCallback, browser.TraceFrameTick, browser.TraceLoadDone:
-		default:
-			continue
-		}
-		fs = append(fs, ev)
-	}
-	return fs
-}
-
 // clockValue decodes a clock-read event's observed value.
-func clockValue(ev NativeEvent) float64 {
-	return math.Float64frombits(uint64(ev.Aux))
+func clockValue(ev Measurement) float64 {
+	return math.Float64frombits(uint64(ev.aux))
 }
 
 // warmupIndex finds the harness's warmup timer: the first main-window
 // timer callback whose requested delay is the 60ms warmup.
-func warmupIndex(fs []NativeEvent) int {
+func warmupIndex(fs []Measurement) int {
 	for i, ev := range fs {
-		if ev.Kind == browser.TraceTimerFired && ev.Aux == warmupAuxNs {
+		if ev.kind == mTimer && ev.aux == warmupAuxNs {
 			return i
 		}
 	}
@@ -118,7 +169,7 @@ func warmupIndex(fs []NativeEvent) int {
 }
 
 // firstAfter finds the first event after index w matching pred.
-func firstAfter(fs []NativeEvent, w int, pred func(NativeEvent) bool) int {
+func firstAfter(fs []Measurement, w int, pred func(Measurement) bool) int {
 	for i := w + 1; i < len(fs); i++ {
 		if pred(fs[i]) {
 			return i
@@ -129,7 +180,7 @@ func firstAfter(fs []NativeEvent, w int, pred func(NativeEvent) bool) int {
 
 // countBetween counts events strictly between indices lo and hi
 // matching pred.
-func countBetween(fs []NativeEvent, lo, hi int, pred func(NativeEvent) bool) int {
+func countBetween(fs []Measurement, lo, hi int, pred func(Measurement) bool) int {
 	n := 0
 	for i := lo + 1; i < hi; i++ {
 		if pred(fs[i]) {
@@ -139,32 +190,37 @@ func countBetween(fs []NativeEvent, lo, hi int, pred func(NativeEvent) bool) int
 	return n
 }
 
+// nextClock returns the index of the first clock read at or after i,
+// or len(fs) when there is none.
+func nextClock(fs []Measurement, i int) int {
+	for i < len(fs) && fs[i].kind != mClock {
+		i++
+	}
+	return i
+}
+
 // perfNowDelta reads the measurement's two explicit clock samples —
 // the first two performance.now reads after the warmup fired — and
 // returns their difference.
-func perfNowDelta(fs []NativeEvent, w int) (float64, bool) {
-	var vals []float64
-	for i := w + 1; i < len(fs) && len(vals) < 2; i++ {
-		if fs[i].Kind == browser.TraceClockRead {
-			vals = append(vals, clockValue(fs[i]))
-		}
-	}
-	if len(vals) < 2 {
+func perfNowDelta(fs []Measurement, w int) (float64, bool) {
+	first := nextClock(fs, w+1)
+	second := nextClock(fs, first+1)
+	if second >= len(fs) {
 		return 0, false
 	}
-	return vals[1] - vals[0], true
+	return clockValue(fs[second]) - clockValue(fs[first]), true
 }
 
 // extractSync reconstructs measureSyncOp: worker ticks delivered
 // between the warmup timer and the zero-delay closing timer, plus the
 // performance.now delta around the operation.
-func extractSync(fs []NativeEvent) map[string]float64 {
+func extractSync(fs []Measurement) map[string]float64 {
 	w := warmupIndex(fs)
 	if w < 0 {
 		return nil
 	}
-	c := firstAfter(fs, w, func(ev NativeEvent) bool {
-		return ev.Kind == browser.TraceTimerFired && ev.Aux == 0
+	c := firstAfter(fs, w, func(ev Measurement) bool {
+		return ev.kind == mTimer && ev.aux == 0
 	})
 	if c < 0 {
 		return nil
@@ -173,8 +229,8 @@ func extractSync(fs []NativeEvent) map[string]float64 {
 	if !ok {
 		return nil
 	}
-	ticks := countBetween(fs, w, c, func(ev NativeEvent) bool {
-		return ev.Kind == browser.TraceMessageCallback
+	ticks := countBetween(fs, w, c, func(ev Measurement) bool {
+		return ev.kind == mMessage
 	})
 	return map[string]float64{chWorkerTicks: float64(ticks), chPerfNow: dt}
 }
@@ -182,13 +238,13 @@ func extractSync(fs []NativeEvent) map[string]float64 {
 // extractAsync reconstructs measureAsyncOp: tick-loop callbacks between
 // the warmup timer and the load completion, plus the performance.now
 // delta.
-func extractAsync(fs []NativeEvent) map[string]float64 {
+func extractAsync(fs []Measurement) map[string]float64 {
 	w := warmupIndex(fs)
 	if w < 0 {
 		return nil
 	}
-	l := firstAfter(fs, w, func(ev NativeEvent) bool {
-		return ev.Kind == browser.TraceLoadDone
+	l := firstAfter(fs, w, func(ev Measurement) bool {
+		return ev.kind == mLoad
 	})
 	if l < 0 {
 		return nil
@@ -197,21 +253,21 @@ func extractAsync(fs []NativeEvent) map[string]float64 {
 	if !ok {
 		return nil
 	}
-	ticks := countBetween(fs, w, l, func(ev NativeEvent) bool {
-		return ev.Kind == browser.TraceTimerFired && ev.Aux == 0
+	ticks := countBetween(fs, w, l, func(ev Measurement) bool {
+		return ev.kind == mTimer && ev.aux == 0
 	})
 	return map[string]float64{chTickLoop: float64(ticks), chPerfNow: dt}
 }
 
 // extractFrame reconstructs measureWithFrameClock: frame ticks of the
 // given detail between the warmup timer and the load completion.
-func extractFrame(fs []NativeEvent, detail, channel string) map[string]float64 {
+func extractFrame(fs []Measurement, detail frameDetail, channel string) map[string]float64 {
 	w := warmupIndex(fs)
 	if w < 0 {
 		return nil
 	}
-	l := firstAfter(fs, w, func(ev NativeEvent) bool {
-		return ev.Kind == browser.TraceLoadDone
+	l := firstAfter(fs, w, func(ev Measurement) bool {
+		return ev.kind == mLoad
 	})
 	if l < 0 {
 		return nil
@@ -220,8 +276,8 @@ func extractFrame(fs []NativeEvent, detail, channel string) map[string]float64 {
 	if !ok {
 		return nil
 	}
-	frames := countBetween(fs, w, l, func(ev NativeEvent) bool {
-		return ev.Kind == browser.TraceFrameTick && ev.Detail == detail
+	frames := countBetween(fs, w, l, func(ev Measurement) bool {
+		return ev.kind == mFrame && ev.frame == detail
 	})
 	return map[string]float64{channel: float64(frames), chPerfNow: dt}
 }
@@ -230,20 +286,14 @@ func extractFrame(fs []NativeEvent, detail, channel string) map[string]float64 {
 // clock-read values. The harness reads the clock once per loop-condition
 // evaluation (including the evaluation that exits), so the replay must
 // consume reads identically and end with every read accounted for.
-func extractEdge(fs []NativeEvent) map[string]float64 {
-	var vals []float64
-	for _, ev := range fs {
-		if ev.Kind == browser.TraceClockRead {
-			vals = append(vals, clockValue(ev))
-		}
-	}
-	i := 0
+func extractEdge(fs []Measurement) map[string]float64 {
+	i := nextClock(fs, 0)
 	read := func() (float64, bool) {
-		if i >= len(vals) {
+		if i >= len(fs) {
 			return 0, false
 		}
-		v := vals[i]
-		i++
+		v := clockValue(fs[i])
+		i = nextClock(fs, i+1)
 		return v, true
 	}
 	start, ok := read()
@@ -278,7 +328,7 @@ func extractEdge(fs []NativeEvent) map[string]float64 {
 		}
 		break
 	}
-	if i != len(vals) {
+	if i != len(fs) {
 		// Leftover reads mean the stream is not a clock-edge run.
 		return nil
 	}
@@ -291,10 +341,10 @@ func extractEdge(fs []NativeEvent) map[string]float64 {
 // busy-loop; worker-spray callbacks only post). Probe k's first read is
 // its gap check against probe k-1's last read, so the maxima replay
 // directly.
-func extractLoopscan(fs []NativeEvent) map[string]float64 {
+func extractLoopscan(fs []Measurement) map[string]float64 {
 	var probes []int
 	for i, ev := range fs {
-		if ev.Kind == browser.TraceTimerFired && i+1 < len(fs) && fs[i+1].Kind == browser.TraceClockRead {
+		if ev.kind == mTimer && i+1 < len(fs) && fs[i+1].kind == mClock {
 			probes = append(probes, i)
 		}
 	}
@@ -306,15 +356,15 @@ func extractLoopscan(fs []NativeEvent) map[string]float64 {
 	for k, pi := range probes {
 		j := pi + 1
 		firstRead[k] = clockValue(fs[j])
-		for j+1 < len(fs) && fs[j+1].Kind == browser.TraceClockRead {
+		for j+1 < len(fs) && fs[j+1].kind == mClock {
 			j++
 		}
 		lastRead[k] = clockValue(fs[j])
 	}
 	maxGap, maxNow := 0.0, 0.0
 	for k := 1; k < len(probes); k++ {
-		gap := countBetween(fs, probes[k-1], probes[k], func(ev NativeEvent) bool {
-			return ev.Kind == browser.TraceMessageCallback
+		gap := countBetween(fs, probes[k-1], probes[k], func(ev Measurement) bool {
+			return ev.kind == mMessage
 		})
 		if d := float64(gap); d > maxGap {
 			maxGap = d

@@ -22,130 +22,105 @@
 //
 // The forensics layer additionally reconstructs the paper's attack
 // measurements from the browser's observability events (extract.go):
-// given only the native event stream of a run, it re-derives the exact
-// per-channel readings the attack harness reported and re-judges the
-// leak with the same statistics — which is what lets the golden
-// forensics test demand bit-exact agreement with Table I's verdicts.
+// given only the measurement events a Collector keeps from a run's
+// native stream, it re-derives the exact per-channel readings the attack
+// harness reported and re-judges the leak with the same statistics —
+// which is what lets the golden forensics test demand bit-exact
+// agreement with Table I's verdicts. A CVEMirror re-judges a CVE row the
+// same way, feeding the native stream to a vulnerability registry as it
+// passes.
 package obs
 
 import (
-	"sort"
-
 	"jskernel/internal/browser"
-	"jskernel/internal/sim"
 	"jskernel/internal/trace"
 	"jskernel/internal/vuln"
 )
 
-// NativeEvent is one browser-layer observability event reconstructed
-// from an OpNative trace record. It carries everything the native
-// TraceEvent carried, plus the session-wide sequence number that
-// forensic findings cite as evidence.
-type NativeEvent struct {
-	// Seq is the session-wide record sequence number.
-	Seq uint64
-	// Run is the environment generation the event belongs to.
-	Run int
-	// Kind is the native event kind (resolved from the record's API name).
-	Kind browser.TraceKind
-	// At is the event's virtual timestamp (in-task cursor time for
-	// callback-entry events).
-	At sim.Time
-	// Thread is the simulated thread the event occurred on.
-	Thread int
-	// WorkerID is the worker involved, when applicable (0 = main).
-	WorkerID int
-	// URL is the resource involved, when applicable.
-	URL string
-	// Detail qualifies the event ("interval", "fetch", "image", ...).
-	Detail string
-	// Value is the event's numeric payload (scope tokens, fetch IDs).
-	Value int64
-	// Aux is the secondary payload (requested delays, clock-read bits).
-	Aux int64
-}
-
-// Collector is a Sink that gathers the native observability events of a
-// session, grouped by run, in emission order. The forensics extractors
-// replay these per-run streams to reconstruct attack measurements.
+// Collector is a Sink that keeps, per run and in emission order, the
+// measurement events the forensics extractors replay (extract.go): the
+// main window's plain timer fires and performance.now reads, and every
+// message callback, frame tick and load completion it sees. Worker-side
+// events, interval timers, Date.now reads and every other record are
+// dropped as they arrive, and a kept event holds only what the
+// extractors read, in a 16-byte value with no pointers.
 type Collector struct {
-	byRun map[int][]NativeEvent
+	byRun map[int][]Measurement
 }
 
 var _ trace.Sink = (*Collector)(nil)
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{byRun: make(map[int][]NativeEvent)}
+	return &Collector{byRun: make(map[int][]Measurement)}
 }
 
-// Observe ingests one record, keeping only native events whose kind
-// resolves (unknown kinds are silently dropped, mirroring how the vuln
-// registry ignores events it has no state machine for).
+// Observe keeps r when it is a measurement event.
 func (c *Collector) Observe(r trace.Record) {
-	if r.Op != trace.OpNative {
-		return
-	}
-	kind, ok := browser.KindByName(r.API)
+	m, ok := measurementOf(r)
 	if !ok {
 		return
 	}
-	c.byRun[r.Run] = append(c.byRun[r.Run], NativeEvent{
-		Seq:      r.Seq,
-		Run:      r.Run,
-		Kind:     kind,
-		At:       r.VT,
-		Thread:   r.Thread,
-		WorkerID: r.WorkerID,
-		URL:      r.URL,
-		Detail:   r.Reason,
-		Value:    r.Value,
-		Aux:      r.Aux,
-	})
+	c.byRun[r.Run] = append(c.byRun[r.Run], m)
 }
 
-// Runs lists the runs that produced native events, sorted.
-func (c *Collector) Runs() []int {
-	runs := make([]int, 0, len(c.byRun))
-	for run := range c.byRun {
-		runs = append(runs, run)
-	}
-	sort.Ints(runs)
-	return runs
-}
-
-// Run returns one run's native events in emission order.
-func (c *Collector) Run(run int) []NativeEvent {
+// Measurements returns one run's measurement events in emission order.
+func (c *Collector) Measurements(run int) []Measurement {
 	return c.byRun[run]
 }
 
-// MirrorExploited replays a run's native events into a fresh
-// vulnerability registry and reports whether the CVE's triggering
-// sequence appears, along with the sequence numbers of the events that
-// advanced the exploit to its trigger (the evidence chain: the flipping
-// event, preceded by the state-machine feeders the registry consumed).
+// CVEMirror is a Sink that replays one run's native events into a fresh
+// vulnerability registry as they are emitted, and reports whether the
+// CVE's triggering sequence appears, citing the sequence number of the
+// record that flipped the registry as evidence.
 //
 // Because the defense layer bridges every native trace event into the
 // session before any other consumer sees it, and the registry's
 // detectors read only fields the bridge preserves, this mirror reaches
 // exactly the same verdict as the registry that was attached to the
 // live environment.
-func MirrorExploited(events []NativeEvent, cve vuln.CVE) (bool, []uint64) {
-	reg := vuln.NewRegistry(cve)
-	for _, ev := range events {
-		reg.Trace(browser.TraceEvent{
-			Kind:     ev.Kind,
-			At:       ev.At,
-			ThreadID: ev.Thread,
-			WorkerID: ev.WorkerID,
-			URL:      ev.URL,
-			Detail:   ev.Detail,
-			Value:    ev.Value,
-			Aux:      ev.Aux,
-		})
-		if reg.Exploited(cve) {
-			return true, []uint64{ev.Seq}
-		}
+type CVEMirror struct {
+	cve      vuln.CVE
+	run      int
+	reg      *vuln.Registry
+	evidence []uint64
+}
+
+var _ trace.Sink = (*CVEMirror)(nil)
+
+// NewCVEMirror returns a mirror of cve over the given run's records.
+func NewCVEMirror(cve vuln.CVE, run int) *CVEMirror {
+	return &CVEMirror{cve: cve, run: run, reg: vuln.NewRegistry(cve)}
+}
+
+// Observe feeds one native record of the mirrored run to the registry,
+// until the registry flips; records of unknown kind are dropped, as the
+// registry has no state machine for them.
+func (m *CVEMirror) Observe(r trace.Record) {
+	if m.evidence != nil || r.Run != m.run || r.Op != trace.OpNative {
+		return
 	}
-	return false, nil
+	kind, ok := browser.KindByName(r.API)
+	if !ok {
+		return
+	}
+	m.reg.Trace(browser.TraceEvent{
+		Kind:     kind,
+		At:       r.VT,
+		ThreadID: r.Thread,
+		WorkerID: r.WorkerID,
+		URL:      r.URL,
+		Detail:   r.Reason,
+		Value:    r.Value,
+		Aux:      r.Aux,
+	})
+	if m.reg.Exploited(m.cve) {
+		m.evidence = []uint64{r.Seq}
+	}
+}
+
+// Exploited reports whether the mirrored run reached the CVE's trigger,
+// with the evidence chain: the Seq of the record that flipped it.
+func (m *CVEMirror) Exploited() (bool, []uint64) {
+	return m.evidence != nil, m.evidence
 }

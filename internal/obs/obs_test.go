@@ -6,8 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
-	"jskernel/internal/browser"
 	"jskernel/internal/sim"
 	"jskernel/internal/trace"
 	"jskernel/internal/vuln"
@@ -27,28 +27,75 @@ func nat(seq uint64, run int, kind, detail string, value, aux int64) trace.Recor
 	}
 }
 
-func TestCollectorGroupsByRun(t *testing.T) {
+// collect feeds records through a fresh Collector's Observe.
+func collect(recs ...trace.Record) *Collector {
 	c := NewCollector()
-	c.Observe(nat(1, 1, "timer-fired", "", 1, 0))
-	c.Observe(nat(2, 2, "clock-read", "", 1, 42))
-	c.Observe(nat(3, 1, "message-callback", "", 1, 0))
-	// Non-native and unknown-kind records are dropped.
-	c.Observe(trace.Record{Seq: 4, Run: 1, Op: trace.OpEnqueue, API: "setTimeout"})
-	c.Observe(nat(5, 1, "no-such-kind", "", 1, 0))
+	for _, r := range recs {
+		c.Observe(r)
+	}
+	return c
+}
 
-	if got := c.Runs(); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("Runs() = %v, want [1 2]", got)
+func TestCollectorGroupsByRun(t *testing.T) {
+	c := collect(
+		nat(1, 1, "timer-fired", "", 1, 0),
+		nat(2, 2, "clock-read", "", 1, 42),
+		nat(3, 1, "message-callback", "", 1, 0),
+		// Non-native and unknown-kind records are dropped.
+		trace.Record{Seq: 4, Run: 1, Op: trace.OpEnqueue, API: "setTimeout"},
+		nat(5, 1, "no-such-kind", "", 1, 0),
+		nat(6, 3, "no-such-kind", "", 1, 0),
+		// Frame ticks of every detail stay in the sequence (loopscan's
+		// probe-adjacency test reads them), with the details the
+		// frame-clock extractors count coded.
+		nat(7, 2, "frame-tick", "raf", 1, 7),
+		nat(8, 2, "frame-tick", "animation", 1, 8),
+		nat(9, 2, "frame-tick", "cue", 1, 9),
+		nat(10, 2, "load-done", "image", 1, 0),
+	)
+	r1 := c.Measurements(1)
+	if want := []Measurement{{kind: mTimer}, {kind: mMessage}}; !reflect.DeepEqual(r1, want) {
+		t.Fatalf("run 1 events = %+v, want the timer then the message callback", r1)
 	}
-	r1 := c.Run(1)
-	if len(r1) != 2 || r1[0].Seq != 1 || r1[1].Seq != 3 {
-		t.Fatalf("run 1 events = %+v, want seqs 1, 3 in order", r1)
+	r2 := c.Measurements(2)
+	want := []Measurement{
+		{kind: mClock, aux: 42},
+		{kind: mFrame, frame: frameOther, aux: 7},
+		{kind: mFrame, frame: frameAnimation, aux: 8},
+		{kind: mFrame, frame: frameCue, aux: 9},
+		{kind: mLoad},
 	}
-	if r1[0].Kind != browser.TraceTimerFired {
-		t.Fatalf("kind not resolved: %v", r1[0].Kind)
+	if !reflect.DeepEqual(r2, want) {
+		t.Fatalf("run 2 events = %+v, want %+v", r2, want)
 	}
-	r2 := c.Run(2)
-	if len(r2) != 1 || r2[0].Aux != 42 {
-		t.Fatalf("run 2 events = %+v, want one event with Aux 42", r2)
+	if r3 := c.Measurements(3); r3 != nil {
+		t.Fatalf("run 3 kept %+v from records that are all dropped", r3)
+	}
+	if size := unsafe.Sizeof(Measurement{}); size != 16 {
+		t.Fatalf("Measurement is %d bytes, want 16", size)
+	}
+}
+
+// TestCollectorObserveAllocs pins the Collector's drop path: a record
+// that is not a measurement event costs no allocation.
+func TestCollectorObserveAllocs(t *testing.T) {
+	c := collect(nat(1, 1, "timer-fired", "", 1, 0))
+	for _, tc := range []struct {
+		name string
+		r    trace.Record
+	}{
+		{"worker token", nat(2, 1, "message-callback", "", 2, 0)},
+		{"interval timer", nat(3, 1, "timer-fired", "interval", 1, 0)},
+		{"date read", nat(4, 1, "clock-read", "date", 1, 0)},
+		{"not native", trace.Record{Seq: 5, Run: 1, Op: trace.OpDispatch, API: "setTimeout", Value: 1}},
+		{"unknown kind", nat(6, 1, "no-such-kind", "", 1, 0)},
+	} {
+		if n := testing.AllocsPerRun(100, func() { c.Observe(tc.r) }); n != 0 {
+			t.Errorf("%s: Observe allocated %v times per record, want 0", tc.name, n)
+		}
+	}
+	if got := len(c.Measurements(1)); got != 1 {
+		t.Fatalf("dropped records were kept: run 1 has %d events, want 1", got)
 	}
 }
 
@@ -150,19 +197,29 @@ func TestDetectorsThresholdsAndOrdering(t *testing.T) {
 }
 
 func TestMirrorExploited(t *testing.T) {
-	events := []NativeEvent{
-		{Seq: 10, Kind: browser.TraceWorkerTerminated, WorkerID: 1, Detail: "pending-fetch"},
-		{Seq: 11, Kind: browser.TraceFetchAbort, Detail: "orphaned"},
+	recs := []trace.Record{
+		{Seq: 10, Run: 1, Op: trace.OpNative, API: "worker-terminated", WorkerID: 1, Reason: "pending-fetch"},
+		// Another run's events never reach the mirror.
+		{Seq: 11, Run: 2, Op: trace.OpNative, API: "fetch-abort", Reason: "orphaned"},
+		{Seq: 12, Run: 1, Op: trace.OpNative, API: "fetch-abort", Reason: "orphaned"},
+		{Seq: 13, Run: 1, Op: trace.OpNative, API: "fetch-abort", Reason: "orphaned"},
 	}
-	hit, evidence := MirrorExploited(events, vuln.CVE20185092)
+	mirror := func(recs []trace.Record) (bool, []uint64) {
+		m := NewCVEMirror(vuln.CVE20185092, 1)
+		for _, r := range recs {
+			m.Observe(r)
+		}
+		return m.Exploited()
+	}
+	hit, evidence := mirror(recs)
 	if !hit {
 		t.Fatal("orphaned abort after termination should mirror CVE-2018-5092")
 	}
-	if !reflect.DeepEqual(evidence, []uint64{11}) {
-		t.Fatalf("evidence = %v, want [11]", evidence)
+	if !reflect.DeepEqual(evidence, []uint64{12}) {
+		t.Fatalf("evidence = %v, want [12]", evidence)
 	}
 	// A clean abort never flips the mirror.
-	hit, evidence = MirrorExploited(events[:1], vuln.CVE20185092)
+	hit, evidence = mirror(recs[:2])
 	if hit || evidence != nil {
 		t.Fatalf("termination alone mirrored exploited (evidence %v)", evidence)
 	}
@@ -173,20 +230,24 @@ func TestMirrorExploited(t *testing.T) {
 func clockBits(v float64) int64 { return int64(math.Float64bits(v)) }
 
 func TestExtractSync(t *testing.T) {
-	events := []NativeEvent{
+	recs := []trace.Record{
 		// Pre-warmup noise: a worker-side message (token 2) and an
-		// interval fire are filtered out.
-		{Seq: 1, Kind: browser.TraceMessageCallback, Value: 2},
-		{Seq: 2, Kind: browser.TraceTimerFired, Value: 1, Detail: "interval"},
+		// interval fire are dropped by the Collector.
+		nat(1, 1, "message-callback", "", 2, 0),
+		nat(2, 1, "timer-fired", "interval", 1, 0),
 		// Warmup timer, then the measurement: start read, op, end read,
 		// three worker ticks, closing zero-delay timer.
-		{Seq: 3, Kind: browser.TraceTimerFired, Value: 1, Aux: int64(60 * sim.Millisecond)},
-		{Seq: 4, Kind: browser.TraceClockRead, Value: 1, Aux: clockBits(100)},
-		{Seq: 5, Kind: browser.TraceClockRead, Value: 1, Aux: clockBits(103.5)},
-		{Seq: 6, Kind: browser.TraceMessageCallback, Value: 1},
-		{Seq: 7, Kind: browser.TraceMessageCallback, Value: 1},
-		{Seq: 8, Kind: browser.TraceMessageCallback, Value: 1},
-		{Seq: 9, Kind: browser.TraceTimerFired, Value: 1, Aux: 0},
+		nat(3, 1, "timer-fired", "", 1, int64(60*sim.Millisecond)),
+		nat(4, 1, "clock-read", "", 1, clockBits(100)),
+		nat(5, 1, "clock-read", "", 1, clockBits(103.5)),
+		nat(6, 1, "message-callback", "", 1, 0),
+		nat(7, 1, "message-callback", "", 1, 0),
+		nat(8, 1, "message-callback", "", 1, 0),
+		nat(9, 1, "timer-fired", "", 1, 0),
+	}
+	events := collect(recs...).Measurements(1)
+	if len(events) != 7 {
+		t.Fatalf("Collector kept %d events, want 7 (the worker message and interval fire dropped)", len(events))
 	}
 	got := ExtractReadings("history-sniffing", events)
 	want := map[string]float64{"worker-ticks": 3, "perf-now": 3.5}
@@ -194,7 +255,7 @@ func TestExtractSync(t *testing.T) {
 		t.Fatalf("ExtractReadings = %v, want %v", got, want)
 	}
 	// Without the closing timer the measurement never completed.
-	if got := ExtractReadings("history-sniffing", events[:8]); got != nil {
+	if got := ExtractReadings("history-sniffing", collect(recs[:8]...).Measurements(1)); got != nil {
 		t.Fatalf("incomplete run extracted %v, want nil", got)
 	}
 	// Unknown attacks have no shape.
@@ -204,12 +265,12 @@ func TestExtractSync(t *testing.T) {
 }
 
 func TestExtractEdgeReplaysEveryRead(t *testing.T) {
-	mk := func(vals ...float64) []NativeEvent {
-		evs := make([]NativeEvent, len(vals))
+	mk := func(vals ...float64) []Measurement {
+		recs := make([]trace.Record, len(vals))
 		for i, v := range vals {
-			evs[i] = NativeEvent{Seq: uint64(i + 1), Kind: browser.TraceClockRead, Value: 1, Aux: clockBits(v)}
+			recs[i] = nat(uint64(i+1), 1, "clock-read", "", 1, clockBits(v))
 		}
-		return evs
+		return collect(recs...).Measurements(1)
 	}
 	// start=5, two aligned reads, then the edge: the first 6 breaks the
 	// align loop, the second becomes cur, the third is one pad iteration,

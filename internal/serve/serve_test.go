@@ -291,34 +291,6 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-// TestResponseDeterminismAcrossTelemetry pins the PR 5 obs-neutrality
-// property at the service boundary: telemetry on/off, trace and
-// forensics attachments, and environment reuse all leave response bytes
-// unchanged.
-func TestResponseDeterminismAcrossTelemetry(t *testing.T) {
-	body := `{"attack":"cache-attack","defense":"jskernel-chrome","seed":7,"reps":2}`
-	plain := newTestServer(t, Config{Pool: 1})
-	telem := newTestServer(t, Config{Pool: 1, Telemetry: true})
-
-	want := postEval(t, plain, body)
-	if want.Code != http.StatusOK {
-		t.Fatalf("baseline: %d", want.Code)
-	}
-	for gen := 0; gen < 3; gen++ {
-		got := postEval(t, telem, body)
-		if got.Code != http.StatusOK {
-			t.Fatalf("telemetry gen %d: %d", gen, got.Code)
-		}
-		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-			t.Fatalf("telemetry server diverged at reuse generation %d", gen)
-		}
-	}
-	snap := telem.Snapshot()
-	if snap.Kernel == nil || snap.Kernel.Runs != 3 || snap.Kernel.Dispatched == 0 {
-		t.Errorf("telemetry did not aggregate: %+v", snap.Kernel)
-	}
-}
-
 func TestStatszAndHealthz(t *testing.T) {
 	s := newTestServer(t, Config{Pool: 1})
 	if w := postEval(t, s, `{"attack":"loopscan","defense":"chrome","seed":1,"reps":1}`); w.Code != http.StatusOK {

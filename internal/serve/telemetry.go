@@ -19,8 +19,8 @@ import (
 // findings over SSE). All of it lives on the wall-clock side of the
 // determinism boundary: nothing served here ever appears in a /v1/eval
 // response body, and /v1/eval bodies are byte-identical with the plane
-// on or off (pinned by TestResponseDeterminismAcrossTelemetry and the
-// wall-time boundary test).
+// on or off (pinned by TestResponseDeterminismAcrossPlaneModes, which is
+// also the wall-time boundary test).
 
 // ForensicsEvent is the /v1/events payload of one evaluation's
 // streaming forensic verdict: the same per-request judgement the

@@ -266,20 +266,26 @@ func TestTraceQueryParam(t *testing.T) {
 	}
 }
 
-// TestResponseDeterminismAcrossPlaneModes extends the telemetry
-// byte-identity pin to both plane modes: off and on. The wall clock
-// only exists on the serve/telemetry side of the boundary, so the same
-// request must return identical bytes under either mode at any time —
-// this is the lint boundary test backing the detwalltime allowlist
-// extension. The plane forces obs events on, so the
-// trace:true bodies also pin that a trace summary leaves the obs-only
-// records out when the request did not ask for forensics.
+// TestResponseDeterminismAcrossPlaneModes pins obs neutrality at the
+// service boundary: the same request returns identical bytes with the
+// telemetry plane off and on, across environment-reuse generations, with
+// trace and forensics attachments. The wall clock only exists on the
+// serve/telemetry side of the boundary, so this is also the lint
+// boundary test backing the detwalltime allowlist extension. The plane
+// forces obs events on, so the trace:true bodies also pin that a trace
+// summary leaves the obs-only records out when the request did not ask
+// for forensics; the forensics:true bodies on undefended cells pin a
+// timing cell's channel statistics and a CVE cell's mirror evidence.
 func TestResponseDeterminismAcrossPlaneModes(t *testing.T) {
 	bodies := []string{
 		`{"attack":"loopscan","defense":"jskernel-chrome","seed":11,"reps":2,"forensics":true,"tenant":"t-a"}`,
 		`{"attack":"loopscan","defense":"jskernel-chrome","seed":5,"reps":1,"trace":true}`,
 		`{"attack":"CVE-2018-5092","defense":"jskernel-chrome","seed":42,"trace":true}`,
+		`{"attack":"cache-attack","defense":"jskernel-chrome","seed":7,"reps":2}`,
+		`{"attack":"clock-edge","defense":"chrome","seed":42,"reps":2,"forensics":true}`,
+		`{"attack":"CVE-2018-5092","defense":"chrome","seed":42,"forensics":true}`,
 	}
+	const generations = 3
 	configs := []Config{
 		{Pool: 1},
 		{Pool: 1, Telemetry: true},
@@ -288,19 +294,41 @@ func TestResponseDeterminismAcrossPlaneModes(t *testing.T) {
 	for i, cfg := range configs {
 		s := newTestServer(t, cfg)
 		for b, body := range bodies {
-			for rep := 0; rep < 2; rep++ {
+			for gen := 0; gen < generations; gen++ {
 				w := postEval(t, s, body)
 				if w.Code != http.StatusOK {
-					t.Fatalf("body %d config %d rep %d: %d", b, i, rep, w.Code)
+					t.Fatalf("body %d config %d generation %d: %d", b, i, gen, w.Code)
 				}
 				if want[b] == nil {
 					want[b] = append([]byte(nil), w.Body.Bytes()...)
 					continue
 				}
 				if !bytes.Equal(w.Body.Bytes(), want[b]) {
-					t.Fatalf("body %d config %d rep %d diverged: plane mode leaked into response bytes", b, i, rep)
+					t.Fatalf("body %d config %d generation %d diverged: plane mode leaked into response bytes", b, i, gen)
 				}
 			}
+		}
+		if cfg.Telemetry {
+			snap := s.Snapshot()
+			if k := snap.Kernel; k == nil || k.Runs != uint64(len(bodies)*generations) || k.Dispatched == 0 {
+				t.Errorf("plane did not aggregate all %d requests: %+v", len(bodies)*generations, k)
+			}
+		}
+	}
+	// The flagged cells' forensics carry what the byte comparison pins:
+	// the timing cell's channels and the CVE cell's evidence.
+	for _, c := range []struct {
+		b      int
+		timing bool
+	}{{4, true}, {5, false}} {
+		b, timing := c.b, c.timing
+		var resp Response
+		if err := json.Unmarshal(want[b], &resp); err != nil {
+			t.Fatal(err)
+		}
+		f := resp.Forensics
+		if f == nil || !f.Flagged || (len(f.Channels) > 0) != timing || (len(f.Evidence) > 0) == timing {
+			t.Errorf("body %d: want a flagged verdict with channels (timing) or evidence (CVE), got %+v", b, f)
 		}
 	}
 }
