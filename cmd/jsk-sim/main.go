@@ -20,6 +20,7 @@ import (
 	"jskernel/internal/browser"
 	"jskernel/internal/defense"
 	"jskernel/internal/sim"
+	"jskernel/internal/trace"
 )
 
 func main() {
@@ -35,7 +36,7 @@ func run(w io.Writer, args []string) error {
 		scenario  = fs.String("scenario", "clock", "clock | worker | fetch | svg | policy")
 		defenseID = fs.String("defense", "jskernel-chrome", "defense id")
 		seed      = fs.Int64("seed", 1, "simulation seed")
-		decisions = fs.Bool("decisions", false, "dump the kernel's policy-enforcement journal")
+		decisions = fs.Bool("decisions", false, "print the kernel's enforcement records from its trace")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -43,6 +44,11 @@ func run(w io.Writer, args []string) error {
 	d, err := defense.ByID(*defenseID)
 	if err != nil {
 		return err
+	}
+	var sess *trace.Session
+	if *decisions {
+		sess = trace.NewSession()
+		d = d.WithTracer(sess)
 	}
 	env := d.NewEnv(defense.EnvOptions{Seed: *seed})
 	b := env.Browser
@@ -107,7 +113,7 @@ func run(w io.Writer, args []string) error {
 			log(g, "after SVG erode filter")
 		})
 	case "policy":
-		// Trip several policy rules so the journal has content.
+		// Trip several policy rules so there is enforcement to show.
 		b.Net.RegisterJSON("https://other.example/api.json", `{}`)
 		b.RegisterWorkerScript("probe.js", func(g *browser.Global) {
 			if _, err := g.XHR("https://other.example/api.json"); err != nil {
@@ -130,14 +136,29 @@ func run(w io.Writer, args []string) error {
 	fmt.Fprintf(w, "\nsimulation finished at %v (%d events)\n", env.Sim.Now(), env.Sim.Steps())
 	if *decisions {
 		if env.Kernel == nil {
-			fmt.Fprintln(w, "no kernel in this defense; no enforcement journal")
+			fmt.Fprintln(w, "no kernel in this defense; no enforcement records")
 			return nil
 		}
-		fmt.Fprintln(w, "\npolicy enforcement journal:")
-		if err := env.Kernel.WriteDecisions(w); err != nil {
-			return err
+		fmt.Fprintln(w, "\nkernel enforcement records:")
+		for _, r := range sess.Records() {
+			if enforced(r) {
+				fmt.Fprintln(w, trace.FormatRecord(r))
+			}
 		}
-		fmt.Fprintf(w, "journal entries dropped: %d\n", env.Kernel.DroppedDecisions())
 	}
 	return nil
+}
+
+// enforced reports whether a trace record shows the kernel enforcing
+// something: a policy verdict other than allow or schedule, or a
+// survival incident (recovered panic, quarantine, watchdog expiry,
+// overload shed).
+func enforced(r trace.Record) bool {
+	switch r.Op {
+	case trace.OpPolicy:
+		return r.Action != "allow" && r.Action != "schedule"
+	case trace.OpPanic, trace.OpQuarantine, trace.OpExpire, trace.OpShed:
+		return true
+	}
+	return false
 }

@@ -62,9 +62,24 @@ func TestPolicyScenarioWithDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"policy enforcement journal:", "deny on xhr", "sanitize on importScripts"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	_, records, ok := strings.Cut(out, "kernel enforcement records:\n")
+	if !ok {
+		t.Fatalf("output missing the enforcement section:\n%s", out)
+	}
+	// Exactly the worker's two enforced verdicts, as trace text lines;
+	// allow and schedule verdicts are not enforcement.
+	lines := strings.Split(strings.TrimSpace(records), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("got %d enforcement records, want 2:\n%s", len(lines), records)
+	}
+	for i, want := range [][]string{
+		{" policy ", " xhr ", "action=deny", "worker=1"},
+		{" policy ", " importScripts ", "action=sanitize", "worker=1"},
+	} {
+		for _, field := range want {
+			if !strings.Contains(lines[i], field) {
+				t.Errorf("record %d missing %q: %s", i, field, lines[i])
+			}
 		}
 	}
 	b.Reset()
@@ -72,6 +87,6 @@ func TestPolicyScenarioWithDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "no kernel in this defense") {
-		t.Error("legacy defense should report no journal")
+		t.Error("legacy defense should report no enforcement records")
 	}
 }

@@ -112,10 +112,15 @@ type RepSamples map[string][2][]float64
 // per-(rep, variant) seed layout Evaluate has always used. This is the
 // cell-sized unit of work the parallel experiment runner schedules: a
 // rep touches nothing outside its own environments, so reps of the same
-// (attack, defense) pair may run on different workers.
+// (attack, defense) pair may run on different workers. Once the
+// defense's runtime has been canceled, no further variant environment is
+// built.
 func (a *TimingAttack) MeasureRep(d defense.Defense, repSeedBase int64) RepSamples {
 	samples := make(RepSamples)
 	for variant := 0; variant < 2; variant++ {
+		if d.Runtime.Stopped() {
+			break
+		}
 		seed := repSeedBase + int64(variant) + 1
 		env := d.NewEnv(defense.EnvOptions{Seed: seed})
 		vals, err := a.Measure(env, variant)

@@ -191,10 +191,6 @@ func (tb traceBridge) Trace(ev browser.TraceEvent) {
 type EnvOptions struct {
 	Seed        int64
 	PrivateMode bool
-	// NetConfig overrides the default network model when non-nil.
-	NetConfig *webnet.Config
-	// MaxSteps bounds the simulation (default 20M).
-	MaxSteps uint64
 	// Chooser, when non-nil, is installed as the simulator's scheduler
 	// tie-break hook before any event is scheduled, so schedule
 	// exploration steers the whole run (see sim.Chooser).
@@ -219,24 +215,21 @@ type Env struct {
 	Trace *trace.Session
 }
 
+// maxSteps bounds every environment's simulation.
+const maxSteps = 20_000_000
+
 // NewEnv builds an environment for this defense.
 func (d Defense) NewEnv(opts EnvOptions) *Env {
 	s := sim.New(opts.Seed)
 	if opts.Chooser != nil {
 		s.SetChooser(opts.Chooser)
 	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 20_000_000
-	}
-	s.MaxSteps = opts.MaxSteps
+	s.MaxSteps = maxSteps
 	if d.Runtime != nil && d.Runtime.Canceled != nil {
 		s.SetCanceled(d.Runtime.poll)
 	}
 
 	cfg := webnet.DefaultConfig()
-	if opts.NetConfig != nil {
-		cfg = *opts.NetConfig
-	}
 	if d.Kind == KindTorBrowser {
 		// Tor routes traffic through a three-hop circuit: latency and
 		// bandwidth degrade, which dominates its Figure 3 curve.

@@ -8,6 +8,7 @@ import (
 	"jskernel/internal/browser"
 	"jskernel/internal/fault"
 	"jskernel/internal/sim"
+	"jskernel/internal/trace"
 )
 
 // chaosPlan is deliberately violent: every fault category fires often,
@@ -40,10 +41,13 @@ func chaosPlan() *fault.Plan {
 }
 
 // runChaosWorkload drives a worker-and-fetch-heavy page under the plan
-// and returns (decision journal, native trace) rendered as text.
+// and returns (kernel trace, native event log) rendered as text. The
+// kernel trace holds every policy verdict, lifecycle transition and
+// survival incident.
 func runChaosWorkload(t *testing.T, plan *fault.Plan, seed int64) (string, string) {
 	t.Helper()
-	env := JSKernel("chrome").WithFaults(plan).NewEnv(EnvOptions{Seed: seed})
+	sess := trace.NewSession()
+	env := JSKernel("chrome").WithFaults(plan).WithTracer(sess).NewEnv(EnvOptions{Seed: seed})
 	b := env.Browser
 	rec := &browser.Recorder{}
 	b.AddTracer(rec)
@@ -79,32 +83,34 @@ func runChaosWorkload(t *testing.T, plan *fault.Plan, seed int64) (string, strin
 		t.Fatalf("run: %v", err)
 	}
 
-	var journal strings.Builder
-	if env.Kernel != nil {
-		if err := env.Kernel.WriteDecisions(&journal); err != nil {
-			t.Fatalf("WriteDecisions: %v", err)
-		}
+	sess.Close()
+	recs := sess.Records()
+	if _, err := trace.Validate(recs); err != nil {
+		t.Fatalf("chaos trace fails validation: %v", err)
 	}
-	var trace strings.Builder
+	var kernelTrace, native strings.Builder
+	if err := trace.WriteText(&kernelTrace, recs); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
 	for _, ev := range rec.Events() {
-		fmt.Fprintf(&trace, "%+v\n", ev)
+		fmt.Fprintf(&native, "%+v\n", ev)
 	}
-	return journal.String(), trace.String()
+	return kernelTrace.String(), native.String()
 }
 
 // TestFaultPlanRunsAreBitIdentical is the determinism regression guard:
-// the same (plan, seed) twice must reproduce the decision journal and
-// the full native dispatch trace byte for byte.
+// the same (plan, seed) twice must reproduce the kernel trace and the
+// full native event log byte for byte.
 func TestFaultPlanRunsAreBitIdentical(t *testing.T) {
-	j1, tr1 := runChaosWorkload(t, chaosPlan(), 11)
-	j2, tr2 := runChaosWorkload(t, chaosPlan(), 11)
-	if j1 != j2 {
-		t.Errorf("decision journals differ:\n--- first ---\n%s\n--- second ---\n%s", j1, j2)
+	k1, n1 := runChaosWorkload(t, chaosPlan(), 11)
+	k2, n2 := runChaosWorkload(t, chaosPlan(), 11)
+	if k1 != k2 {
+		t.Errorf("kernel traces differ (lengths %d vs %d)", len(k1), len(k2))
 	}
-	if tr1 != tr2 {
-		t.Errorf("dispatch traces differ (lengths %d vs %d)", len(tr1), len(tr2))
+	if n1 != n2 {
+		t.Errorf("native event logs differ (lengths %d vs %d)", len(n1), len(n2))
 	}
-	if tr1 == "" {
+	if k1 == "" || n1 == "" {
 		t.Error("empty trace: workload did not run")
 	}
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // TestRunCellStopsAfterCancel: once the cancellation hook has fired,
-// RunCell starts no further rep. The cell is a reps-25 timing row (50
-// environments uncanceled) whose hook reports cancellation from its
-// first poll, so only the first rep's two environments are built.
+// RunCell builds no further environment. The cell is a reps-25 timing
+// row (50 environments uncanceled) whose hook reports cancellation from
+// its first poll, so only the first rep's variant 0 is built. The
+// forensic and race instruments must cope with a rep whose variant 1
+// never ran.
 func TestRunCellStopsAfterCancel(t *testing.T) {
 	var loopscan *attack.TimingAttack
 	for _, a := range attack.TimingAttacks() {
@@ -29,7 +31,7 @@ func TestRunCellStopsAfterCancel(t *testing.T) {
 	if polls == 0 {
 		t.Fatal("the cancellation hook was never polled; the scenario was not exercised")
 	}
-	if n := res.Trace.Runs(); n > 2 {
-		t.Fatalf("canceled cell built %d environments, want at most 2", n)
+	if n := res.Trace.Runs(); n > 1 {
+		t.Fatalf("canceled cell built %d environments, want at most 1", n)
 	}
 }

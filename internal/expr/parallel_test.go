@@ -2,6 +2,9 @@ package expr
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,19 +13,24 @@ import (
 )
 
 // table1Run captures everything observable about one Table I run: the
-// rendered table, the full outcome maps, and the validated merged
-// trace. The parallel runner's contract is that none of it depends on
-// the worker-pool width.
+// rendered table, the full outcome maps, and a SHA-256 digest of the
+// validated merged trace's JSONL stream. The parallel runner's contract
+// is that none of it depends on the worker-pool width. JSONL round-trips
+// every record field (FuzzReadRecords pins that), so equal digests mean
+// equal traces; the parent session streams into the hash and retains
+// nothing.
 type table1Run struct {
 	table   []byte
 	timing  map[string]map[string]attack.Outcome
 	cve     map[string]map[string]attack.Outcome
-	trace   []byte
+	digest  string
+	records int
 	metrics *trace.Metrics
 }
 
-func runTable1AtWidth(t *testing.T, width int) table1Run {
-	t.Helper()
+// table1Config is the traced Table I configuration under test at one
+// pool width.
+func table1Config(width int) Config {
 	cfg := QuickConfig()
 	// Two reps keep the rep-merge path honest (rep order matters in
 	// MergeSamples) while holding three full traced Table I runs inside
@@ -30,35 +38,68 @@ func runTable1AtWidth(t *testing.T, width int) table1Run {
 	cfg.Reps = 2
 	cfg.Parallel = width
 	cfg.Trace = trace.NewSession()
+	return cfg
+}
+
+func runTable1AtWidth(t *testing.T, width int) table1Run {
+	t.Helper()
+	cfg := table1Config(width)
+	cfg.Trace.SetRetain(false)
+	h := sha256.New()
+	rw := trace.NewRecordWriter(h)
+	sv := trace.NewStreamValidator(false)
+	cfg.Trace.Attach(rw)
+	cfg.Trace.Attach(sv)
 	res, err := Table1(cfg)
 	if err != nil {
 		t.Fatalf("Table1(parallel=%d): %v", width, err)
 	}
 	cfg.Trace.Close()
-	recs := cfg.Trace.Records()
-	if len(recs) == 0 {
+	if err := rw.Flush(); err != nil {
+		t.Fatalf("parallel=%d: hashing the trace: %v", width, err)
+	}
+	if cfg.Trace.Len() == 0 {
 		t.Fatalf("parallel=%d: merged trace is empty", width)
 	}
-	if _, err := trace.Validate(recs); err != nil {
+	if _, err := sv.Finish(); err != nil {
 		t.Fatalf("parallel=%d: merged trace violates kernel invariants: %v", width, err)
 	}
-	var tb, trc bytes.Buffer
+	var tb bytes.Buffer
 	if err := res.Table.Render(&tb); err != nil {
 		t.Fatalf("render: %v", err)
-	}
-	if err := trace.WriteText(&trc, recs); err != nil {
-		t.Fatalf("trace render: %v", err)
 	}
 	return table1Run{
 		table:   tb.Bytes(),
 		timing:  res.Timing,
 		cve:     res.CVE,
-		trace:   trc.Bytes(),
+		digest:  hex.EncodeToString(h.Sum(nil)),
+		records: cfg.Trace.Len(),
 		metrics: cfg.Trace.Metrics(),
 	}
 }
 
-func assertRunsEqual(t *testing.T, label string, a, b table1Run) {
+// firstDivergence re-runs Table I at two widths retaining every record
+// and describes the first record on which the merged traces differ.
+func firstDivergence(t *testing.T, wa, wb int) string {
+	t.Helper()
+	retained := func(width int) []trace.Record {
+		cfg := table1Config(width)
+		if _, err := Table1(cfg); err != nil {
+			t.Fatalf("Table1(parallel=%d): %v", width, err)
+		}
+		cfg.Trace.Close()
+		return cfg.Trace.Records()
+	}
+	a, b := retained(wa), retained(wb)
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("first divergence at record %d:\n a: %s\n b: %s", i, trace.FormatRecord(a[i]), trace.FormatRecord(b[i]))
+		}
+	}
+	return fmt.Sprintf("one trace is a prefix of the other (%d vs %d records)", len(a), len(b))
+}
+
+func assertRunsEqual(t *testing.T, label string, wa, wb int, a, b table1Run) {
 	t.Helper()
 	if !bytes.Equal(a.table, b.table) {
 		t.Errorf("%s: rendered tables differ:\n--- a ---\n%s\n--- b ---\n%s", label, a.table, b.table)
@@ -69,8 +110,8 @@ func assertRunsEqual(t *testing.T, label string, a, b table1Run) {
 	if !reflect.DeepEqual(a.cve, b.cve) {
 		t.Errorf("%s: CVE outcome maps differ", label)
 	}
-	if !bytes.Equal(a.trace, b.trace) {
-		t.Errorf("%s: merged traces differ (%d vs %d bytes)", label, len(a.trace), len(b.trace))
+	if a.digest != b.digest {
+		t.Errorf("%s: merged traces differ (%d vs %d records); %s", label, a.records, b.records, firstDivergence(t, wa, wb))
 	}
 	if !reflect.DeepEqual(a.metrics, b.metrics) {
 		t.Errorf("%s: trace metrics differ:\n a: %+v\n b: %+v", label, a.metrics, b.metrics)
@@ -85,10 +126,10 @@ func assertRunsEqual(t *testing.T, label string, a, b table1Run) {
 func TestTable1ParallelByteIdentical(t *testing.T) {
 	serial := runTable1AtWidth(t, 1)
 	par := runTable1AtWidth(t, 8)
-	assertRunsEqual(t, "serial vs parallel(8)", serial, par)
+	assertRunsEqual(t, "serial vs parallel(8)", 1, 8, serial, par)
 
 	again := runTable1AtWidth(t, 8)
-	assertRunsEqual(t, "parallel(8) vs parallel(8)", par, again)
+	assertRunsEqual(t, "parallel(8) vs parallel(8)", 8, 8, par, again)
 }
 
 // TestTable2Table3ParallelByteIdentical extends the width-independence

@@ -9,7 +9,7 @@ import (
 
 // TestTable1TraceInvariants replays the kernel trace of the full Table I
 // matrix — every attack scenario against every defense column — through
-// trace.Validator, then re-derives the terminal-accounting equation per
+// trace.Validate, then re-derives the terminal-accounting equation per
 // kernelized scope: dispatched + shed + cancelled + expired == enqueued
 // for every kernel, not just in aggregate.
 func TestTable1TraceInvariants(t *testing.T) {

@@ -1,13 +1,13 @@
 package kernel_test
 
 import (
-	"strings"
 	"testing"
 
 	"jskernel/internal/browser"
 	"jskernel/internal/dom"
 	"jskernel/internal/kernel"
 	"jskernel/internal/sim"
+	"jskernel/internal/trace"
 )
 
 // Coverage of the kernel-mediated resource-load, animation, video, DOM
@@ -165,11 +165,13 @@ func TestWorkerStubAccessors(t *testing.T) {
 	run(t, b)
 }
 
-func TestDecisionJournal(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, nil)
+// TestEnforcementTraced: a worker's cross-origin XHR is denied, and the
+// trace records the verdict with the worker and the URL it named.
+func TestEnforcementTraced(t *testing.T) {
+	b, _, ts := newTracedKernelBrowser(t, nil)
 	b.Net.RegisterJSON("https://other.example/s.json", `{}`)
 	b.RegisterWorkerScript("spy.js", func(g *browser.Global) {
-		_, _ = g.XHR("https://other.example/s.json") // denied → journaled
+		_, _ = g.XHR("https://other.example/s.json") // denied → traced
 	})
 	b.RunScript("main", func(g *browser.Global) {
 		if _, err := g.NewWorker("spy.js"); err != nil {
@@ -177,39 +179,37 @@ func TestDecisionJournal(t *testing.T) {
 		}
 	})
 	run(t, b)
-	decisions := shared.Decisions()
-	found := false
-	for _, d := range decisions {
-		if d.API == "xhr" && d.Action == kernel.ActionDeny && d.InWorker && d.CrossOrigin {
-			found = true
-			if d.String() == "" || d.Seq == 0 {
-				t.Error("decision formatting broken")
-			}
+	var denies []trace.Record
+	for _, r := range closeAndValidate(t, ts) {
+		if r.Op == trace.OpPolicy && r.API == "xhr" && r.Action == string(kernel.ActionDeny) {
+			denies = append(denies, r)
 		}
 	}
-	if !found {
-		t.Fatalf("XHR denial not journaled; journal = %v", decisions)
+	if len(denies) != 1 {
+		t.Fatalf("traced %d XHR denials, want 1", len(denies))
 	}
-	var sb strings.Builder
-	if err := shared.WriteDecisions(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "deny on xhr in worker#") {
-		t.Fatalf("journal dump = %q", sb.String())
+	d := denies[0]
+	if d.WorkerID == 0 || d.URL != "https://other.example/s.json" || d.Reason == "" {
+		t.Fatalf("denial record = %s", trace.FormatRecord(d))
 	}
 }
 
-func TestDecisionJournalEmptyWhenNothingEnforced(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, nil)
+// TestBenignPageEnforcesNothing: a page that only sets a timer draws no
+// verdict but allow and schedule, and no survival incident.
+func TestBenignPageEnforcesNothing(t *testing.T) {
+	b, _, ts := newTracedKernelBrowser(t, nil)
 	b.RunScript("main", func(g *browser.Global) {
 		g.SetTimeout(func(*browser.Global) {}, sim.Millisecond)
 	})
 	run(t, b)
-	for _, d := range shared.Decisions() {
-		// Serialize decisions for buffer ops are fine; anything else on a
-		// benign page is a false enforcement.
-		if d.Action != kernel.ActionSerialize {
-			t.Fatalf("benign page produced enforcement: %v", d)
+	for _, r := range closeAndValidate(t, ts) {
+		switch r.Op {
+		case trace.OpPolicy:
+			if r.Action != string(kernel.ActionAllow) && r.Action != "schedule" {
+				t.Fatalf("benign page produced enforcement: %s", trace.FormatRecord(r))
+			}
+		case trace.OpPanic, trace.OpQuarantine, trace.OpExpire, trace.OpShed:
+			t.Fatalf("benign page produced an incident: %s", trace.FormatRecord(r))
 		}
 	}
 }

@@ -6,11 +6,11 @@ import (
 )
 
 // Environment owns every piece of run-scoped mutable kernel state: the
-// enforcement journal, the survival-hardening knobs and incident
-// counters, the trace session binding (with this run's session-unique
-// generation), the shared-buffer serialization point, and the worker
-// handshake bookkeeping (pending fetches, buffer transfers, deferred
-// terminations).
+// callback fault hook, the trace session binding (with this run's
+// session-unique generation), the shared-buffer serialization point, and
+// the worker handshake bookkeeping (pending fetches, buffer transfers,
+// deferred terminations). The trace is the kernel's one record of what
+// it enforced; the environment keeps no second account.
 //
 // Shared keeps only the structural state of one browser — policy, the
 // scope and thread registries — and delegates everything mutable here.
@@ -25,17 +25,8 @@ type Environment struct {
 	// virtual-time-stamped without a kernel in hand.
 	simNow func() sim.Time
 
-	journal          []Decision // enforcement audit trail
-	decisionSeq      uint64
-	droppedDecisions uint64 // entries discarded past maxJournal
-
-	// Survival hardening knobs (see Shared.SetWatchdogDeadline,
-	// SetMaxQueueDepth, SetCallbackFault) and incident counters.
-	watchdogDeadline sim.Duration
-	maxQueueDepth    int
-	callbackFault    func(api string) bool
-	policyPanics     uint64
-	lastPolicyPanic  any
+	// callbackFault is the fault-injection hook (Shared.SetCallbackFault).
+	callbackFault func(api string) bool
 
 	// tracer is the optional lifecycle trace sink (internal/trace). Nil —
 	// the default — is the near-zero-overhead off state: every emission
@@ -54,36 +45,26 @@ type Environment struct {
 	deferredTerm map[int]bool // worker ID → native terminate pending drain
 }
 
-// NewEnvironment returns a fresh environment with the default survival
-// hardening bounds and no tracer attached.
+// NewEnvironment returns a fresh environment with no fault hook and no
+// tracer attached.
 func NewEnvironment() *Environment {
 	return &Environment{
-		watchdogDeadline: DefaultWatchdogDeadline,
-		maxQueueDepth:    DefaultMaxQueueDepth,
-		pendingFetch:     make(map[int]int),
-		transferred:      make(map[int]bool),
-		deferredTerm:     make(map[int]bool),
+		pendingFetch: make(map[int]int),
+		transferred:  make(map[int]bool),
+		deferredTerm: make(map[int]bool),
 	}
 }
 
 // Reset returns the environment to the state NewEnvironment builds,
-// keeping its allocated maps and journal backing array so a warm pool
-// can reuse environments without rebuilding them. The contract is
-// strict: a run on a reset environment must be byte-identical to the
-// same run on a fresh one, at any reuse depth — nothing observable may
-// survive a reset. jsk-serve's worker pool calls this between requests;
+// keeping its allocated maps so a warm pool can reuse environments
+// without rebuilding them. The contract is strict: a run on a reset
+// environment must be byte-identical to the same run on a fresh one, at
+// any reuse depth — nothing observable may survive a reset. jsk-serve's worker pool calls this between requests;
 // the pin tests in internal/kernel and internal/expr enforce the
 // contract across multiple reuse generations.
 func (e *Environment) Reset() {
 	e.simNow = nil
-	e.journal = e.journal[:0]
-	e.decisionSeq = 0
-	e.droppedDecisions = 0
-	e.watchdogDeadline = DefaultWatchdogDeadline
-	e.maxQueueDepth = DefaultMaxQueueDepth
 	e.callbackFault = nil
-	e.policyPanics = 0
-	e.lastPolicyPanic = nil
 	e.tracer = nil
 	e.traceRun = 0
 	e.lastBufAccess = 0
@@ -107,9 +88,3 @@ func (e *Environment) Tracer() *trace.Session { return e.tracer }
 // TraceRun returns this environment's trace run generation (0 when no
 // tracer is attached).
 func (e *Environment) TraceRun() int { return e.traceRun }
-
-// WatchdogDeadline returns the pending-head confirmation deadline.
-func (e *Environment) WatchdogDeadline() sim.Duration { return e.watchdogDeadline }
-
-// MaxQueueDepth returns the per-context event-queue bound.
-func (e *Environment) MaxQueueDepth() int { return e.maxQueueDepth }

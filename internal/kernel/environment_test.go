@@ -23,8 +23,8 @@ func (envTestPolicy) Evaluate(ctx CallContext) Verdict { return Allow }
 
 // TestEnvironmentIsolation pins the property the parallel experiment
 // runner depends on: every Shared owns its own Environment, so
-// run-scoped mutable state — hardening knobs, journal, trace binding —
-// never leaks between concurrently-evaluated cells.
+// run-scoped mutable state — the fault hook, the trace binding — never
+// leaks between concurrently-evaluated cells.
 func TestEnvironmentIsolation(t *testing.T) {
 	a := NewShared(envTestPolicy{})
 	b := NewShared(envTestPolicy{})
@@ -32,24 +32,16 @@ func TestEnvironmentIsolation(t *testing.T) {
 		t.Fatal("two Shared instances returned the same Environment")
 	}
 
-	a.SetWatchdogDeadline(5 * sim.Second)
-	a.SetMaxQueueDepth(7)
-	if got := b.Env().WatchdogDeadline(); got != DefaultWatchdogDeadline {
-		t.Fatalf("b's watchdog deadline changed to %v when a's was set", got)
+	a.SetCallbackFault(func(string) bool { return true })
+	a.SetTracer(trace.NewSession())
+	if b.Env().callbackFault != nil {
+		t.Fatal("a's callback fault hook leaked into b")
 	}
-	if got := b.Env().MaxQueueDepth(); got != DefaultMaxQueueDepth {
-		t.Fatalf("b's queue depth changed to %d when a's was set", got)
+	if b.Tracer() != nil || b.TraceRun() != 0 {
+		t.Fatal("a's trace binding leaked into b")
 	}
-	if got := a.Env().WatchdogDeadline(); got != 5*sim.Second {
-		t.Fatalf("a's watchdog deadline = %v, want 5s", got)
-	}
-
-	a.journalIncident(Decision{API: "isolation-test", Reason: "a-only"})
-	if n := len(b.Decisions()); n != 0 {
-		t.Fatalf("a's journal entry leaked into b (%d decisions)", n)
-	}
-	if n := len(a.Decisions()); n != 1 {
-		t.Fatalf("a's journal holds %d decisions, want 1", n)
+	if a.Env().callbackFault == nil || a.Tracer() == nil {
+		t.Fatal("a's fault hook or trace binding was not stored on its environment")
 	}
 }
 
@@ -72,18 +64,11 @@ func TestEnvironmentTraceRuns(t *testing.T) {
 
 // TestEnvironmentDefaults pins the NewEnvironment starting state.
 func TestEnvironmentDefaults(t *testing.T) {
-	s := NewShared(envTestPolicy{})
-	e := s.Env()
-	if e.WatchdogDeadline() != DefaultWatchdogDeadline {
-		t.Fatalf("default watchdog deadline = %v", e.WatchdogDeadline())
-	}
-	if e.MaxQueueDepth() != DefaultMaxQueueDepth {
-		t.Fatalf("default max queue depth = %d", e.MaxQueueDepth())
+	e := NewShared(envTestPolicy{}).Env()
+	if e.callbackFault != nil {
+		t.Fatal("fresh environment already has a fault hook")
 	}
 	if e.Tracer() != nil || e.TraceRun() != 0 {
 		t.Fatal("fresh environment already has a trace binding")
-	}
-	if len(s.Decisions()) != 0 || s.DroppedDecisions() != 0 {
-		t.Fatal("fresh environment already has journal entries")
 	}
 }

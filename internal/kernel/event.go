@@ -118,7 +118,7 @@ func (q *EventQueue) NewEvent(api string, predicted sim.Time, cb func(*browser.G
 
 // AllocID reserves the next event ID without queueing anything. Shed
 // registrations use it so even refused events are identifiable in the
-// journal and the trace.
+// trace.
 func (q *EventQueue) AllocID() EventID {
 	q.nextID++
 	return q.nextID

@@ -12,7 +12,7 @@ import (
 // into every new JavaScript context, including iframes.
 
 func TestFrameScopesGetKernelized(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, nil)
+	b, shared, ts := newTracedKernelBrowser(t, nil)
 	b.RunScript("main", func(g *browser.Global) {
 		f, err := g.CreateFrame("https://widget.example")
 		if err != nil {
@@ -33,8 +33,8 @@ func TestFrameScopesGetKernelized(t *testing.T) {
 		}
 	})
 	run(t, b)
-	if shared.Installs() != 2 {
-		t.Fatalf("installs = %d, want 2 (window + frame)", shared.Installs())
+	if n := ts.Metrics().Installs; n != 2 {
+		t.Fatalf("installs = %d, want 2 (window + frame)", n)
 	}
 }
 

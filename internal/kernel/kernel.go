@@ -12,8 +12,8 @@ import (
 // per-scope Kernel instance, and their accessors. The behaviour lives in
 // focused siblings — syscall.go (the mediated bindings table), sched.go
 // (two-stage scheduler and dispatcher), timers.go, messaging.go, net.go,
-// journal.go (policy evaluation and audit trail), worker.go (thread
-// manager), environment.go (run-scoped mutable state).
+// policy.go (policy types and evaluation), worker.go (thread manager),
+// environment.go (run-scoped mutable state).
 
 // Errors surfaced to user space by policy verdicts.
 var (
@@ -38,20 +38,22 @@ type Shared struct {
 	byThread map[int]*Kernel
 	workers  map[int]*WorkerStub // worker ID → thread-manager entry
 
-	installs int
-
-	// env owns the journal, hardening knobs, trace binding, and worker
-	// handshake state for this browser's run.
+	// env owns the fault hook, trace binding, and worker handshake state
+	// for this browser's run.
 	env *Environment
 }
 
-// Survival hardening defaults. The watchdog deadline comfortably exceeds
+// Survival hardening bounds. The watchdog deadline comfortably exceeds
 // the slowest legitimate confirmation in any workload (a 10MB transfer
 // over the Tor-degraded link takes ~29s of virtual time); the queue bound
 // exceeds the deepest legitimate queue by an order of magnitude.
 const (
-	DefaultWatchdogDeadline = 60 * sim.Second
-	DefaultMaxQueueDepth    = 16384
+	// WatchdogDeadline is how long (virtual time) a pending queue head
+	// may wait for its confirmation before the watchdog force-expires it.
+	WatchdogDeadline = 60 * sim.Second
+	// MaxQueueDepth bounds each context's event queue; registrations
+	// past it are shed (traced, their callbacks never run).
+	MaxQueueDepth = 16384
 	// maxCallbackPanics is how many user-callback panics one context may
 	// throw before the kernel quarantines it.
 	maxCallbackPanics = 8
@@ -94,16 +96,6 @@ func NewSharedReusing(p Policy, env *Environment) *Shared {
 // Env returns the environment owning this browser's run-scoped state.
 func (s *Shared) Env() *Environment { return s.env }
 
-// SetWatchdogDeadline tunes how long a pending queue head may wait for
-// its confirmation before the watchdog force-expires it. Zero or negative
-// disables the watchdog.
-func (s *Shared) SetWatchdogDeadline(d sim.Duration) { s.env.watchdogDeadline = d }
-
-// SetMaxQueueDepth bounds each context's event queue; registrations past
-// the bound are shed (journaled, their callbacks never run). Zero or
-// negative removes the bound.
-func (s *Shared) SetMaxQueueDepth(n int) { s.env.maxQueueDepth = n }
-
 // SetCallbackFault installs a fault-injection hook consulted before every
 // user-callback dispatch; returning true makes the dispatch panic inside
 // the user callback (exercising the kernel's panic isolation). Tests and
@@ -125,9 +117,6 @@ func (s *Shared) TraceRun() int { return s.env.traceRun }
 
 // Policy returns the installed policy.
 func (s *Shared) Policy() Policy { return s.policy }
-
-// Installs reports how many scopes have been kernelized.
-func (s *Shared) Installs() int { return s.installs }
 
 // KernelFor returns the kernel guarding a thread's primary scope, or nil.
 func (s *Shared) KernelFor(t *browser.Thread) *Kernel {
@@ -162,13 +151,11 @@ type Kernel struct {
 	msgInbox      []browser.MessageEvent
 
 	animChains map[int]*tickChain // css animation id → chain
-	dispatched uint64
 
-	// Survival state: recovered user-callback panics, quarantine flag, and
-	// shed-registration count for this context.
+	// Survival state: recovered user-callback panics and the quarantine
+	// they trigger for this context.
 	panics      int
 	quarantined bool
-	shed        uint64
 
 	// scope is this kernel's session-unique trace scope ID (0 when the
 	// scope was installed without a tracer attached).
@@ -208,10 +195,6 @@ func (k *Kernel) Queue() *EventQueue { return k.queue }
 // Clock exposes the kernel logical clock.
 func (k *Kernel) Clock() *Clock { return k.clock }
 
-// Dispatched reports how many kernel events have been released to user
-// space.
-func (k *Kernel) Dispatched() uint64 { return k.dispatched }
-
 // Quarantined reports whether this context's user callbacks are
 // suppressed after repeated panics.
 func (k *Kernel) Quarantined() bool { return k.quarantined }
@@ -219,10 +202,6 @@ func (k *Kernel) Quarantined() bool { return k.quarantined }
 // Panics reports how many user-callback panics this context threw (all
 // recovered by the dispatcher).
 func (k *Kernel) Panics() int { return k.panics }
-
-// ShedEvents reports how many event registrations were refused because
-// the context hit its queue-depth bound.
-func (k *Kernel) ShedEvents() uint64 { return k.shed }
 
 // interposeCost is the real (virtual-time) cost of crossing the kernel
 // boundary once: the user→kernel→native round trip of §III-B. It is what

@@ -8,6 +8,7 @@ import (
 	"jskernel/internal/kernel"
 	"jskernel/internal/policy"
 	"jskernel/internal/sim"
+	"jskernel/internal/trace"
 	"jskernel/internal/vuln"
 	"jskernel/internal/webnet"
 )
@@ -40,9 +41,9 @@ func run(t *testing.T, b *browser.Browser) {
 }
 
 func TestInstallFreezesBindings(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, nil)
-	if shared.Installs() != 1 {
-		t.Fatalf("installs = %d, want 1 (main scope)", shared.Installs())
+	b, _, ts := newTracedKernelBrowser(t, nil)
+	if n := ts.Metrics().Installs; n != 1 {
+		t.Fatalf("installs = %d, want 1 (main scope)", n)
 	}
 	b.RunScript("main", func(g *browser.Global) {
 		if !g.Frozen() {
@@ -56,7 +57,7 @@ func TestInstallFreezesBindings(t *testing.T) {
 }
 
 func TestWorkersGetKernelized(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, nil)
+	b, _, ts := newTracedKernelBrowser(t, nil)
 	b.RegisterWorkerScript("w.js", func(g *browser.Global) {
 		if !g.Frozen() {
 			t.Error("worker scope not kernelized")
@@ -68,8 +69,8 @@ func TestWorkersGetKernelized(t *testing.T) {
 		}
 	})
 	run(t, b)
-	if shared.Installs() != 2 {
-		t.Fatalf("installs = %d, want 2", shared.Installs())
+	if n := ts.Metrics().Installs; n != 2 {
+		t.Fatalf("installs = %d, want 2", n)
 	}
 }
 
@@ -90,7 +91,7 @@ func TestKernelClockIgnoresBusyWork(t *testing.T) {
 }
 
 func TestKernelSetTimeoutDispatchesAtPredictedTime(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, nil)
+	b, _, ts := newTracedKernelBrowser(t, nil)
 	var display float64
 	b.RunScript("main", func(g *browser.Global) {
 		g.SetTimeout(func(gg *browser.Global) {
@@ -101,8 +102,7 @@ func TestKernelSetTimeoutDispatchesAtPredictedTime(t *testing.T) {
 	if display != 5 {
 		t.Fatalf("timeout displayed clock %v, want exactly the 5ms prediction", display)
 	}
-	k := shared.KernelFor(b.Main())
-	if k == nil || k.Dispatched() == 0 {
+	if countOps(closeAndValidate(t, ts), trace.OpDispatch, "setTimeout") != 1 {
 		t.Fatal("kernel did not dispatch the timeout")
 	}
 }

@@ -1,6 +1,9 @@
 package kernel
 
-import "jskernel/internal/sim"
+import (
+	"jskernel/internal/sim"
+	"jskernel/internal/trace"
+)
 
 // Action is what a policy tells the kernel to do with an intercepted call.
 type Action string
@@ -28,11 +31,12 @@ const (
 	ActionSerialize Action = "serialize"
 )
 
-// Journal-only actions: the kernel writes these to the decision journal
-// when recording survival incidents. Policies never return them.
+// Incident actions: the kernel stamps these on the trace records of its
+// survival incidents (OpPanic, OpQuarantine, OpShed, OpExpire). Policies
+// never return them.
 const (
-	// ActionIsolate records one recovered panic (a user callback or a
-	// policy Evaluate) that the kernel absorbed without quarantining.
+	// ActionIsolate records one recovered user-callback panic that the
+	// kernel absorbed.
 	ActionIsolate Action = "isolate"
 	// ActionQuarantine records a context whose user callbacks are
 	// suppressed after repeated panics; its events still drain so the
@@ -126,4 +130,53 @@ func DefaultPredictDelay(api string, requested, quantum, loadPrediction sim.Dura
 	default:
 		return quantum
 	}
+}
+
+// evaluate consults the policy and traces its verdict as one OpPolicy
+// record. All kernel call sites go through here. A panicking policy
+// never reaches the dispatcher: the panic is recovered and replaced with
+// a fail-closed deny verdict.
+func (s *Shared) evaluate(ctx CallContext) Verdict {
+	v, panicked := s.safeEvaluate(ctx)
+	if panicked {
+		v = Verdict{Action: ActionDeny, Reason: "policy panicked; kernel fails closed"}
+	}
+	a := v.Action
+	if a == "" {
+		a = ActionAllow
+	}
+	s.emitPolicy(ctx, a, v.Reason)
+	return v
+}
+
+// safeEvaluate runs the policy's Evaluate under panic isolation, so a
+// misbehaving policy can never kill the dispatcher.
+func (s *Shared) safeEvaluate(ctx CallContext) (v Verdict, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	return s.policy.Evaluate(ctx), false
+}
+
+// emitPolicy emits one policy-verdict trace record. Verdict records are
+// not event-scoped (Event 0); every intercepted call's decision is
+// traced, allows included.
+func (s *Shared) emitPolicy(ctx CallContext, a Action, reason string) {
+	t := s.env.tracer
+	if t == nil || s.env.simNow == nil {
+		return
+	}
+	t.Emit(trace.Record{
+		Run:      s.env.traceRun,
+		VT:       s.env.simNow(),
+		Thread:   ctx.ThreadID,
+		WorkerID: ctx.WorkerID,
+		Op:       trace.OpPolicy,
+		API:      ctx.API,
+		Action:   string(a),
+		Reason:   reason,
+		URL:      ctx.URL,
+	})
 }

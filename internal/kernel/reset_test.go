@@ -15,14 +15,7 @@ import (
 func TestEnvironmentReset(t *testing.T) {
 	e := NewEnvironment()
 	e.simNow = func() sim.Time { return 5 }
-	e.journal = append(e.journal, Decision{Seq: 1, API: "fetch", Action: ActionDeny})
-	e.decisionSeq = 7
-	e.droppedDecisions = 2
-	e.watchdogDeadline = DefaultWatchdogDeadline * 3
-	e.maxQueueDepth = DefaultMaxQueueDepth + 9
 	e.callbackFault = func(string) bool { return true }
-	e.policyPanics = 4
-	e.lastPolicyPanic = "boom"
 	e.setTracer(trace.NewSession())
 	e.lastBufAccess = 99
 	e.pendingFetch[3] = 2
@@ -34,21 +27,8 @@ func TestEnvironmentReset(t *testing.T) {
 	if e.simNow != nil {
 		t.Error("simNow survived reset")
 	}
-	if len(e.journal) != 0 || e.decisionSeq != 0 || e.droppedDecisions != 0 {
-		t.Errorf("journal state survived reset: len=%d seq=%d dropped=%d",
-			len(e.journal), e.decisionSeq, e.droppedDecisions)
-	}
-	if e.watchdogDeadline != DefaultWatchdogDeadline {
-		t.Errorf("watchdogDeadline=%v, want default %v", e.watchdogDeadline, DefaultWatchdogDeadline)
-	}
-	if e.maxQueueDepth != DefaultMaxQueueDepth {
-		t.Errorf("maxQueueDepth=%d, want default %d", e.maxQueueDepth, DefaultMaxQueueDepth)
-	}
 	if e.callbackFault != nil {
 		t.Error("callbackFault survived reset")
-	}
-	if e.policyPanics != 0 || e.lastPolicyPanic != nil {
-		t.Error("panic incident counters survived reset")
 	}
 	if e.tracer != nil || e.traceRun != 0 {
 		t.Error("tracer binding survived reset")
@@ -66,14 +46,14 @@ func TestEnvironmentReset(t *testing.T) {
 // the plain constructor.
 func TestNewSharedReusing(t *testing.T) {
 	env := NewEnvironment()
-	env.journal = append(env.journal, Decision{Seq: 1})
-	env.policyPanics = 3
+	env.lastBufAccess = 99
+	env.pendingFetch[3] = 1
 
 	s := NewSharedReusing(envTestPolicy{}, env)
 	if s.env != env {
 		t.Fatal("NewSharedReusing did not adopt the pooled environment")
 	}
-	if len(env.journal) != 0 || env.policyPanics != 0 {
+	if env.lastBufAccess != 0 || len(env.pendingFetch) != 0 {
 		t.Error("pooled environment was adopted without a reset")
 	}
 

@@ -118,7 +118,6 @@ func (k *Kernel) drain() {
 		}
 		k.clock.TickTo(head.Predicted)
 		head.Status = StatusDone
-		k.dispatched++
 		k.emit(trace.Record{Op: trace.OpDispatch, API: head.API, Event: uint64(head.ID), Predicted: head.Predicted, Depth: k.queue.Len()})
 		if head.Callback != nil {
 			k.dispatchUser(head)
@@ -127,7 +126,7 @@ func (k *Kernel) drain() {
 }
 
 // dispatchUser runs one released event's user callback under panic
-// isolation. A panic is recovered and journaled; after maxCallbackPanics
+// isolation. A panic is recovered and traced; after maxCallbackPanics
 // the context is quarantined — its later callbacks are suppressed while
 // its events keep draining, so a hostile page can never wedge the
 // dispatcher or take the process down.
@@ -141,22 +140,10 @@ func (k *Kernel) dispatchUser(ev *Event) {
 			return
 		}
 		k.panics++
-		d := Decision{
-			API:      ev.API,
-			Action:   ActionIsolate,
-			Reason:   fmt.Sprintf("recovered user-callback panic: %v", r),
-			InWorker: k.g.IsWorkerScope(),
-			WorkerID: k.workerID(),
-		}
+		k.emit(trace.Record{Op: trace.OpPanic, API: ev.API, Event: uint64(ev.ID), Action: string(ActionIsolate), Reason: fmt.Sprintf("recovered user-callback panic: %v", r)})
 		if k.panics >= maxCallbackPanics {
 			k.quarantined = true
-			d.Action = ActionQuarantine
-			d.Reason = fmt.Sprintf("context quarantined after %d user-callback panics (last: %v)", k.panics, r)
-		}
-		k.shared.journalIncident(d)
-		k.emit(trace.Record{Op: trace.OpPanic, API: ev.API, Event: uint64(ev.ID), Action: string(ActionIsolate), Reason: fmt.Sprintf("recovered user-callback panic: %v", r)})
-		if d.Action == ActionQuarantine {
-			k.emit(trace.Record{Op: trace.OpQuarantine, Action: string(ActionQuarantine), Reason: d.Reason})
+			k.emit(trace.Record{Op: trace.OpQuarantine, Action: string(ActionQuarantine), Reason: fmt.Sprintf("context quarantined after %d user-callback panics (last: %v)", k.panics, r)})
 		}
 	}()
 	if f := k.shared.env.callbackFault; f != nil && f(ev.API) {
@@ -166,31 +153,23 @@ func (k *Kernel) dispatchUser(ev *Event) {
 }
 
 // armWatchdog schedules a force-expiry alarm for a pending queue head.
-// If the event's confirmation never arrives before the (virtual-time)
-// deadline, the event is cancelled, the incident journaled, and the
+// If the event's confirmation never arrives within WatchdogDeadline
+// (virtual time), the event is cancelled, the expiry traced, and the
 // queue drained past it — registered-but-never-confirmed events cannot
 // wedge the context forever. Confirmation or dispatch disarms the alarm.
 func (k *Kernel) armWatchdog(ev *Event) {
-	d := k.shared.env.watchdogDeadline
-	if d <= 0 || ev.watchdogArmed {
+	if ev.watchdogArmed {
 		return
 	}
 	ev.watchdogArmed = true
 	s := k.g.Browser().Sim
-	ev.watchdogID = s.Schedule(s.Now()+d, "kernel-watchdog", func() {
+	ev.watchdogID = s.Schedule(s.Now()+WatchdogDeadline, "kernel-watchdog", func() {
 		ev.watchdogArmed = false
 		if ev.Status != StatusPending {
 			return
 		}
 		ev.Status = StatusCancelled
-		k.shared.journalIncident(Decision{
-			API:      ev.API,
-			Action:   ActionExpire,
-			Reason:   fmt.Sprintf("watchdog: confirmation never arrived within %v", d),
-			InWorker: k.g.IsWorkerScope(),
-			WorkerID: k.workerID(),
-		})
-		k.emit(trace.Record{Op: trace.OpExpire, API: ev.API, Event: uint64(ev.ID), Predicted: ev.Predicted, Action: string(ActionExpire), Reason: fmt.Sprintf("watchdog: confirmation never arrived within %v", d)})
+		k.emit(trace.Record{Op: trace.OpExpire, API: ev.API, Event: uint64(ev.ID), Predicted: ev.Predicted, Action: string(ActionExpire), Reason: fmt.Sprintf("watchdog: confirmation never arrived within %v", WatchdogDeadline)})
 		k.drain()
 	})
 }
@@ -205,23 +184,15 @@ func (k *Kernel) disarmWatchdog(ev *Event) {
 }
 
 // newEvent registers an event with overload shedding: once the context's
-// queue depth hits the bound, the registration is refused — the returned
-// event is born cancelled and unqueued, so confirmations for it are
-// no-ops and its callback never runs. Every shed is journaled.
+// queue depth hits MaxQueueDepth, the registration is refused — the
+// returned event is born cancelled and unqueued, so confirmations for it
+// are no-ops and its callback never runs. Every shed is traced.
 func (k *Kernel) newEvent(api string, predicted sim.Time, cb func(*browser.Global, any)) *Event {
-	if max := k.shared.env.maxQueueDepth; max > 0 && k.queue.Len() >= max {
-		k.shed++
-		k.shared.journalIncident(Decision{
-			API:      api,
-			Action:   ActionShed,
-			Reason:   fmt.Sprintf("overload: queue depth at bound (%d)", max),
-			InWorker: k.g.IsWorkerScope(),
-			WorkerID: k.workerID(),
-		})
+	if k.queue.Len() >= MaxQueueDepth {
 		ev := &Event{ID: k.queue.AllocID(), API: api, Status: StatusCancelled, Predicted: predicted, index: -1}
 		k.emit(trace.Record{Op: trace.OpPolicy, API: api, Event: uint64(ev.ID), Predicted: predicted, Action: "schedule"})
 		k.emit(trace.Record{Op: trace.OpEnqueue, API: api, Event: uint64(ev.ID), Predicted: predicted, Depth: k.queue.Len()})
-		k.emit(trace.Record{Op: trace.OpShed, API: api, Event: uint64(ev.ID), Predicted: predicted, Action: string(ActionShed), Reason: fmt.Sprintf("overload: queue depth at bound (%d)", max)})
+		k.emit(trace.Record{Op: trace.OpShed, API: api, Event: uint64(ev.ID), Predicted: predicted, Action: string(ActionShed), Reason: fmt.Sprintf("overload: queue depth at bound (%d)", MaxQueueDepth)})
 		return ev
 	}
 	ev := k.queue.NewEvent(api, predicted, cb)

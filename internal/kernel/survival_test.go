@@ -2,32 +2,35 @@ package kernel_test
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"jskernel/internal/browser"
 	"jskernel/internal/kernel"
 	"jskernel/internal/policy"
 	"jskernel/internal/sim"
+	"jskernel/internal/trace"
 	"jskernel/internal/webnet"
 )
 
 // Survival-hardening tests: panicking user callbacks and policies,
 // never-confirmed events, and queue overload must all leave the
-// dispatcher alive and the incident journaled.
+// dispatcher alive, and the trace must record each incident.
 
-// journalText renders the shared journal for substring assertions.
-func journalText(t *testing.T, shared *kernel.Shared) string {
-	t.Helper()
-	var sb strings.Builder
-	if err := shared.WriteDecisions(&sb); err != nil {
-		t.Fatalf("WriteDecisions: %v", err)
+// incidents returns the trace records of one survival-incident op.
+func incidents(recs []trace.Record, op trace.Op) []trace.Record {
+	var out []trace.Record
+	for _, r := range recs {
+		if r.Op == op {
+			out = append(out, r)
+		}
 	}
-	return sb.String()
+	return out
 }
 
+const injectedPanic = "recovered user-callback panic: fault: injected user-callback panic"
+
 func TestCallbackPanicIsolatedAndJournaled(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, nil)
+	b, shared, ts := newTracedKernelBrowser(t, nil)
 	injected := false
 	shared.SetCallbackFault(func(api string) bool {
 		if api == "setTimeout" && !injected {
@@ -55,14 +58,21 @@ func TestCallbackPanicIsolatedAndJournaled(t *testing.T) {
 	if k.Quarantined() {
 		t.Error("a single panic must not quarantine the context")
 	}
-	j := journalText(t, shared)
-	if !strings.Contains(j, "isolate") || !strings.Contains(j, "user-callback panic") {
-		t.Errorf("journal missing isolation incident:\n%s", j)
+	recs := closeAndValidate(t, ts)
+	panics := incidents(recs, trace.OpPanic)
+	if len(panics) != 1 {
+		t.Fatalf("traced %d panic records, want 1", len(panics))
+	}
+	if p := panics[0]; p.API != "setTimeout" || p.Action != string(kernel.ActionIsolate) || p.Reason != injectedPanic {
+		t.Errorf("panic record = %s", trace.FormatRecord(p))
+	}
+	if q := incidents(recs, trace.OpQuarantine); len(q) != 0 {
+		t.Errorf("one panic traced a quarantine: %s", trace.FormatRecord(q[0]))
 	}
 }
 
 func TestRepeatedPanicsQuarantineButDrain(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, nil)
+	b, shared, ts := newTracedKernelBrowser(t, nil)
 	shared.SetCallbackFault(func(api string) bool { return api == "setTimeout" })
 	const timers = 12
 	fired := 0
@@ -79,16 +89,25 @@ func TestRepeatedPanicsQuarantineButDrain(t *testing.T) {
 	if !k.Quarantined() {
 		t.Fatal("context not quarantined after repeated panics")
 	}
-	// Quarantine suppresses callbacks but never wedges the queue: every
-	// event must still be retired by the dispatcher.
-	if k.Dispatched() != timers {
-		t.Errorf("Dispatched = %d, want %d (quarantined events still drain)", k.Dispatched(), timers)
-	}
 	if k.Queue().Len() != 0 {
 		t.Errorf("queue depth = %d after run, want 0", k.Queue().Len())
 	}
-	if !strings.Contains(journalText(t, shared), "quarantine") {
-		t.Error("journal missing quarantine incident")
+	recs := closeAndValidate(t, ts)
+	// Quarantine suppresses callbacks but never wedges the queue: every
+	// event must still be retired by the dispatcher.
+	if got := countOps(recs, trace.OpDispatch, "setTimeout"); got != timers {
+		t.Errorf("dispatched %d timers, want %d (quarantined events still drain)", got, timers)
+	}
+	if m := ts.Metrics(); m.Panics != 8 || m.Quarantines != 1 {
+		t.Errorf("metrics: %d panics, %d quarantines; want 8 and 1", m.Panics, m.Quarantines)
+	}
+	q := incidents(recs, trace.OpQuarantine)
+	if len(q) != 1 {
+		t.Fatalf("traced %d quarantine records, want 1", len(q))
+	}
+	const want = "context quarantined after 8 user-callback panics (last: fault: injected user-callback panic)"
+	if q[0].Action != string(kernel.ActionQuarantine) || q[0].Reason != want {
+		t.Errorf("quarantine record = %s", trace.FormatRecord(q[0]))
 	}
 }
 
@@ -107,7 +126,7 @@ func (p *panickyPolicy) Evaluate(ctx kernel.CallContext) kernel.Verdict {
 }
 
 func TestPolicyPanicFailsClosed(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, &panickyPolicy{Policy: policy.FullDefense(), api: "fetch"})
+	b, _, ts := newTracedKernelBrowser(t, &panickyPolicy{Policy: policy.FullDefense(), api: "fetch"})
 	b.Net.RegisterScript("https://site.example/ok.js", 1000)
 	var gotErr error
 	timerRan := false
@@ -124,17 +143,20 @@ func TestPolicyPanicFailsClosed(t *testing.T) {
 	if !timerRan {
 		t.Fatal("dispatcher wedged after policy panic")
 	}
-	if shared.PolicyPanics() == 0 {
-		t.Error("policy panic not counted")
+	var verdicts []trace.Record
+	for _, r := range closeAndValidate(t, ts) {
+		if r.Op == trace.OpPolicy && r.API == "fetch" && r.Event == 0 {
+			verdicts = append(verdicts, r)
+		}
 	}
-	if !strings.Contains(journalText(t, shared), "recovered policy panic") {
-		t.Error("journal missing policy-panic incident")
+	if len(verdicts) != 1 || verdicts[0].Action != string(kernel.ActionDeny) ||
+		verdicts[0].Reason != "policy panicked; kernel fails closed" {
+		t.Fatalf("fetch verdicts = %v, want one fail-closed deny", verdicts)
 	}
 }
 
 func TestWatchdogExpiresNeverConfirmedEvent(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, nil)
-	shared.SetWatchdogDeadline(200 * sim.Millisecond)
+	b, shared, ts := newTracedKernelBrowser(t, nil)
 	fired := false
 	b.RunScript("main", func(g *browser.Global) {
 		// An event that is registered but whose confirmation never
@@ -147,33 +169,21 @@ func TestWatchdogExpiresNeverConfirmedEvent(t *testing.T) {
 	if !fired {
 		t.Fatal("queue stayed wedged behind a never-confirmed event")
 	}
-	if b.Sim.Now() < sim.Time(200*sim.Millisecond) {
+	if b.Sim.Now() < sim.Time(kernel.WatchdogDeadline) {
 		t.Fatalf("run ended at %v, before the watchdog deadline", b.Sim.Now())
 	}
-	j := journalText(t, shared)
-	if !strings.Contains(j, "expire") || !strings.Contains(j, "watchdog") {
-		t.Errorf("journal missing watchdog expiry:\n%s", j)
-	}
-}
-
-func TestWatchdogDisabledLeavesQueueBlocked(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, nil)
-	shared.SetWatchdogDeadline(0) // disabled
-	fired := false
-	b.RunScript("main", func(g *browser.Global) {
-		k := shared.KernelOf(g)
-		k.Queue().NewEvent("orphan", sim.Time(sim.Millisecond), nil)
-		g.SetTimeout(func(*browser.Global) { fired = true }, 5*sim.Millisecond)
-	})
-	run(t, b)
-	if fired {
-		t.Fatal("with the watchdog disabled the pending head must block forever")
+	// The orphan bypassed the kernel's registration path, so it has no
+	// enqueue record and the trace is read without validation.
+	exp := incidents(ts.Records(), trace.OpExpire)
+	if len(exp) != 1 || exp[0].API != "orphan" || exp[0].Action != string(kernel.ActionExpire) ||
+		exp[0].Reason != "watchdog: confirmation never arrived within 60000.000ms" {
+		t.Fatalf("expiry records = %v, want one for the orphan", exp)
 	}
 }
 
 func TestOverloadShedsAndJournals(t *testing.T) {
-	b, shared, _ := newKernelBrowser(t, nil)
-	shared.SetMaxQueueDepth(3)
+	b, _, ts := newTracedKernelBrowser(t, nil)
+	const extra = 8 // registrations past the bound
 	fired := 0
 	lateFired := false
 	b.RunScript("main", func(g *browser.Global) {
@@ -182,23 +192,25 @@ func TestOverloadShedsAndJournals(t *testing.T) {
 		g.SetTimeout(func(gg *browser.Global) {
 			gg.SetTimeout(func(*browser.Global) { lateFired = true }, sim.Millisecond)
 		}, sim.Millisecond)
-		for i := 0; i < 10; i++ {
+		for i := 0; i < kernel.MaxQueueDepth-1+extra; i++ {
 			g.SetTimeout(func(*browser.Global) { fired++ }, sim.Duration(i+1)*sim.Millisecond)
 		}
 	})
 	run(t, b)
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 (bound of 3 minus the re-arming timer)", fired)
+	if fired != kernel.MaxQueueDepth-1 {
+		t.Fatalf("fired = %d, want %d (the bound minus the re-arming timer)", fired, kernel.MaxQueueDepth-1)
 	}
 	if !lateFired {
 		t.Fatal("post-drain registration was refused — shedding is sticky")
 	}
-	k := shared.KernelFor(b.Main())
-	if k.ShedEvents() != 8 {
-		t.Errorf("ShedEvents = %d, want 8", k.ShedEvents())
+	sheds := incidents(closeAndValidate(t, ts), trace.OpShed)
+	if len(sheds) != extra || ts.Metrics().Shed != extra {
+		t.Fatalf("traced %d sheds (metrics %d), want %d", len(sheds), ts.Metrics().Shed, extra)
 	}
-	if !strings.Contains(journalText(t, shared), "overload: queue depth at bound") {
-		t.Error("journal missing shed incidents")
+	for _, r := range sheds {
+		if r.Action != string(kernel.ActionShed) || r.Reason != "overload: queue depth at bound (16384)" {
+			t.Fatalf("shed record = %s", trace.FormatRecord(r))
+		}
 	}
 }
 

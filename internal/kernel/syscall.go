@@ -31,7 +31,6 @@ func (s *Shared) Install(g *browser.Global) {
 		// The first scope installed on a thread is its primary scope.
 		s.byThread[g.Thread().ID()] = k
 	}
-	s.installs++
 	if s.env.simNow == nil {
 		s.env.simNow = g.Browser().Sim.Now
 	}

@@ -3,7 +3,7 @@ package kernel_test
 // Trace-driven coverage of awkward lifecycle corners: the abort/completion
 // fetch race, clearInterval from inside a tick, and watchdog expiry of a
 // never-confirmed delivery. Each test replays the emitted trace through
-// trace.Validator, so the assertions are about the kernel's *transition
+// trace.Validate, so the assertions are about the kernel's *transition
 // sequence*, not just its externally visible outcome.
 
 import (
@@ -156,8 +156,7 @@ func TestTraceClearIntervalMidTick(t *testing.T) {
 // enqueue → policy → expire with no confirm and no dispatch, and the
 // timer queued behind the stuck head must dispatch after the expiry.
 func TestTraceWatchdogExpiry(t *testing.T) {
-	b, shared, ts := newTracedKernelBrowser(t, nil)
-	shared.SetWatchdogDeadline(200 * sim.Millisecond)
+	b, _, ts := newTracedKernelBrowser(t, nil)
 	// ~50 GB: completion lands hours past the watchdog deadline.
 	b.Net.RegisterScript("https://site.example/glacial.bin", 50_000_000_000)
 	fetchDelivered := false
@@ -192,8 +191,8 @@ func TestTraceWatchdogExpiry(t *testing.T) {
 	// deadline.
 	for _, r := range recs {
 		if r.Op == trace.OpExpire {
-			if r.VT < sim.Time(200*sim.Millisecond) {
-				t.Fatalf("expiry at %v, before the 200ms deadline", r.VT)
+			if r.VT < sim.Time(kernel.WatchdogDeadline) {
+				t.Fatalf("expiry at %v, before the %v deadline", r.VT, kernel.WatchdogDeadline)
 			}
 			if r.Scope == 0 {
 				t.Fatal("expiry record not bound to a scope")

@@ -22,6 +22,8 @@ import (
 	"jskernel/internal/attack"
 	"jskernel/internal/browser"
 	"jskernel/internal/defense"
+	"jskernel/internal/kernel"
+	"jskernel/internal/policy"
 	"jskernel/internal/sim"
 	"jskernel/internal/trace"
 )
@@ -158,6 +160,65 @@ func TestGoldenTraceQuickstart(t *testing.T) {
 		})
 		if err := b.RunFor(2 * sim.Second); err != nil {
 			t.Fatalf("quickstart: run: %v", err)
+		}
+	})
+}
+
+// panickyPolicy is the full defense policy with a bug: evaluating one
+// API panics, which the kernel must turn into a fail-closed deny.
+type panickyPolicy struct {
+	kernel.Policy
+	api string
+}
+
+func (p panickyPolicy) Evaluate(ctx kernel.CallContext) kernel.Verdict {
+	if ctx.API == p.api {
+		panic("golden: policy bug")
+	}
+	return p.Policy.Evaluate(ctx)
+}
+
+// TestGoldenTraceSurvival pins every survival incident the kernel
+// records except sheds (a shed needs a queue of 16k+ events): ten
+// faulted timer callbacks (eight panic and are isolated, the eighth
+// also quarantines the window, the last two are suppressed), a fetch
+// whose confirmation never arrives within the 60 s watchdog, a policy
+// that panics on indexedDB.open (fail-closed deny), and a worker's
+// denied cross-origin XHR and sanitized importScripts.
+func TestGoldenTraceSurvival(t *testing.T) {
+	checkGolden(t, "survival", func(t *testing.T, s *trace.Session) {
+		d := defense.JSKernel("chrome").WithTracer(s)
+		d.Policy = panickyPolicy{Policy: policy.FullDefense(), api: "indexedDB.open"}
+		env := d.NewEnv(defense.EnvOptions{Seed: goldenSeed})
+		env.Kernel.SetCallbackFault(func(api string) bool { return api == "setTimeout" })
+		b := env.Browser
+		// ~50 GB: the transfer completes hours after the watchdog fires.
+		b.Net.RegisterScript("https://site.example/glacial.bin", 50_000_000_000)
+		b.Net.RegisterJSON("https://other.example/api.json", `{}`)
+		b.RegisterWorkerScript("probe.js", func(g *browser.Global) {
+			if _, err := g.XHR("https://other.example/api.json"); err == nil {
+				t.Error("survival: cross-origin worker XHR was not denied")
+			}
+			if err := g.ImportScripts("https://other.example/lib.js"); err == nil {
+				t.Error("survival: cross-origin importScripts was not sanitized")
+			}
+		})
+		b.RunScript("survival", func(g *browser.Global) {
+			if _, err := g.IndexedDBOpen("db"); err == nil {
+				t.Error("survival: panicking policy did not fail closed")
+			}
+			if _, err := g.NewWorker("probe.js"); err != nil {
+				t.Fatalf("survival: NewWorker: %v", err)
+			}
+			g.Fetch("https://site.example/glacial.bin", browser.FetchOptions{},
+				func(*browser.Response, error) { t.Error("survival: expired fetch delivered") })
+			for i := 0; i < 10; i++ {
+				g.SetTimeout(func(*browser.Global) { t.Error("survival: faulted timer ran") },
+					sim.Duration(i+1)*sim.Millisecond)
+			}
+		})
+		if err := b.RunFor(90 * sim.Second); err != nil {
+			t.Fatalf("survival: run: %v", err)
 		}
 	})
 }

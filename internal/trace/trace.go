@@ -9,8 +9,10 @@
 // discrete-event simulation, a trace is byte-identical across reruns of
 // the same configuration, which turns traces into regression oracles:
 // golden traces pin the exact scheduling behaviour of the kernel, and the
-// Validator replays any trace asserting the kernel's lifecycle
-// invariants (see validate.go).
+// validator (Validate, StreamValidator) replays any trace asserting the
+// kernel's lifecycle invariants. The trace is also the kernel's only
+// record of what it enforced: policy verdicts and survival incidents
+// are records like any other.
 //
 // Tracing is off by default and must cost nearly nothing when off: the
 // kernel holds a *Session pointer and every emission site guards on a
@@ -480,24 +482,6 @@ func (s *Session) Open() int {
 		return 0
 	}
 	return len(s.open)
-}
-
-// Reset clears records, metrics, sinks and open-event state, keeping
-// the scope allocator (scope IDs must never be reused within a
-// session's lifetime) and the retention setting. Sinks are detached
-// because their accumulated state would straddle the reset.
-func (s *Session) Reset() {
-	if s == nil {
-		return
-	}
-	s.seq = 0
-	s.chunks = nil
-	s.metrics = newMetrics()
-	s.sinks = nil
-	s.open = make(map[uint64]openEvent)
-	s.scopeLC = make(map[int]sim.Time)
-	s.maxVT = 0
-	s.closed = false
 }
 
 // fmtVT renders a virtual timestamp the way the rest of the repo does.

@@ -26,7 +26,6 @@ func TestNilSessionIsSafe(t *testing.T) {
 	if s.Len() != 0 || s.Records() != nil || s.Metrics() != nil || s.Open() != 0 || s.Closed() {
 		t.Fatalf("nil session should behave as an empty no-op sink")
 	}
-	s.Reset()
 }
 
 func TestSessionLifecycleMetricsAndValidate(t *testing.T) {
@@ -93,9 +92,13 @@ func TestCloseRetiresOpenEvents(t *testing.T) {
 	if _, err := Validate(s.Records()); err == nil {
 		t.Fatalf("strict validation should reject an unclosed trace with open events")
 	}
-	rep, err := Validator{AllowOpen: true}.Validate(s.Records())
+	sv := NewStreamValidator(true)
+	for _, r := range s.Records() {
+		sv.Observe(r)
+	}
+	rep, err := sv.Finish()
 	if err != nil {
-		t.Fatalf("AllowOpen validate: %v", err)
+		t.Fatalf("open-tolerant validate: %v", err)
 	}
 	if rep.Open != 1 {
 		t.Fatalf("open = %d, want 1", rep.Open)
@@ -300,19 +303,6 @@ func TestWriteTextStableLayout(t *testing.T) {
 	}
 	if !strings.Contains(lines[3], "dispatch") {
 		t.Fatalf("dispatch line malformed: %q", lines[3])
-	}
-}
-
-func TestResetKeepsScopeAllocator(t *testing.T) {
-	s := NewSession()
-	first := s.NextScope()
-	s.Emit(Record{VT: 0, Thread: 1, Scope: first, Op: OpEnqueue, API: "x", Event: 1})
-	s.Reset()
-	if s.Len() != 0 || s.Open() != 0 {
-		t.Fatalf("reset did not clear state")
-	}
-	if next := s.NextScope(); next <= first {
-		t.Fatalf("scope allocator reused IDs after reset: %d <= %d", next, first)
 	}
 }
 

@@ -7,38 +7,6 @@ import (
 	"jskernel/internal/sim"
 )
 
-// Validator replays a trace and asserts the kernel's lifecycle
-// invariants:
-//
-//  1. Sequence numbers are strictly increasing — the trace is a total
-//     order.
-//  2. Kernel-record virtual timestamps are monotone per (run, thread) —
-//     a session may trace many environments, each with its own simulator
-//     and thread numbering (native, access and edge records may carry
-//     in-task cursor times and are exempt) — and each scope's logical
-//     clock never moves backwards.
-//  3. Every event-scoped record belongs to an event that was enqueued
-//     exactly once, and no lifecycle record follows the event's terminal
-//     record.
-//  4. Every enqueued event reaches exactly one terminal state —
-//     dispatched, shed, cancelled, or expired — so per scope
-//     dispatched + shed + cancelled + expired == enqueued. (Traces of
-//     horizon-bounded runs satisfy this after Session.Close, which
-//     retires still-open events with synthetic "run-end" cancels;
-//     AllowOpen relaxes the check for raw, unclosed traces.)
-//  5. No event dispatches without a prior policy decision and a prior
-//     confirmation.
-//
-// Violations are typed: every error is a *ValidationError wrapping one
-// of the Err… sentinels below, so callers (and tests) can distinguish,
-// say, a duplicated terminal state from a dispatch-before-confirm with
-// errors.Is instead of string matching.
-type Validator struct {
-	// AllowOpen accepts traces whose tail leaves events enqueued but
-	// unretired (a session that was not Closed).
-	AllowOpen bool
-}
-
 // Sentinel violation kinds. A validator error wraps exactly one of
 // these; match with errors.Is.
 var (
@@ -131,10 +99,37 @@ type evState struct {
 	terminal  Op
 }
 
-// StreamValidator checks the lifecycle invariants record-by-record as a
-// streaming Sink, so a session that retains nothing can still be
+// StreamValidator replays a trace record by record and asserts the
+// kernel's lifecycle invariants:
+//
+//  1. Sequence numbers are strictly increasing — the trace is a total
+//     order.
+//  2. Kernel-record virtual timestamps are monotone per (run, thread) —
+//     a session may trace many environments, each with its own simulator
+//     and thread numbering (native, access and edge records may carry
+//     in-task cursor times and are exempt) — and each scope's logical
+//     clock never moves backwards.
+//  3. Every event-scoped record belongs to an event that was enqueued
+//     exactly once, and no lifecycle record follows the event's terminal
+//     record (except the panic record of a callback that panicked inside
+//     its dispatch).
+//  4. Every enqueued event reaches exactly one terminal state —
+//     dispatched, shed, cancelled, or expired — so per scope
+//     dispatched + shed + cancelled + expired == enqueued. (Traces of
+//     horizon-bounded runs satisfy this after Session.Close, which
+//     retires still-open events with synthetic "run-end" cancels;
+//     NewStreamValidator(true) relaxes the check for raw, unclosed
+//     traces.)
+//  5. No event dispatches without a prior policy decision and a prior
+//     confirmation.
+//
+// It is a Sink, so a session that retains nothing can still be
 // validated. Observe is sticky on the first violation; Finish runs the
-// end-of-trace accounting checks and returns the report.
+// end-of-trace accounting checks and returns the report. Violations are
+// typed: every error is a *ValidationError wrapping one of the Err…
+// sentinels, so callers (and tests) can distinguish, say, a duplicated
+// terminal state from a dispatch-before-confirm with errors.Is instead
+// of string matching.
 type StreamValidator struct {
 	allowOpen bool
 
@@ -223,7 +218,10 @@ func (v *StreamValidator) observe(r Record) error {
 		st = &evState{}
 		v.events[k] = st
 	}
-	if st.terminal != 0 && r.Op != OpPolicy {
+	// A recovered panic is the one lifecycle record that follows its
+	// event's terminal dispatch: the callback runs after the dispatch
+	// record and panics inside it.
+	if st.terminal != 0 && r.Op != OpPolicy && r.Op != OpPanic {
 		if r.Op.Terminal() {
 			return fail(ErrDuplicateTerminal, "terminal %s after terminal %s", r.Op, st.terminal)
 		}
@@ -293,7 +291,7 @@ func (v *StreamValidator) Finish() (*Report, error) {
 
 	if rep.Open > 0 && !v.allowOpen {
 		return nil, &ValidationError{Kind: ErrOpenEvents, Msg: fmt.Sprintf(
-			"%d enqueued events never reached a terminal state (close the session, or set AllowOpen for raw traces)", rep.Open)}
+			"%d enqueued events never reached a terminal state (close the session, or use NewStreamValidator(true) for raw traces)", rep.Open)}
 	}
 	if got := rep.Dispatched + rep.Shed + rep.Cancelled + rep.Expired + rep.Open; got != rep.Enqueued {
 		return nil, &ValidationError{Kind: ErrAccounting, Msg: fmt.Sprintf(
@@ -302,19 +300,13 @@ func (v *StreamValidator) Finish() (*Report, error) {
 	return &rep, nil
 }
 
-// Validate replays records (in the given order) against the invariants,
-// returning a summary report. The first violation aborts with an error
-// naming the offending record.
-func (v Validator) Validate(recs []Record) (*Report, error) {
-	sv := NewStreamValidator(v.AllowOpen)
+// Validate replays records (in the given order) against the strict
+// invariants (no open events), returning a summary report. The first
+// violation aborts with an error naming the offending record.
+func Validate(recs []Record) (*Report, error) {
+	sv := NewStreamValidator(false)
 	for _, r := range recs {
 		sv.Observe(r)
 	}
 	return sv.Finish()
-}
-
-// Validate checks a trace against the strict invariants (no open
-// events).
-func Validate(recs []Record) (*Report, error) {
-	return Validator{}.Validate(recs)
 }

@@ -115,6 +115,12 @@ func TestValidatorTypedErrors(t *testing.T) {
 	if _, err := Validate(validBase()); err != nil {
 		t.Fatalf("baseline trace should validate: %v", err)
 	}
+	// A callback that panics does so after its dispatch record: the
+	// kernel's panic record follows the terminal dispatch.
+	inDispatch := append(validBase(), Record{Seq: 5, VT: 4 * sim.Millisecond, Thread: 1, Scope: 1, Op: OpPanic, API: "fetch", Event: 1})
+	if _, err := Validate(inDispatch); err != nil {
+		t.Fatalf("panic inside a dispatch should validate: %v", err)
+	}
 }
 
 // TestValidatorSeqOrderTyped covers the one case the shared table can't
