@@ -24,7 +24,7 @@ race:
 
 # check is the pre-merge gate: compile, vet, the perfbench module's vet
 # and unit tests, jsk-lint, the full test suite under the race
-# detector, and the smoke stages.
+# detector, the native fuzz targets (10 s each), and the smoke stages.
 check:
 	./scripts/check.sh
 

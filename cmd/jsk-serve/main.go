@@ -1,6 +1,7 @@
 // Command jsk-serve runs the kernel as a service: an HTTP daemon that
 // evaluates Table I cells — (attack, defense, seed) coordinates — on a
-// bounded pool of warm, reset-instead-of-rebuilt kernel environments.
+// bounded pool of workers; each request builds its kernel environments
+// fresh.
 //
 // Usage:
 //
@@ -18,7 +19,7 @@
 //
 // Overload sheds explicitly (429 + Retry-After), SIGTERM/SIGINT drains
 // gracefully, and the same body+seed always returns byte-identical
-// responses regardless of pool width or environment reuse.
+// responses regardless of pool width or request order.
 //
 // This command contains no goroutines: serving, draining and signal
 // handling all live in internal/serve's audited functions.
@@ -48,7 +49,7 @@ func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("jsk-serve", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8571", "listen address")
-		pool      = fs.Int("pool", 0, "evaluation workers, each owning one warm kernel environment (0 = one per CPU)")
+		pool      = fs.Int("pool", 0, "evaluation workers; each request builds its environments fresh (0 = one per CPU)")
 		queue     = fs.Int("queue", 0, "admission queue depth before 429s (0 = 4x pool)")
 		deadline  = fs.Duration("deadline", 30*time.Second, "default per-request completion budget")
 		reps      = fs.Int("reps", 0, "default repetition budget for timing rows (0 = 5)")

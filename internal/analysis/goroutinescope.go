@@ -26,10 +26,10 @@ var goroutineAllowedPkgs = []string{
 // it.
 var goroutineSanctionedFuncs = map[string]map[string]string{
 	"internal/serve": {
-		// The evaluation worker pool: each goroutine owns one private
-		// kernel.Environment, jobs arrive over a channel, and the pool is
+		// The evaluation worker pool: each job builds its own
+		// environments, jobs arrive over a channel, and the pool is
 		// joined (workers.Wait) during Shutdown.
-		"startWorkers": "evaluation workers own disjoint environments and join at drain",
+		"startWorkers": "evaluation workers build disjoint environments and join at drain",
 		// The HTTP accept loop: net/http requires Serve to run somewhere;
 		// it is stopped by http.Server.Shutdown inside Server.Shutdown.
 		"Start": "http.Server.Serve background loop, stopped by Shutdown",

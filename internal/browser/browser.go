@@ -126,7 +126,7 @@ func New(s *sim.Simulator, opts Options) *Browser {
 		workerScripts: make(map[string]Script),
 		idb:           newIndexedDB(),
 	}
-	b.main = b.newThread("main", true)
+	b.main = b.newThread("main", nil)
 	return b
 }
 
@@ -201,22 +201,26 @@ func (b *Browser) TearDownDocument() {
 func (b *Browser) DocumentTornDown() bool { return b.tornDown }
 
 // newThread creates a thread and its global scope, applying the defense's
-// scope installer.
-func (b *Browser) newThread(name string, isMain bool) *Thread {
+// scope installer. A nil worker makes the main thread; otherwise the
+// scope is that worker's self, bound before the installer runs so the
+// installer sees a worker scope.
+func (b *Browser) newThread(name string, worker *workerState) *Thread {
 	b.nextThread++
 	t := &Thread{
 		b:        b,
 		id:       b.nextThread,
 		name:     name,
-		isMain:   isMain,
+		isMain:   worker == nil,
 		loopName: "loop:" + name,
 	}
 	t.dispatch = t.dispatchOne
-	g := &Global{browser: b, thread: t}
+	g := &Global{browser: b, thread: t, worker: worker}
 	b.nextScopeToken++
 	g.token = b.nextScopeToken
-	if isMain {
+	if worker == nil {
 		g.document = dom.NewDocument()
+	} else {
+		worker.thread = t
 	}
 	g.bindings = nativeBindings(g)
 	t.global = g

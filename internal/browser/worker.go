@@ -218,14 +218,12 @@ func (g *Global) nativeNewWorker(src string) (Worker, error) {
 		return nil, err
 	}
 	b.nextWorker++
-	wt := b.newThread(fmt.Sprintf("worker#%d", b.nextWorker), false)
 	st := &workerState{
 		id:     b.nextWorker,
 		src:    src,
-		thread: wt,
 		parent: g.thread,
 	}
-	wt.global.worker = st
+	wt := b.newThread(fmt.Sprintf("worker#%d", st.id), st)
 	handle := &WorkerHandle{state: st}
 	st.handle = handle
 	b.trace(TraceEvent{Kind: TraceWorkerCreated, ThreadID: g.thread.id, WorkerID: st.id, URL: src})

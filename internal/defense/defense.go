@@ -63,11 +63,10 @@ type Defense struct {
 	// OpNative bridge into the session, where internal/obs consumers
 	// reconstruct measurement harnesses and attack signatures from them.
 	Obs bool
-	// Runtime, when non-nil, binds per-request service-layer machinery
-	// (a pooled kernel.Environment, a cooperative-cancellation hook) into
-	// every environment this defense builds. Attack evaluators construct
-	// environments internally, so — like FaultPlan and Tracer — the
-	// binding rides on the defense value.
+	// Runtime, when non-nil, binds a request's cooperative-cancellation
+	// hook into every environment this defense builds. Attack evaluators
+	// construct environments internally, so — like FaultPlan and Tracer —
+	// the binding rides on the defense value.
 	Runtime *Runtime
 }
 
@@ -75,13 +74,6 @@ type Defense struct {
 // construction. jsk-serve sets one per admitted request; batch
 // experiments leave it nil.
 type Runtime struct {
-	// Env, when non-nil, is reused (reset, not rebuilt) as the kernel
-	// Environment of every kernel-based environment this defense builds.
-	// The Reset contract keeps runs byte-identical to fresh-environment
-	// runs; non-kernel defenses ignore it. The owner must build
-	// environments sequentially — a pooled Environment serves one
-	// simulation at a time.
-	Env *kernel.Environment
 	// Canceled, when non-nil, is polled by the simulator between event
 	// dispatches; returning true abandons the run with sim.ErrCanceled.
 	// Callers must then surface a typed cancellation error, never any
@@ -257,14 +249,6 @@ func (d Defense) NewEnv(opts EnvOptions) *Env {
 		ObsEvents:   d.Obs && d.Tracer != nil,
 	}
 	var shared *kernel.Shared
-	// newShared takes the warm-pool path when the service layer bound a
-	// reusable Environment to this defense.
-	newShared := func(p kernel.Policy) *kernel.Shared {
-		if d.Runtime != nil && d.Runtime.Env != nil {
-			return kernel.NewSharedReusing(p, d.Runtime.Env)
-		}
-		return kernel.NewShared(p)
-	}
 	switch d.Kind {
 	case KindLegacy:
 		// Unmodified browser.
@@ -276,7 +260,7 @@ func (d Defense) NewEnv(opts EnvOptions) *Env {
 		if inj != nil {
 			p = inj.WrapPolicy(p)
 		}
-		shared = newShared(p)
+		shared = kernel.NewShared(p)
 		shared.SetTracer(d.Tracer)
 		bopts.InstallScope = shared.Install
 	case KindDeterFox:
@@ -287,7 +271,7 @@ func (d Defense) NewEnv(opts EnvOptions) *Env {
 		p := policy.Deterministic()
 		p.PolicyName = "deterfox-determinism"
 		p.QuantumMicros = 4000
-		shared = newShared(p)
+		shared = kernel.NewShared(p)
 		shared.SetTracer(d.Tracer)
 		bopts.InstallScope = shared.Install
 	case KindFuzzyfox:

@@ -24,7 +24,7 @@ type Cell struct {
 	Timing *attack.TimingAttack
 	CVE    *attack.CVEAttack
 	// Defense is the column, already bound to any runtime (jsk-serve's
-	// pooled environment). RunCell adds the tracer and obs setting.
+	// cancellation hook). RunCell adds the tracer and obs setting.
 	Defense defense.Defense
 	// Reps is a timing row's repetition budget (0 means attack.Reps).
 	// Rep r seeds its two secret-variant environments from Seed+2r, the

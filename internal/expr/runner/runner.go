@@ -5,7 +5,7 @@
 // work as a flat list of cells — one (attack, defense, rep) coordinate
 // each, with a seed derived purely from (Config.Seed, cell index) via
 // sim.DeriveSeed. Each cell builds its own simulator, browser, and
-// kernel Environment, so cells share no mutable state and can execute
+// kernel.Shared, so cells share no mutable state and can execute
 // in any real-time order. Map collects results into a slice indexed by
 // cell, which restores the canonical order: rendered tables, verdicts,
 // and merged traces are byte-identical whether the matrix ran on one

@@ -10,8 +10,8 @@ import (
 // The kernel-facing Injector perturbs a single deterministic simulation
 // from the inside (network faults, worker crashes, policy panics). The
 // service injector perturbs the *boundary around* many simulations: the
-// HTTP clients that feed the daemon and the pooled environments that
-// serve them. Its faults model what production traffic actually does to
+// HTTP clients that feed the daemon and the environments that serve
+// them. Its faults model what production traffic actually does to
 // a service — clients that vanish mid-request, clients that trickle
 // bodies byte by byte, clients that send garbage, and requests that
 // poison the environment evaluating them.
@@ -36,9 +36,9 @@ type ServiceFaults struct {
 	// broken JSON. Always a typed bad_request, never a crash.
 	MalformedRate float64
 	// EnvPanicRate is the probability a request's evaluation panics
-	// mid-simulation, poisoning the pooled environment. The worker must
-	// quarantine by replacement and answer with a typed, retryable
-	// error; neighbors keep their verdicts.
+	// mid-simulation, poisoning its environment. The worker must drop
+	// the evaluation's environments with it and answer with a typed,
+	// retryable error; neighbors keep their verdicts.
 	EnvPanicRate float64
 	// ScrapeRate is the probability a client scrapes /metricsz
 	// concurrently with its evaluation traffic. The scrape must return a

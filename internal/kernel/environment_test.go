@@ -22,26 +22,26 @@ func (envTestPolicy) PredictDelay(api string, requested sim.Duration) sim.Durati
 func (envTestPolicy) Evaluate(ctx CallContext) Verdict { return Allow }
 
 // TestEnvironmentIsolation pins the property the parallel experiment
-// runner depends on: every Shared owns its own Environment, so
+// runner depends on: every environment build owns its own Shared, so
 // run-scoped mutable state — the fault hook, the trace binding — never
 // leaks between concurrently-evaluated cells.
 func TestEnvironmentIsolation(t *testing.T) {
 	a := NewShared(envTestPolicy{})
 	b := NewShared(envTestPolicy{})
-	if a.Env() == b.Env() {
-		t.Fatal("two Shared instances returned the same Environment")
+	if a == b {
+		t.Fatal("two NewShared calls returned the same Shared")
 	}
 
 	a.SetCallbackFault(func(string) bool { return true })
 	a.SetTracer(trace.NewSession())
-	if b.Env().callbackFault != nil {
+	if b.callbackFault != nil {
 		t.Fatal("a's callback fault hook leaked into b")
 	}
 	if b.Tracer() != nil || b.TraceRun() != 0 {
 		t.Fatal("a's trace binding leaked into b")
 	}
-	if a.Env().callbackFault == nil || a.Tracer() == nil {
-		t.Fatal("a's fault hook or trace binding was not stored on its environment")
+	if a.callbackFault == nil || a.Tracer() == nil {
+		t.Fatal("a's fault hook or trace binding was not stored on its Shared")
 	}
 }
 
@@ -58,17 +58,17 @@ func TestEnvironmentTraceRuns(t *testing.T) {
 		t.Fatalf("both environments drew trace run %d", a.TraceRun())
 	}
 	if a.Tracer() != s || b.Tracer() != s {
-		t.Fatal("tracer binding not stored on the environment")
+		t.Fatal("tracer binding not stored on the Shared")
 	}
 }
 
-// TestEnvironmentDefaults pins the NewEnvironment starting state.
+// TestEnvironmentDefaults pins the NewShared starting state.
 func TestEnvironmentDefaults(t *testing.T) {
-	e := NewShared(envTestPolicy{}).Env()
+	e := NewShared(envTestPolicy{})
 	if e.callbackFault != nil {
-		t.Fatal("fresh environment already has a fault hook")
+		t.Fatal("fresh Shared already has a fault hook")
 	}
 	if e.Tracer() != nil || e.TraceRun() != 0 {
-		t.Fatal("fresh environment already has a trace binding")
+		t.Fatal("fresh Shared already has a trace binding")
 	}
 }

@@ -12,8 +12,7 @@ import (
 // per-scope Kernel instance, and their accessors. The behaviour lives in
 // focused siblings — syscall.go (the mediated bindings table), sched.go
 // (two-stage scheduler and dispatcher), timers.go, messaging.go, net.go,
-// policy.go (policy types and evaluation), worker.go (thread manager),
-// environment.go (run-scoped mutable state).
+// policy.go (policy types and evaluation), worker.go (thread manager).
 
 // Errors surfaced to user space by policy verdicts.
 var (
@@ -26,9 +25,13 @@ var (
 
 // Shared is the kernel state common to every thread of one browser: the
 // paper's "storage place of kernel objects" that all kernel threads can
-// reach, plus the thread manager's registry. All run-scoped mutable
-// state lives in the attached Environment; Shared itself holds only the
-// policy and the structural registries.
+// reach, plus the thread manager's registry. It also holds every piece
+// of the run's mutable kernel state: the callback fault hook, the trace
+// binding, the shared-buffer serialization point and the worker
+// handshake bookkeeping. Every kernel-based environment build makes its
+// own Shared, so nothing a concurrently-running experiment cell touches
+// is reachable from another cell's kernel. The trace is the kernel's one record of
+// what it enforced; Shared keeps no second account.
 type Shared struct {
 	policy Policy
 	// kernels holds every kernelized scope; byThread indexes each
@@ -38,9 +41,29 @@ type Shared struct {
 	byThread map[int]*Kernel
 	workers  map[int]*WorkerStub // worker ID → thread-manager entry
 
-	// env owns the fault hook, trace binding, and worker handshake state
-	// for this browser's run.
-	env *Environment
+	// simNow is captured from the first installed scope so Shared-level
+	// trace emissions (policy verdicts) can be virtual-time-stamped
+	// without a kernel in hand.
+	simNow func() sim.Time
+
+	// callbackFault is the fault-injection hook (SetCallbackFault).
+	callbackFault func(api string) bool
+
+	// tracer is the optional lifecycle trace sink (internal/trace). Nil —
+	// the default — is the near-zero-overhead off state: every emission
+	// site bails on one nil check.
+	tracer *trace.Session
+	// traceRun is this browser's session-unique run generation: sessions
+	// may span many environments, each with its own simulator (virtual
+	// time restarts at zero) and thread numbering, so records carry the
+	// run so consumers can partition per-environment.
+	traceRun int
+
+	lastBufAccess sim.Time // serialization point for shared-buffer ops
+
+	pendingFetch map[int]int  // worker ID → in-flight fetch count
+	transferred  map[int]bool // worker ID → transferred a buffer to parent
+	deferredTerm map[int]bool // worker ID → native terminate pending drain
 }
 
 // Survival hardening bounds. The watchdog deadline comfortably exceeds
@@ -60,60 +83,47 @@ const (
 )
 
 // NewShared creates the cross-thread kernel state for one browser under
-// the given policy, with a fresh Environment. Wire its Install method
-// into browser.Options InstallScope so every new JavaScript context gets
-// a kernel — the paper's bootstrap injection.
+// the given policy, with no fault hook and no tracer attached. Wire its
+// Install method into browser.Options InstallScope so every new
+// JavaScript context gets a kernel — the paper's bootstrap injection.
 func NewShared(p Policy) *Shared {
 	if p == nil {
 		panic("kernel: nil policy")
 	}
 	return &Shared{
-		policy:   p,
-		kernels:  make(map[*browser.Global]*Kernel),
-		byThread: make(map[int]*Kernel),
-		workers:  make(map[int]*WorkerStub),
-		env:      NewEnvironment(),
+		policy:       p,
+		kernels:      make(map[*browser.Global]*Kernel),
+		byThread:     make(map[int]*Kernel),
+		workers:      make(map[int]*WorkerStub),
+		pendingFetch: make(map[int]int),
+		transferred:  make(map[int]bool),
+		deferredTerm: make(map[int]bool),
 	}
 }
-
-// NewSharedReusing is NewShared built around a caller-owned Environment
-// instead of a fresh one, resetting it first. It is the zero-rebuild
-// path for warm environment pools (jsk-serve): the pooled Environment
-// keeps its allocated maps across runs while the Reset contract
-// guarantees the run itself is indistinguishable from one on a fresh
-// environment. The caller must not share env with any other live
-// Shared.
-func NewSharedReusing(p Policy, env *Environment) *Shared {
-	if env == nil {
-		return NewShared(p)
-	}
-	s := NewShared(p)
-	env.Reset()
-	s.env = env
-	return s
-}
-
-// Env returns the environment owning this browser's run-scoped state.
-func (s *Shared) Env() *Environment { return s.env }
 
 // SetCallbackFault installs a fault-injection hook consulted before every
 // user-callback dispatch; returning true makes the dispatch panic inside
 // the user callback (exercising the kernel's panic isolation). Tests and
 // internal/fault use it; nil removes the hook.
-func (s *Shared) SetCallbackFault(f func(api string) bool) { s.env.callbackFault = f }
+func (s *Shared) SetCallbackFault(f func(api string) bool) { s.callbackFault = f }
 
 // SetTracer attaches a lifecycle trace session and allocates this
-// environment's run generation from it. It must be set before scopes are
+// browser's run generation from it. It must be set before scopes are
 // installed — installation is when each kernel is assigned its
 // session-unique trace scope ID. Nil detaches (tracing off).
-func (s *Shared) SetTracer(t *trace.Session) { s.env.setTracer(t) }
+func (s *Shared) SetTracer(t *trace.Session) {
+	s.tracer = t
+	if t != nil {
+		s.traceRun = t.NextRun()
+	}
+}
 
 // Tracer returns the attached trace session, or nil.
-func (s *Shared) Tracer() *trace.Session { return s.env.tracer }
+func (s *Shared) Tracer() *trace.Session { return s.tracer }
 
-// TraceRun returns this environment's trace run generation (0 when no
+// TraceRun returns this browser's trace run generation (0 when no
 // tracer is attached).
-func (s *Shared) TraceRun() int { return s.env.traceRun }
+func (s *Shared) TraceRun() int { return s.traceRun }
 
 // Policy returns the installed policy.
 func (s *Shared) Policy() Policy { return s.policy }
@@ -166,11 +176,11 @@ type Kernel struct {
 // clock, thread and scope, and forwards it to the session. The nil check
 // is the tracing-off fast path.
 func (k *Kernel) emit(r trace.Record) {
-	t := k.shared.env.tracer
+	t := k.shared.tracer
 	if t == nil {
 		return
 	}
-	r.Run = k.shared.env.traceRun
+	r.Run = k.shared.traceRun
 	r.VT = k.g.Browser().Sim.Now()
 	r.LC = k.clock.Now()
 	r.Thread = k.g.Thread().ID()
@@ -212,5 +222,5 @@ const interposeCost = 50 * sim.Nanosecond
 // interpose charges one kernel-boundary crossing.
 func (k *Kernel) interpose() {
 	k.g.Busy(interposeCost)
-	k.shared.env.tracer.CountInterpose(interposeCost)
+	k.shared.tracer.CountInterpose(interposeCost)
 }

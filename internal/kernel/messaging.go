@@ -161,10 +161,10 @@ func (k *Kernel) handleSysMessage(env envelope) {
 	case "pendingChildFetch":
 		// The worker kernel announced an in-flight fetch; the main kernel
 		// acknowledges so terminate decisions see it (Listing 4).
-		k.shared.env.pendingFetch[env.Wid]++
+		k.shared.pendingFetch[env.Wid]++
 	case "childFetchDone":
-		if k.shared.env.pendingFetch[env.Wid] > 0 {
-			k.shared.env.pendingFetch[env.Wid]--
+		if k.shared.pendingFetch[env.Wid] > 0 {
+			k.shared.pendingFetch[env.Wid]--
 		}
 		k.shared.maybeFinishDeferredTerminate(env.Wid)
 	}
@@ -189,7 +189,7 @@ func (k *Kernel) sysToMain(env envelope) {
 func (k *Kernel) kTransferToParent(data any, buf *browser.SharedBuffer) error {
 	wid := k.workerID()
 	if wid != 0 && buf != nil {
-		k.shared.env.transferred[wid] = true
+		k.shared.transferred[wid] = true
 	}
 	b := k.g.Browser()
 	mk := k.shared.byThread[b.Main().ID()]

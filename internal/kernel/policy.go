@@ -164,13 +164,13 @@ func (s *Shared) safeEvaluate(ctx CallContext) (v Verdict, panicked bool) {
 // not event-scoped (Event 0); every intercepted call's decision is
 // traced, allows included.
 func (s *Shared) emitPolicy(ctx CallContext, a Action, reason string) {
-	t := s.env.tracer
-	if t == nil || s.env.simNow == nil {
+	t := s.tracer
+	if t == nil || s.simNow == nil {
 		return
 	}
 	t.Emit(trace.Record{
-		Run:      s.env.traceRun,
-		VT:       s.env.simNow(),
+		Run:      s.traceRun,
+		VT:       s.simNow(),
 		Thread:   ctx.ThreadID,
 		WorkerID: ctx.WorkerID,
 		Op:       trace.OpPolicy,

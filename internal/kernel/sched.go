@@ -146,7 +146,7 @@ func (k *Kernel) dispatchUser(ev *Event) {
 			k.emit(trace.Record{Op: trace.OpQuarantine, Action: string(ActionQuarantine), Reason: fmt.Sprintf("context quarantined after %d user-callback panics (last: %v)", k.panics, r)})
 		}
 	}()
-	if f := k.shared.env.callbackFault; f != nil && f(ev.API) {
+	if f := k.shared.callbackFault; f != nil && f(ev.API) {
 		panic("fault: injected user-callback panic")
 	}
 	ev.Callback(k.g, ev.Args)

@@ -31,11 +31,11 @@ func (s *Shared) Install(g *browser.Global) {
 		// The first scope installed on a thread is its primary scope.
 		s.byThread[g.Thread().ID()] = k
 	}
-	if s.env.simNow == nil {
-		s.env.simNow = g.Browser().Sim.Now
+	if s.simNow == nil {
+		s.simNow = g.Browser().Sim.Now
 	}
-	if s.env.tracer != nil {
-		k.scope = s.env.tracer.NextScope()
+	if s.tracer != nil {
+		k.scope = s.tracer.NextScope()
 		kind := "window"
 		if g.IsFrameScope() {
 			kind = "frame"
@@ -112,12 +112,12 @@ const bufAccessSpacing = 150 * sim.Microsecond
 // (§III-E2) and eliminating the race of CVE-2014-3194.
 func (k *Kernel) serializeBufAccess() {
 	now := k.g.Thread().Now()
-	earliest := k.shared.env.lastBufAccess + bufAccessSpacing
+	earliest := k.shared.lastBufAccess + bufAccessSpacing
 	if now < earliest {
 		k.g.Busy(earliest - now)
 		now = earliest
 	}
-	k.shared.env.lastBufAccess = now
+	k.shared.lastBufAccess = now
 }
 
 func (k *Kernel) kSharedBufferRead(buf *browser.SharedBuffer, idx int) (int64, error) {

@@ -143,7 +143,7 @@ func (w *WorkerStub) SetOnError(cb func(*browser.Global, *browser.WorkerError)) 
 
 // deliver hands a dispatched worker→main message to the user handler.
 func (w *WorkerStub) deliver(g *browser.Global, m browser.MessageEvent) {
-	if !w.Alive() && w.shared.env.deferredTerm[w.id] {
+	if !w.Alive() && w.shared.deferredTerm[w.id] {
 		// Message from a worker the user already terminated: drop.
 		return
 	}
@@ -166,9 +166,9 @@ func (w *WorkerStub) Terminate() {
 		API:              "worker.terminate",
 		WorkerID:         w.id,
 		ThreadID:         w.shared.mainThreadID(),
-		PendingFetches:   w.shared.env.pendingFetch[w.id] > 0,
+		PendingFetches:   w.shared.pendingFetch[w.id] > 0,
 		InFlightMessages: w.native.InFlight() > 0 || w.native.Thread().QueueDepth() > 0,
-		Transferred:      w.shared.env.transferred[w.id],
+		Transferred:      w.shared.transferred[w.id],
 	}
 	w.status = StatusClosedW
 	switch v := w.shared.evaluate(ctx); v.Action {
@@ -177,7 +177,7 @@ func (w *WorkerStub) Terminate() {
 		// worker is gone but nothing is freed (Listing 4's cleanWorker
 		// with !this.alive).
 	case ActionDefer:
-		w.shared.env.deferredTerm[w.id] = true
+		w.shared.deferredTerm[w.id] = true
 		w.shared.maybeFinishDeferredTerminate(w.id)
 	default:
 		w.native.Terminate()
@@ -279,17 +279,17 @@ func (s *Shared) userTerminatedWorker(wid int) bool {
 // maybeFinishDeferredTerminate completes a deferred termination once the
 // worker has no pending fetches or undelivered messages.
 func (s *Shared) maybeFinishDeferredTerminate(wid int) {
-	if !s.env.deferredTerm[wid] {
+	if !s.deferredTerm[wid] {
 		return
 	}
 	stub, ok := s.workers[wid]
 	if !ok {
 		return
 	}
-	if s.env.pendingFetch[wid] > 0 || stub.native.InFlight() > 0 {
+	if s.pendingFetch[wid] > 0 || stub.native.InFlight() > 0 {
 		return
 	}
-	delete(s.env.deferredTerm, wid)
+	delete(s.deferredTerm, wid)
 	stub.native.Terminate()
 }
 

@@ -1,15 +1,15 @@
 // Package serve is the kernel as a service: a long-running HTTP daemon
 // that accepts workload/policy-evaluation requests — one Table I cell
 // each: an (attack, defense, seed) coordinate — runs them on a bounded
-// pool of warm, reset-instead-of-rebuilt kernel environments, and
-// returns verdicts, validated traces and forensic findings.
+// pool of workers that build each request's kernel environments fresh,
+// and returns verdicts, validated traces and forensic findings.
 //
 // The robustness contract is load-shedding without accuracy-shedding:
 // under overload the server rejects explicitly (429 + Retry-After,
 // never a silent drop), but a request that is admitted always gets a
 // correct, deterministic answer — the same body and seed produce
-// byte-identical response bodies whether served by a fresh environment,
-// a reset one, or any pool width. Degraded operation changes *which*
+// byte-identical response bodies at any pool width, in any order, and
+// after any neighbor's poisoning. Degraded operation changes *which*
 // requests run, never *what* an admitted request computes.
 //
 // Every failure surfaces as a typed Error whose transient-vs-permanent
@@ -104,7 +104,7 @@ type ForensicsSummary = expr.Verdict
 
 // Response is one completed evaluation. All fields derive from the
 // deterministic simulation: no wall-clock times, pool identities or
-// reuse generations appear here, which is what keeps equal requests
+// request counts appear here, which is what keeps equal requests
 // byte-equal across any server configuration.
 type Response struct {
 	Attack  string `json:"attack"`
@@ -149,9 +149,8 @@ const (
 	// circuit breaker; evaluations are refused until the cooldown
 	// probe succeeds. Transient.
 	CodeBreakerOpen Code = "breaker_open"
-	// CodeEnvPoisoned: the evaluation panicked; the worker's pooled
-	// environment was discarded and replaced. Transient — a retry runs
-	// on a fresh environment.
+	// CodeEnvPoisoned: the evaluation panicked; its environments were
+	// dropped with it. Transient — a retry builds fresh ones.
 	CodeEnvPoisoned Code = "env_poisoned"
 	// CodeDeadline: the request's own completion budget expired
 	// (queued too long, or the simulation was cooperatively canceled

@@ -63,9 +63,9 @@ func TestServiceChaos(t *testing.T) {
 	cfg := Config{
 		Pool:             2,
 		QueueDepth:       64,
-		BreakerThreshold: 1000, // breaker accounting is tested separately
-		ReadTimeout:      300 * time.Millisecond,
-		FaultHook: func(req *Request, polls int) {
+		breakerThreshold: 1000, // breaker accounting is tested separately
+		readTimeout:      300 * time.Millisecond,
+		faultHook: func(req *Request, polls int) {
 			idx := int(req.Seed - seedBase)
 			if idx >= 0 && idx < n && polls == 4 && injector.Peek(idx) == fault.ServiceEnvPanic {
 				panic(fmt.Sprintf("chaos: request %d poisons its environment", idx))
@@ -209,11 +209,11 @@ func TestTelemetryChaos(t *testing.T) {
 	cfg := Config{
 		Pool:               2,
 		QueueDepth:         64,
-		BreakerThreshold:   1000,
-		ReadTimeout:        300 * time.Millisecond,
+		breakerThreshold:   1000,
+		readTimeout:        300 * time.Millisecond,
 		Telemetry:          true,
 		telemetryEventRing: 8, // tiny on purpose: lagging consumers must overrun it
-		FaultHook: func(req *Request, polls int) {
+		faultHook: func(req *Request, polls int) {
 			idx := int(req.Seed - seedBase)
 			if idx >= 0 && idx < n && polls == 4 && injector.Peek(idx) == fault.ServiceEnvPanic {
 				panic(fmt.Sprintf("chaos: request %d poisons its environment", idx))

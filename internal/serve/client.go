@@ -163,7 +163,7 @@ func (c *Client) once(ctx context.Context, body []byte) (*Response, error) {
 
 // EvalBytes is Eval without response decoding: it returns the exact
 // response body bytes on success. The determinism suites compare these
-// byte-for-byte across pool widths and reuse depths.
+// byte-for-byte across pool widths and repeated rounds.
 func (c *Client) EvalBytes(ctx context.Context, req Request) ([]byte, error) {
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -2,35 +2,56 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
+	"time"
 
 	"jskernel/internal/defense"
 	"jskernel/internal/expr"
-	"jskernel/internal/hb"
 	"jskernel/internal/report"
-	"jskernel/internal/telemetry"
-	"jskernel/internal/trace"
 	"jskernel/internal/vuln"
 )
 
-// This file is the deterministic heart of the service: resolve turns a
-// wire request into a concrete cell, evaluate runs it. Nothing here may
-// read the wall clock, the pool, or any per-worker identity — the
-// response must be a pure function of (Request, resolved defaults), and
-// the determinism tests compare response bytes across pool widths and
-// environment-reuse depths to hold that line.
+// This file is the deterministic heart of the service: decodeRequest and
+// resolve turn a wire request into a concrete cell, evaluate runs it.
+// Nothing here may read the wall clock, the pool, or any per-worker
+// identity — the response must be a pure function of (Request, resolved
+// defaults), and the determinism tests compare response bytes across
+// pool widths and repeated rounds to hold that line.
 
 // cell is a resolved, validated request: exactly one Table I
-// coordinate, with the repetition budget resolved (timing rows only).
+// coordinate, with the repetition budget (timing rows only) and the
+// completion budget resolved.
 type cell struct {
 	req  Request
 	kind string // "timing" or "cve"
 	expr.Cell
+	// budget is the request's completion budget, measured from
+	// admission: deadline_ms, or the server default. Always positive.
+	budget time.Duration
 }
 
-// resolve validates the request against the catalog and the server's
-// repetition bounds. It runs at admission time, before any pool
-// capacity is spent, so malformed work is rejected without queueing.
+// maxDeadlineMs is the largest deadline_ms whose budget fits a
+// time.Duration.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
+// decodeRequest parses one /v1/eval body. Unknown fields are rejected,
+// so a misspelled option fails loudly instead of being ignored.
+func decodeRequest(body []byte) (Request, *Error) {
+	var req Request
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return Request{}, errf(CodeBadRequest, "parsing request: %v", err)
+	}
+	return req, nil
+}
+
+// resolve validates the request against the catalog, the server's
+// repetition bounds and the deadline range. It runs at admission time,
+// before any pool capacity is spent, so malformed work is rejected
+// without queueing.
 func (c *Config) resolve(req Request) (*cell, *Error) {
 	cl := &cell{req: req}
 	cl.Seed = req.Seed
@@ -65,50 +86,35 @@ func (c *Config) resolve(req Request) (*cell, *Error) {
 			return nil, errf(CodeBadRequest, "reps %d outside [1, %d]", cl.Reps, c.maxReps())
 		}
 	}
-	if req.DeadlineMs < 0 {
+	switch {
+	case req.DeadlineMs < 0:
 		return nil, errf(CodeBadRequest, "negative deadline_ms")
+	case req.DeadlineMs > maxDeadlineMs:
+		return nil, errf(CodeBadRequest, "deadline_ms %d above %d", req.DeadlineMs, maxDeadlineMs)
+	case req.DeadlineMs > 0:
+		cl.budget = time.Duration(req.DeadlineMs) * time.Millisecond
+	default:
+		cl.budget = c.defaultDeadline()
 	}
 	return cl, nil
 }
 
-// evalCapture is the telemetry plane's view of one evaluation: pure
-// data assembled on the worker after the run, consumed by the plane
-// after the response is already decided. Everything here is derived
-// from the deterministic event stream — no wall clock, and nothing in
-// it feeds back into the Response, which is what keeps response bytes
-// byte-identical with the plane on or off.
-type evalCapture struct {
-	// metrics is the run's kernel metrics registry.
-	metrics *trace.Metrics
-	// link joins the request's wall-clock span to its virtual-time trace.
-	link telemetry.SpanLink
-	// forensics is the streaming per-request verdict (always assembled
-	// when the plane is on, independent of Request.Forensics), published
-	// on /v1/events.
-	forensics *ForensicsSummary
-	// fragments are the raw, below-threshold detector tallies plus
-	// happens-before race counts that feed the cross-request ledger.
-	fragments []telemetry.ClassFragment
-	// races are the happens-before findings for the events stream.
-	races []hb.Finding
-}
-
 // evaluate runs one resolved cell and assembles the wire response. rt
-// binds the worker's pooled environment and the request's cancellation
-// hook into every environment the evaluation builds; cap, when
-// non-nil, additionally captures the plane's view of the run: kernel
-// metrics, streaming forensics, ledger fragments and races.
+// binds the request's cancellation hook into every environment the
+// evaluation builds. plane says the telemetry plane is on: the cell then
+// also runs the forensic and race instruments, whose results the caller
+// hands to the plane from the returned CellResult.
 //
 // A canceled run never reaches response assembly: the worker checks the
 // request context after evaluate returns and discards the result — a
 // simulation abandoned mid-run has partial, meaningless samples, and
 // returning them would be exactly the silent wrong answer this layer
 // exists to prevent.
-func evaluate(cl *cell, rt *defense.Runtime, cap *evalCapture) (*Response, *Error) {
+func evaluate(cl *cell, rt *defense.Runtime, plane bool) (*Response, expr.CellResult, *Error) {
 	// The cell's one trace session serves every consumer of this
 	// request: the response's trace summary (validated as the records
 	// stream past, none retained), the forensic re-judgement, and the
-	// plane's capture.
+	// plane's view of the run.
 	// Tracing and obs events never perturb execution, so attaching any
 	// subset leaves the response bytes unchanged. The plane forces
 	// forensics on; a trace summary then leaves out the obs-only records
@@ -119,8 +125,8 @@ func evaluate(cl *cell, rt *defense.Runtime, cap *evalCapture) (*Response, *Erro
 	res := expr.RunCell(c, expr.Instruments{
 		Validate:  cl.req.Trace,
 		Obs:       cl.req.Forensics,
-		Forensics: cl.req.Forensics || cap != nil,
-		Races:     cap != nil,
+		Forensics: cl.req.Forensics || plane,
+		Races:     plane,
 	})
 
 	resp := &Response{
@@ -146,27 +152,13 @@ func evaluate(cl *cell, rt *defense.Runtime, cap *evalCapture) (*Response, *Erro
 	}
 	if cl.req.Trace {
 		if res.ReportErr != nil {
-			return nil, errf(CodeInternal, "trace failed validation: %v", res.ReportErr)
+			return nil, res, errf(CodeInternal, "trace failed validation: %v", res.ReportErr)
 		}
 		resp.Trace = &TraceSummary{Validated: true, Report: *res.Report}
 	}
 	if cl.req.Forensics {
 		resp.Forensics = res.Verdict
 	}
-	if cap != nil {
-		cap.metrics = res.Trace.Metrics()
-		cap.link = telemetry.SpanLink{
-			Runs:    res.Trace.Runs(),
-			LastSeq: res.Trace.LastSeq(),
-			VTMaxMs: res.Trace.MaxVT().Milliseconds(),
-		}
-		// The streaming verdict is the per-response judgement itself, so
-		// the /v1/events stream agrees with body forensics by construction.
-		cap.forensics = res.Verdict
-		cap.races = res.Races
-		cap.fragments = captureFragments(res.Fragments, res.Races)
-	}
-
 	tbl := &report.Table{
 		Title:   "Table I cell",
 		Columns: []string{"Attack", cl.Defense.Label},
@@ -174,8 +166,8 @@ func evaluate(cl *cell, rt *defense.Runtime, cap *evalCapture) (*Response, *Erro
 	tbl.AddRow(label, report.Mark(resp.Defended))
 	var buf bytes.Buffer
 	if err := tbl.Render(&buf); err != nil {
-		return nil, errf(CodeInternal, "render table: %v", err)
+		return nil, res, errf(CodeInternal, "render table: %v", err)
 	}
 	resp.Table = buf.String()
-	return resp, nil
+	return resp, res, nil
 }

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"jskernel/internal/defense"
-	"jskernel/internal/kernel"
 	"jskernel/internal/telemetry"
 )
 
@@ -29,9 +28,9 @@ import (
 // Config tunes the server. The zero value is usable: every field has a
 // production-shaped default applied by New.
 type Config struct {
-	// Pool is the number of evaluation workers, each owning one warm
-	// kernel.Environment that is reset — not rebuilt — between requests.
-	// Default: GOMAXPROCS.
+	// Pool is the number of evaluation workers. Each request builds its
+	// environments fresh through kernel.NewShared, as the batch
+	// experiments do. Default: GOMAXPROCS.
 	Pool int
 	// QueueDepth bounds the admission queue; a full queue rejects with
 	// 429 + Retry-After, never blocks and never drops silently.
@@ -44,17 +43,6 @@ type Config struct {
 	// Defaults: 5 / 25 (the paper's budget).
 	DefaultReps int
 	MaxReps     int
-	// MaxBodyBytes bounds request bodies. Default: 1 MiB.
-	MaxBodyBytes int64
-	// ReadTimeout bounds how long a client may take to deliver its
-	// request (the slow-loris bound). Default: 15s.
-	ReadTimeout time.Duration
-	// BreakerThreshold consecutive environment poisonings open the
-	// circuit breaker for BreakerCooldown; traffic after the cooldown
-	// probes the pool and a success closes it again.
-	// Defaults: 3 / 2s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Telemetry attaches a retain-off trace session to every evaluation
 	// and mounts the live observability plane: per-request spans and
 	// streaming forensics on /v1/events, the kernel metrics aggregate on
@@ -62,20 +50,42 @@ type Config struct {
 	// Tracing never perturbs a run, so responses are byte-identical
 	// either way.
 	Telemetry bool
+	// Log receives operational lines (startup, drain, breaker
+	// transitions). Default: io.Discard.
+	Log io.Writer
+
+	// The fields below are test seams, set only by this package's tests;
+	// zero takes the default.
+
+	// readTimeout overrides defaultReadTimeout.
+	readTimeout time.Duration
+	// breakerThreshold overrides defaultBreakerThreshold.
+	breakerThreshold int
 	// telemetryEventRing overrides the /v1/events replay ring size.
 	// Consumers that fall behind the ring receive an explicit gap event
 	// rather than applying backpressure; the chaos tests shrink the ring
 	// to force that path. Default: the plane's own default.
 	telemetryEventRing int
-	// FaultHook, when non-nil, is called from every cancellation poll of
+	// faultHook, when non-nil, is called from every cancellation poll of
 	// a running evaluation (chaos harness only). It may panic to model a
 	// poisoned environment mid-request; the worker's recover path then
-	// discards and replaces the pooled environment.
-	FaultHook func(req *Request, polls int)
-	// Log receives operational lines (startup, drain, breaker
-	// transitions). Default: io.Discard.
-	Log io.Writer
+	// drops the evaluation together with its environments.
+	faultHook func(req *Request, polls int)
 }
+
+// Service bounds. Only this package's tests override the two defaults.
+const (
+	// maxBodyBytes bounds request bodies.
+	maxBodyBytes = 1 << 20
+	// defaultReadTimeout bounds how long a client may take to deliver
+	// its request (the slow-loris bound).
+	defaultReadTimeout = 15 * time.Second
+	// defaultBreakerThreshold consecutive environment poisonings open
+	// the circuit breaker for breakerCooldown; traffic after the
+	// cooldown probes the pool and a success closes it again.
+	defaultBreakerThreshold = 3
+	breakerCooldown         = 2 * time.Second
+)
 
 func (c *Config) pool() int {
 	if c.Pool > 0 {
@@ -106,30 +116,6 @@ func (c *Config) maxReps() int {
 		return c.MaxReps
 	}
 	return 25
-}
-func (c *Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes > 0 {
-		return c.MaxBodyBytes
-	}
-	return 1 << 20
-}
-func (c *Config) readTimeout() time.Duration {
-	if c.ReadTimeout > 0 {
-		return c.ReadTimeout
-	}
-	return 15 * time.Second
-}
-func (c *Config) breakerThreshold() int {
-	if c.BreakerThreshold > 0 {
-		return c.BreakerThreshold
-	}
-	return 3
-}
-func (c *Config) breakerCooldown() time.Duration {
-	if c.BreakerCooldown > 0 {
-		return c.BreakerCooldown
-	}
-	return 2 * time.Second
 }
 func (c *Config) log() io.Writer {
 	if c.Log != nil {
@@ -166,8 +152,8 @@ func (j *job) finish(out jobOutcome) {
 }
 
 // Server is the kernel service: admission control in front of a bounded
-// queue, a pool of workers each owning a warm reusable environment, a
-// circuit breaker around poisonings, and a graceful drain.
+// queue, a pool of workers that build each request's environments
+// fresh, a circuit breaker around poisonings, and a graceful drain.
 type Server struct {
 	cfg   Config
 	queue chan *job
@@ -202,8 +188,8 @@ type Server struct {
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg}
 	s.queue = make(chan *job, s.cfg.queueDepth())
-	s.breaker.threshold = s.cfg.breakerThreshold()
-	s.breaker.cooldown = s.cfg.breakerCooldown()
+	s.breaker.threshold = cmp.Or(cfg.breakerThreshold, defaultBreakerThreshold)
+	s.breaker.cooldown = breakerCooldown
 	s.breaker.log = s.cfg.log()
 	if cfg.Telemetry {
 		s.plane = telemetry.NewPlane(telemetry.PlaneConfig{
@@ -231,32 +217,27 @@ func (s *Server) Plane() *telemetry.Plane { return s.plane }
 // Handler exposes the server's HTTP surface without a listener.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// startWorkers launches the evaluation pool. Each worker goroutine owns
-// one warm kernel.Environment, reset between requests and discarded
-// only when poisoned; workers exit when the queue closes during drain.
-// These goroutines — and the ones in Start and awaitDrain — are the
-// audited entries in jsk-lint's goroutinescope allowlist for this
-// package: each runs simulations that share nothing with its siblings
-// (the same argument that sanctions runner.Map), and none outlives
-// Shutdown.
+// startWorkers launches the evaluation pool; workers exit when the
+// queue closes during drain. These goroutines — and the ones in Start
+// and awaitDrain — are the audited entries in jsk-lint's goroutinescope
+// allowlist for this package: each runs simulations that share nothing
+// with its siblings (the same argument that sanctions runner.Map), and
+// none outlives Shutdown.
 func (s *Server) startWorkers() {
 	for w := 0; w < s.cfg.pool(); w++ {
 		s.workers.Add(1)
 		go func() {
 			defer s.workers.Done()
-			env := kernel.NewEnvironment()
 			for j := range s.queue {
-				env = s.serveJob(j, env)
+				s.serveJob(j)
 			}
 		}()
 	}
 }
 
-// serveJob runs one admitted request on this worker's environment and
-// returns the environment to reuse for the next request — a fresh one
-// if this request poisoned the current one.
-func (s *Server) serveJob(j *job, env *kernel.Environment) (next *kernel.Environment) {
-	next = env
+// serveJob runs one admitted request. Its evaluation builds every
+// environment it needs and drops them when it ends, panicking or not.
+func (s *Server) serveJob(j *job) {
 	start := time.Now()
 	var queueNs int64
 	if !j.admittedAt.IsZero() {
@@ -266,10 +247,10 @@ func (s *Server) serveJob(j *job, env *kernel.Environment) (next *kernel.Environ
 	defer func() {
 		if r := recover(); r != nil {
 			// Poisoned environment: quarantine by replacement. The
-			// discarded Environment is never reused, so neighboring
-			// in-flight requests (each on their own worker and
-			// environment) are untouched; the breaker counts the strike.
-			next = kernel.NewEnvironment()
+			// panicking evaluation's environments are dropped with it, so
+			// neighboring in-flight requests (each on their own worker and
+			// environments) are untouched and the next request builds
+			// fresh ones; the breaker counts the strike.
 			s.stats.envReplaced.Add(1)
 			s.breaker.failure(time.Now())
 			fmt.Fprintf(s.cfg.log(), "jsk-serve: evaluation panic (%v); environment discarded\n", r)
@@ -283,25 +264,20 @@ func (s *Server) serveJob(j *job, env *kernel.Environment) (next *kernel.Environ
 	if j.ctx.Err() != nil {
 		// Spent its whole budget queued. Typed rejection, never silent.
 		j.finish(jobOutcome{err: ctxError(j.ctx), queueNs: queueNs})
-		return env
+		return
 	}
 
 	polls := 0
 	rt := &defense.Runtime{
-		Env: env,
 		Canceled: func() bool {
 			polls++
-			if h := s.cfg.FaultHook; h != nil {
+			if h := s.cfg.faultHook; h != nil {
 				h(&j.cl.req, polls)
 			}
 			return j.ctx.Err() != nil
 		},
 	}
-	var cap *evalCapture
-	if s.plane != nil {
-		cap = &evalCapture{}
-	}
-	resp, eerr := evaluate(j.cl, rt, cap)
+	resp, res, eerr := evaluate(j.cl, rt, s.plane != nil)
 	evalNs := time.Since(start).Nanoseconds()
 	if j.ctx.Err() != nil {
 		// Canceled mid-run: the simulation was abandoned and whatever
@@ -309,41 +285,46 @@ func (s *Server) serveJob(j *job, env *kernel.Environment) (next *kernel.Environ
 		// accuracy. The abandoned run's telemetry is discarded with it —
 		// partial fragments must never feed the ledger.
 		j.finish(jobOutcome{err: ctxError(j.ctx), queueNs: queueNs, evalNs: evalNs})
-		return env
+		return
 	}
 	s.breaker.success()
 	s.observeService(time.Since(start))
 	if eerr != nil {
 		j.finish(jobOutcome{err: eerr, queueNs: queueNs, evalNs: evalNs})
-		return env
+		return
 	}
 	out := jobOutcome{resp: resp, queueNs: queueNs, evalNs: evalNs}
-	if s.plane != nil && cap != nil && cap.metrics != nil {
+	if s.plane != nil {
 		// The response is already fully assembled: everything submitted
-		// from here on is pure data for the plane and cannot change what
-		// the client receives.
-		link := cap.link
-		out.link = &link
+		// from here on is pure data for the plane, derived from the
+		// deterministic event stream, and cannot change what the client
+		// receives. The streaming verdict is the per-response judgement
+		// itself, so /v1/events agrees with body forensics by
+		// construction.
+		out.link = &telemetry.SpanLink{
+			Runs:    res.Trace.Runs(),
+			LastSeq: res.Trace.LastSeq(),
+			VTMaxMs: res.Trace.MaxVT().Milliseconds(),
+		}
 		s.plane.SubmitEval(&telemetry.EvalRecord{
 			RequestID: j.requestID,
 			Tenant:    j.cl.req.Tenant,
 			Scope:     j.cl.req.Attack,
-			Metrics:   cap.metrics,
+			Metrics:   res.Trace.Metrics(),
 			Forensics: &ForensicsEvent{
 				RequestID: j.requestID,
 				Tenant:    j.cl.req.Tenant,
 				Attack:    j.cl.req.Attack,
 				Defense:   j.cl.req.Defense,
 				Seed:      j.cl.req.Seed,
-				Summary:   cap.forensics,
-				Races:     cap.races,
+				Summary:   res.Verdict,
+				Races:     res.Races,
 			},
-			Fragments: cap.fragments,
+			Fragments: captureFragments(res.Fragments, res.Races),
 		})
 	}
 	s.stats.completed.Add(1)
 	j.finish(out)
-	return env
 }
 
 // ctxError maps a done context to the typed error contract.
@@ -398,7 +379,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		s.plane.SubmitSpan(span)
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes()))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.stats.rejectedBadRequest.Add(1)
 		span.AdmissionNs = time.Since(arrived).Nanoseconds()
@@ -406,14 +387,12 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		finishSpan(CodeBadRequest, nil)
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, derr := decodeRequest(body)
+	if derr != nil {
 		s.stats.rejectedBadRequest.Add(1)
 		span.AdmissionNs = time.Since(arrived).Nanoseconds()
-		s.writeError(w, errf(CodeBadRequest, "parsing request: %v", err))
-		finishSpan(CodeBadRequest, nil)
+		s.writeError(w, derr)
+		finishSpan(derr.Code, nil)
 		return
 	}
 	// ?trace=summary folds into the body's trace flag before resolution,
@@ -431,15 +410,11 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	budget := s.cfg.defaultDeadline()
-	if req.DeadlineMs > 0 {
-		budget = time.Duration(req.DeadlineMs) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
+	ctx, cancel := context.WithTimeout(r.Context(), cl.budget)
 	defer cancel()
 	j := &job{cl: cl, ctx: ctx, done: make(chan jobOutcome, 1), requestID: requestID}
 
-	if aerr := s.admit(j, budget); aerr != nil {
+	if aerr := s.admit(j); aerr != nil {
 		span.AdmissionNs = time.Since(arrived).Nanoseconds()
 		s.writeError(w, aerr)
 		finishSpan(aerr.Code, nil)
@@ -475,7 +450,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 // queue-depth and deadline-aware rejection. Rejections are always
 // explicit and typed; admission increments the drain group before the
 // job becomes visible to workers.
-func (s *Server) admit(j *job, budget time.Duration) *Error {
+func (s *Server) admit(j *job) *Error {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
 	if s.draining {
@@ -491,9 +466,9 @@ func (s *Server) admit(j *job, budget time.Duration) *Error {
 		return e
 	}
 	queued := len(s.queue)
-	if est := s.estimateWait(queued); est > budget {
+	if est := s.estimateWait(queued); est > j.cl.budget {
 		s.stats.rejectedOverload.Add(1)
-		e := errf(CodeOverloaded, "estimated queue wait %v exceeds request budget %v", est, budget)
+		e := errf(CodeOverloaded, "estimated queue wait %v exceeds request budget %v", est, j.cl.budget)
 		e.RetryAfterMs = est.Milliseconds() + 1
 		return e
 	}
@@ -531,10 +506,11 @@ func (s *Server) countError(e *Error) {
 // Start serves HTTP on ln in the background with the slow-loris read
 // bound applied; use Shutdown (or Run, which wraps both) to stop.
 func (s *Server) Start(ln net.Listener) {
+	readTimeout := cmp.Or(s.cfg.readTimeout, defaultReadTimeout)
 	s.httpSrv = &http.Server{
 		Handler:           s.mux,
-		ReadTimeout:       s.cfg.readTimeout(),
-		ReadHeaderTimeout: s.cfg.readTimeout(),
+		ReadTimeout:       readTimeout,
+		ReadHeaderTimeout: readTimeout,
 	}
 	s.lnAddr.Store(ln.Addr().String())
 	fmt.Fprintf(s.cfg.log(), "jsk-serve: listening on %s (pool %d, queue %d)\n",

@@ -130,6 +130,8 @@ func TestEvalRejections(t *testing.T) {
 		{"unknown defense", `{"attack":"loopscan","defense":"nope"}`, http.StatusNotFound, CodeUnknownDefense},
 		{"reps over cap", `{"attack":"loopscan","defense":"chrome","reps":9999}`, http.StatusBadRequest, CodeBadRequest},
 		{"negative deadline", `{"attack":"loopscan","defense":"chrome","deadline_ms":-1}`, http.StatusBadRequest, CodeBadRequest},
+		{"deadline overflows to a negative budget", `{"attack":"loopscan","defense":"chrome","deadline_ms":9223372036854775807}`, http.StatusBadRequest, CodeBadRequest},
+		{"deadline overflows to a zero budget", `{"attack":"loopscan","defense":"chrome","deadline_ms":4611686018427387904}`, http.StatusBadRequest, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -202,13 +204,13 @@ func TestDeadlinePropagation(t *testing.T) {
 }
 
 // TestEnvPoisonQuarantine: a panicking evaluation yields a typed
-// retryable error, replaces the worker's environment, and the next
+// retryable error, its environments are dropped with it, and the next
 // request on the same worker still gets byte-correct output.
 func TestEnvPoisonQuarantine(t *testing.T) {
 	poisonSeed := int64(666)
 	var cfg Config
 	cfg.Pool = 1
-	cfg.FaultHook = func(req *Request, polls int) {
+	cfg.faultHook = func(req *Request, polls int) {
 		if req.Seed == poisonSeed && polls == 3 {
 			panic("chaos: poisoned environment")
 		}
@@ -252,14 +254,16 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	poison := true
 	var cfg Config
 	cfg.Pool = 1
-	cfg.BreakerThreshold = 2
-	cfg.BreakerCooldown = 50 * time.Millisecond
-	cfg.FaultHook = func(req *Request, polls int) {
+	cfg.breakerThreshold = 2
+	cfg.faultHook = func(req *Request, polls int) {
 		if poison && req.Seed == 666 {
 			panic("chaos: poisoned environment")
 		}
 	}
 	s := newTestServer(t, cfg)
+	// Shorten the breakerCooldown constant for this server only; no
+	// request has reached the breaker yet.
+	s.breaker.cooldown = 50 * time.Millisecond
 
 	for i := 0; i < 2; i++ {
 		w := postEval(t, s, `{"attack":"loopscan","defense":"jskernel-chrome","seed":666,"reps":1}`)

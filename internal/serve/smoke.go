@@ -24,7 +24,7 @@ import (
 //
 //  1. determinism — the same (body, seed) yields byte-identical
 //     responses across concurrent duplicate requests, across pool
-//     widths, and across environment-reuse generations;
+//     widths, and across repeated rounds;
 //  2. overload — a saturated pool sheds explicitly with typed 429s and
 //     Retry-After hints while every admitted request still answers
 //     correctly (no silent drops: completions + typed rejections add up);
@@ -88,9 +88,9 @@ type smokeResult struct {
 }
 
 // smokeDeterminism checks response-byte stability three ways: duplicate
-// concurrent requests agree, a wide pool agrees with a single warm
-// worker (maximum environment reuse), and repeated rounds on the same
-// worker (reuse generations 1..3) agree with the first.
+// concurrent requests agree, a wide pool agrees with a single worker,
+// and repeated rounds on the same worker (rounds 1..3) agree with the
+// first.
 func smokeDeterminism(out io.Writer) error {
 	cells := smokeCells()
 
@@ -117,25 +117,25 @@ func smokeDeterminism(out io.Writer) error {
 		}
 	}
 
-	// Single worker: every cell reuses one reset environment, three
-	// generations deep. Bytes must match the wide pool's exactly.
+	// Single worker, every cell three rounds over. Bytes must match the
+	// wide pool's exactly.
 	narrow, narrowClient, err := startLoopback(Config{Pool: 1, QueueDepth: 32, Log: io.Discard})
 	if err != nil {
 		return err
 	}
 	defer shutdownQuiet(narrow)
-	for gen := 1; gen <= 3; gen++ {
+	for round := 1; round <= 3; round++ {
 		for i, req := range cells {
 			body, err := narrowClient.EvalBytes(context.Background(), req)
 			if err != nil {
-				return fmt.Errorf("narrow pool gen %d cell %d: %v", gen, i, err)
+				return fmt.Errorf("narrow pool round %d cell %d: %v", round, i, err)
 			}
 			if !bytes.Equal(body, results[i].body) {
-				return fmt.Errorf("cell %d differs between pool widths (reuse generation %d)", i, gen)
+				return fmt.Errorf("cell %d differs between pool widths (round %d)", i, round)
 			}
 		}
 	}
-	fmt.Fprintf(out, "serve smoke: determinism ok (%d cells, %d concurrent, 3 reuse generations)\n", len(cells), n)
+	fmt.Fprintf(out, "serve smoke: determinism ok (%d cells, %d concurrent, 3 rounds)\n", len(cells), n)
 	return nil
 }
 

@@ -101,7 +101,7 @@ func (s *Server) serviceFamilies() []telemetry.Family {
 		telemetry.Counter("jsk_serve_deadline_exceeded", "Requests that ran out of completion budget.", snap.DeadlineExceeded),
 		telemetry.Counter("jsk_serve_canceled", "Requests abandoned by their clients.", snap.Canceled),
 		telemetry.Counter("jsk_serve_internal_errors", "Internal invariant failures.", snap.InternalErrors),
-		telemetry.Counter("jsk_serve_env_replaced", "Pooled environments discarded after poisoning (environment generations).", snap.EnvReplaced),
+		telemetry.Counter("jsk_serve_env_replaced", "Evaluations whose environments were discarded after a panic (poisonings).", snap.EnvReplaced),
 		telemetry.Gauge("jsk_serve_queue_depth", "Requests currently queued for a worker.", float64(snap.QueueDepth)),
 		telemetry.Gauge("jsk_serve_pool", "Evaluation worker pool size.", float64(snap.Pool)),
 		telemetry.Gauge("jsk_serve_draining", "1 while a graceful shutdown is in progress.", boolGauge(snap.Draining)),

@@ -107,7 +107,7 @@ func TestStatszGolden(t *testing.T) {
 // partial metrics must reach neither endpoint.
 func TestStatszAgreesWithMetricsz(t *testing.T) {
 	var canceledPolls atomic.Int64
-	s := newTestServer(t, Config{Pool: 1, Telemetry: true, FaultHook: func(req *Request, polls int) {
+	s := newTestServer(t, Config{Pool: 1, Telemetry: true, faultHook: func(req *Request, polls int) {
 		if req.Reps != 25 {
 			return
 		}
@@ -268,7 +268,7 @@ func TestTraceQueryParam(t *testing.T) {
 
 // TestResponseDeterminismAcrossPlaneModes pins obs neutrality at the
 // service boundary: the same request returns identical bytes with the
-// telemetry plane off and on, across environment-reuse generations, with
+// telemetry plane off and on, over three rounds on one worker, with
 // trace and forensics attachments. The wall clock only exists on the
 // serve/telemetry side of the boundary, so this is also the lint
 // boundary test backing the detwalltime allowlist extension. The plane
@@ -285,7 +285,7 @@ func TestResponseDeterminismAcrossPlaneModes(t *testing.T) {
 		`{"attack":"clock-edge","defense":"chrome","seed":42,"reps":2,"forensics":true}`,
 		`{"attack":"CVE-2018-5092","defense":"chrome","seed":42,"forensics":true}`,
 	}
-	const generations = 3
+	const rounds = 3
 	configs := []Config{
 		{Pool: 1},
 		{Pool: 1, Telemetry: true},
@@ -294,24 +294,24 @@ func TestResponseDeterminismAcrossPlaneModes(t *testing.T) {
 	for i, cfg := range configs {
 		s := newTestServer(t, cfg)
 		for b, body := range bodies {
-			for gen := 0; gen < generations; gen++ {
+			for round := 0; round < rounds; round++ {
 				w := postEval(t, s, body)
 				if w.Code != http.StatusOK {
-					t.Fatalf("body %d config %d generation %d: %d", b, i, gen, w.Code)
+					t.Fatalf("body %d config %d round %d: %d", b, i, round, w.Code)
 				}
 				if want[b] == nil {
 					want[b] = append([]byte(nil), w.Body.Bytes()...)
 					continue
 				}
 				if !bytes.Equal(w.Body.Bytes(), want[b]) {
-					t.Fatalf("body %d config %d generation %d diverged: plane mode leaked into response bytes", b, i, gen)
+					t.Fatalf("body %d config %d round %d diverged: plane mode leaked into response bytes", b, i, round)
 				}
 			}
 		}
 		if cfg.Telemetry {
 			snap := s.Snapshot()
-			if k := snap.Kernel; k == nil || k.Runs != uint64(len(bodies)*generations) || k.Dispatched == 0 {
-				t.Errorf("plane did not aggregate all %d requests: %+v", len(bodies)*generations, k)
+			if k := snap.Kernel; k == nil || k.Runs != uint64(len(bodies)*rounds) || k.Dispatched == 0 {
+				t.Errorf("plane did not aggregate all %d requests: %+v", len(bodies)*rounds, k)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the pre-merge gate: build, vet, perfbench, gofmt, jsk-lint,
-# race-test, smoke stages.
+# race-test, golden traces, fuzz (each native fuzz target for 10 s),
+# smoke stages.
 # Usage: ./scripts/check.sh   (or: make check)
 #
 # Fails fast: the first failing stage stops the run, and the banner
@@ -67,6 +68,15 @@ trap 'rm -rf "$trace_tmp"' EXIT
 go run ./cmd/jsk-eval -dromaeo -trace "$trace_tmp/dromaeo-trace.json" >/dev/null || fail "trace export smoke"
 test -s "$trace_tmp/dromaeo-trace.json" || fail "trace export smoke (empty output)"
 
+# Fuzz: each native fuzz target runs for a short fixed budget on top of
+# its checked-in seed corpus (which the unit-test stage above already
+# replays): the trace record codec and the /v1/eval request decoder and
+# resolver, both fed bytes from outside the program. A failing input is
+# written under the package's testdata/fuzz directory for replay.
+stage "fuzz (FuzzReadRecords, FuzzEvalRequest; 10s each)"
+go test -run '^$' -fuzz '^FuzzReadRecords$' -fuzztime 10s ./internal/trace || fail "fuzz FuzzReadRecords"
+go test -run '^$' -fuzz '^FuzzEvalRequest$' -fuzztime 10s ./internal/serve || fail "fuzz FuzzEvalRequest"
+
 # Observability smoke: the streaming consumers must attach, profile and
 # report without perturbing the run — flamegraph, telemetry report and
 # metrics registry all non-empty from one traced Dromaeo pass.
@@ -126,7 +136,7 @@ grep -q '^  race ' "$trace_tmp/explore-replay-1.txt" \
 # Service smoke: boot the jsk-serve daemon on a loopback port and hold
 # its load-shedding-never-accuracy-shedding contract end to end —
 # concurrent requests return byte-identical responses across pool
-# widths and reuse generations, a saturated pool sheds with typed 429s
+# widths and repeated rounds, a saturated pool sheds with typed 429s
 # and Retry-After (never silently), and SIGTERM drains in-flight work
 # before the process exits. The telemetry stage scrapes /metricsz
 # mid-load and validates it with the in-repo OpenMetrics parser,
