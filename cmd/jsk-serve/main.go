@@ -7,13 +7,14 @@
 //
 //	jsk-serve                         # serve on 127.0.0.1:8571
 //	jsk-serve -addr :9000 -pool 8     # wider pool on another port
-//	jsk-serve -telemetry              # live observability plane + /statsz metrics
-//	jsk-serve -smoke                  # run the CI smoke suite and exit
+//	jsk-serve -telemetry              # + live observability plane
 //
-// Endpoints: POST /v1/eval, GET /healthz, /readyz, /statsz, /versionz,
-// and — with -telemetry — /metricsz (OpenMetrics), /v1/events (SSE
-// stream of spans, forensic verdicts and campaign findings) and
-// /ledgerz (the cross-request forensics ledger). A request:
+// Endpoints: POST /v1/eval, GET /healthz, /readyz, /statsz, /versionz
+// and /metricsz (OpenMetrics: the service counters, plus the plane's
+// kernel, span, event and ledger families with -telemetry). With
+// -telemetry also /v1/events (SSE stream of spans, forensic verdicts
+// and campaign findings) and /ledgerz (the cross-request forensics
+// ledger). A request:
 //
 //	curl -s localhost:8571/v1/eval -d '{"attack":"loopscan","defense":"jskernel-chrome","seed":42}'
 //
@@ -55,16 +56,10 @@ func run(w io.Writer, args []string) error {
 		reps      = fs.Int("reps", 0, "default repetition budget for timing rows (0 = 5)")
 		maxReps   = fs.Int("max-reps", 0, "repetition budget cap (0 = 25)")
 		drain     = fs.Duration("drain-timeout", 60*time.Second, "graceful drain bound after SIGTERM/SIGINT")
-		telemetry = fs.Bool("telemetry", false, "mount the live observability plane (/metricsz, /v1/events, /ledgerz) and aggregate kernel metrics in /statsz")
-		smoke     = fs.Bool("smoke", false, "run the service smoke suite (determinism, overload shedding, drain, telemetry) and exit")
-		ledgerOut = fs.String("ledger-report", "", "with -smoke: also write the forensics ledger report JSON to this path (CI artifact)")
+		telemetry = fs.Bool("telemetry", false, "run the live observability plane: mount /v1/events and /ledgerz, add its kernel, span, event and ledger families to /metricsz, and the kernel aggregate to /statsz")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *smoke {
-		return serve.Smoke(w, *ledgerOut)
 	}
 
 	cfg := serve.Config{

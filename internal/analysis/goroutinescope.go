@@ -37,10 +37,6 @@ var goroutineSanctionedFuncs = map[string]map[string]string{
 		// context deadline; the goroutine exits as soon as the drain
 		// completes or is abandoned.
 		"awaitDrain": "bounded drain wait; goroutine exits when jobs finish",
-		// The telemetry smoke stage's live /v1/events subscriber: one
-		// goroutine consuming the SSE stream, joined via its result
-		// channel after the server drains.
-		"smokeTelemetry": "event-stream subscriber joined on its result channel before return",
 	},
 	"internal/telemetry": {
 		// The plane's batching flusher: one goroutine draining a bounded

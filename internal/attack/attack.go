@@ -221,21 +221,6 @@ func (a *TimingAttack) Evaluate(d defense.Defense, reps int, baseSeed int64) Out
 	return a.AssembleOutcome(d.ID, MergeSamples(parts))
 }
 
-// Evaluate runs the CVE exploit against a defense once (the trigger is
-// deterministic) and consults the vulnerability registry.
-func (a *CVEAttack) Evaluate(d defense.Defense, baseSeed int64) Outcome {
-	env := d.NewEnv(defense.EnvOptions{Seed: baseSeed + 1})
-	err := a.Exploit(env)
-	exploited := env.Registry.Exploited(a.CVE)
-	return Outcome{
-		AttackID:  string(a.CVE),
-		DefenseID: d.ID,
-		Defended:  !exploited,
-		Exploited: exploited,
-		Err:       err,
-	}
-}
-
 // errSkip marks attacks that could not start under a defense.
 func errSkip(what string, err error) error {
 	return fmt.Errorf("attack %s could not run: %w", what, err)

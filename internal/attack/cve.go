@@ -87,21 +87,6 @@ func CVE20177843() *CVEAttack {
 	}
 }
 
-// privateEvaluate overrides CVEAttack evaluation for CVE-2017-7843: the
-// browser must be in private browsing.
-func (a *CVEAttack) evaluateWithOptions(d defense.Defense, opts defense.EnvOptions) Outcome {
-	env := d.NewEnv(opts)
-	err := a.Exploit(env)
-	exploited := env.Registry.Exploited(a.CVE)
-	return Outcome{
-		AttackID:  string(a.CVE),
-		DefenseID: d.ID,
-		Defended:  !exploited,
-		Exploited: exploited,
-		Err:       err,
-	}
-}
-
 // CVE20157215 mines the importScripts error message for cross-origin URL
 // details.
 func CVE20157215() *CVEAttack {
@@ -434,12 +419,18 @@ func (a *CVEAttack) RequiresPrivateMode() bool {
 	return a.CVE == vuln.CVE20177843
 }
 
-// EvaluateCVE runs one CVE attack under a defense, handling the
-// private-browsing precondition of CVE-2017-7843.
+// EvaluateCVE runs one CVE exploit against a defense once (the trigger
+// is deterministic), in private browsing when the CVE requires it
+// (CVE-2017-7843), and consults the vulnerability registry.
 func EvaluateCVE(a *CVEAttack, d defense.Defense, baseSeed int64) Outcome {
-	opts := defense.EnvOptions{Seed: baseSeed + 1}
-	if a.RequiresPrivateMode() {
-		opts.PrivateMode = true
+	env := d.NewEnv(defense.EnvOptions{Seed: baseSeed + 1, PrivateMode: a.RequiresPrivateMode()})
+	err := a.Exploit(env)
+	exploited := env.Registry.Exploited(a.CVE)
+	return Outcome{
+		AttackID:  string(a.CVE),
+		DefenseID: d.ID,
+		Defended:  !exploited,
+		Exploited: exploited,
+		Err:       err,
 	}
-	return a.evaluateWithOptions(d, opts)
 }

@@ -418,7 +418,8 @@ func TestTelemetryChaos(t *testing.T) {
 	}
 }
 
-// chaosServer boots a server on a loopback listener for chaos runs.
+// chaosServer boots a server on a loopback listener for the chaos and
+// overload tests.
 func chaosServer(t *testing.T, cfg Config) (*Server, *Client) {
 	t.Helper()
 	if cfg.Log == nil {

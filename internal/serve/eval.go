@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"time"
@@ -37,13 +38,18 @@ type cell struct {
 const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 
 // decodeRequest parses one /v1/eval body. Unknown fields are rejected,
-// so a misspelled option fails loudly instead of being ignored.
+// so a misspelled option fails loudly instead of being ignored. So is
+// anything but whitespace after the request: a body holds exactly one
+// JSON value.
 func decodeRequest(body []byte) (Request, *Error) {
 	var req Request
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return Request{}, errf(CodeBadRequest, "parsing request: %v", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return Request{}, errf(CodeBadRequest, "parsing request: body holds more than one JSON value")
 	}
 	return req, nil
 }

@@ -1,13 +1,16 @@
 package serve
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // FuzzEvalRequest feeds arbitrary /v1/eval bodies through the decoder
 // and the resolver handleEval uses. The contract: no panic; every
 // rejection is a typed *Error with a 4xx status that is not retryable
-// (the same bytes fail the same way); every accepted request has a
-// positive completion budget, and a timing row's reps fall in
-// [1, maxReps].
+// (the same bytes fail the same way); every accepted body is exactly one
+// JSON value, has a positive completion budget, and a timing row's reps
+// fall in [1, maxReps].
 //
 // The seed corpus under testdata/fuzz/FuzzEvalRequest covers valid
 // timing and CVE bodies, an unknown field, trailing bytes, a negative
@@ -31,6 +34,9 @@ func FuzzEvalRequest(f *testing.F) {
 				t.Fatalf("rejection %s invites a retry of the same bytes", err.Code)
 			}
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("accepted a body that is not exactly one JSON value: %q", body)
 		}
 		if cl.budget <= 0 {
 			t.Fatalf("accepted request has budget %v (deadline_ms %d)", cl.budget, req.DeadlineMs)

@@ -43,8 +43,8 @@ type KernelTotals struct {
 	InterposeVirtual   uint64 `json:"interpose_virtual"`
 }
 
-// Stats is the /statsz wire format (and the programmatic snapshot used
-// by the smoke suite and the chaos tests).
+// Stats is the /statsz wire format (and the programmatic snapshot the
+// tests read).
 type Stats struct {
 	Admitted           uint64 `json:"admitted"`
 	Completed          uint64 `json:"completed"`

@@ -211,7 +211,7 @@ func New(cfg Config) *Server {
 }
 
 // Plane exposes the observability plane (nil without Telemetry) for
-// tests and the smoke harness.
+// tests and the benchmark.
 func (s *Server) Plane() *telemetry.Plane { return s.plane }
 
 // Handler exposes the server's HTTP surface without a listener.

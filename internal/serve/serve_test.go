@@ -5,11 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
+
+	"jskernel/internal/expr/runner"
 )
 
 // postEval drives the handler directly (no listener).
@@ -123,6 +130,7 @@ func TestEvalRejections(t *testing.T) {
 	}{
 		{"malformed json", `{"attack":`, http.StatusBadRequest, CodeBadRequest},
 		{"unknown field", `{"attack":"loopscan","defense":"chrome","bogus":1}`, http.StatusBadRequest, CodeBadRequest},
+		{"trailing value", `{"attack":"CVE-2018-5092","defense":"chrome","seed":1} {"attack":`, http.StatusBadRequest, CodeBadRequest},
 		{"missing attack", `{"defense":"chrome"}`, http.StatusBadRequest, CodeBadRequest},
 		{"missing defense", `{"attack":"loopscan"}`, http.StatusBadRequest, CodeBadRequest},
 		{"unknown attack", `{"attack":"nope","defense":"chrome"}`, http.StatusNotFound, CodeUnknownAttack},
@@ -177,6 +185,216 @@ func TestDrainingRejection(t *testing.T) {
 	s.Handler().ServeHTTP(rw, req)
 	if rw.Code != http.StatusServiceUnavailable {
 		t.Errorf("readyz on draining server: %d, want 503", rw.Code)
+	}
+}
+
+// workerGate holds the first n evaluations inside their first
+// cancellation poll until open, so a test fills the pool and the queue
+// exactly instead of racing the workers. Its hook is the Config
+// faultHook.
+type workerGate struct {
+	n       int32
+	held    atomic.Int32
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func newWorkerGate(n int) *workerGate {
+	return &workerGate{n: int32(n), entered: make(chan struct{}, n), release: make(chan struct{})}
+}
+
+func (g *workerGate) hook(_ *Request, polls int) {
+	if polls == 1 && g.held.Add(1) <= g.n {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+}
+
+// awaitHeld waits until k more evaluations are held.
+func (g *workerGate) awaitHeld(t *testing.T, k int) {
+	t.Helper()
+	for i := 0; i < k; i++ {
+		select {
+		case <-g.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d evaluations reached the gate", i, k)
+		}
+	}
+}
+
+// open releases every held evaluation; later calls do nothing.
+func (g *workerGate) open() { g.once.Do(func() { close(g.release) }) }
+
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+type evalResult struct {
+	body []byte
+	err  error
+}
+
+// evalAsync sends req from a goroutine; the result arrives on the
+// returned channel.
+func evalAsync(c *Client, req Request) <-chan evalResult {
+	out := make(chan evalResult, 1)
+	go func() {
+		body, err := c.EvalBytes(context.Background(), req)
+		out <- evalResult{body, err}
+	}()
+	return out
+}
+
+// noKeepAlive is an HTTP client that opens one connection per request.
+// A pooling transport that dials for a request and then serves it on a
+// connection freed meanwhile parks the dialed connection unused, and
+// http.Server.Shutdown waits 5 s for such a connection before treating
+// it as idle.
+func noKeepAlive() *http.Client {
+	return &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+}
+
+// referenceBody evaluates req on a fresh, unloaded pool-1 server.
+func referenceBody(t *testing.T, req Request) []byte {
+	t.Helper()
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := postEval(t, newTestServer(t, Config{Pool: 1}), string(data))
+	if w.Code != http.StatusOK {
+		t.Fatalf("reference: status %d: %s", w.Code, w.Body.String())
+	}
+	return w.Body.Bytes()
+}
+
+// TestOverloadShedsTyped saturates a pool-1, queue-1 server with its
+// one worker held: exactly one request runs and one queues, every
+// further request is shed with a typed 429 and a retry hint (none is
+// dropped silently), and both admitted requests answer with the
+// unloaded reference bytes once the worker is released.
+func TestOverloadShedsTyped(t *testing.T) {
+	req := Request{Attack: "loopscan", Defense: "jskernel-chrome", Seed: 42, Reps: 1}
+	want := referenceBody(t, req)
+
+	gate := newWorkerGate(1)
+	s, client := chaosServer(t, Config{Pool: 1, QueueDepth: 1, faultHook: gate.hook})
+	defer chaosShutdown(t, s)
+	// Deferred after the shutdown, so it runs first: the shutdown waits
+	// for the held worker.
+	defer gate.open()
+	client.MaxAttempts = 1 // count first-attempt outcomes
+	client.HTTPClient = noKeepAlive()
+
+	running := evalAsync(client, req)
+	gate.awaitHeld(t, 1)
+	queued := evalAsync(client, req)
+	waitUntil(t, "the second request is admitted", func() bool { return s.Snapshot().Admitted == 2 })
+	if got := s.Snapshot().QueueDepth; got != 1 {
+		t.Fatalf("queue depth %d with the worker held, want 1", got)
+	}
+
+	const shed = 6
+	errs := runner.Map(4, shed, func(int) error {
+		_, err := client.EvalBytes(context.Background(), req)
+		return err
+	})
+	for i, err := range errs {
+		e, ok := err.(*Error)
+		if !ok {
+			t.Fatalf("request %d past a full queue: got %v, want a typed overloaded error", i, err)
+		}
+		if e.Code != CodeOverloaded || e.HTTPStatus() != http.StatusTooManyRequests || e.RetryAfterMs <= 0 {
+			t.Errorf("request %d: code %s status %d retry_after_ms %d, want overloaded 429 with a retry hint",
+				i, e.Code, e.HTTPStatus(), e.RetryAfterMs)
+		}
+	}
+
+	gate.open()
+	for i, ch := range []<-chan evalResult{running, queued} {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("admitted request %d: %v", i, r.err)
+		}
+		if !bytes.Equal(r.body, want) {
+			t.Errorf("admitted request %d: response under overload differs from the unloaded reference", i)
+		}
+	}
+	snap := s.Snapshot()
+	if snap.Admitted != 2 || snap.Completed != 2 || snap.RejectedOverload != shed {
+		t.Errorf("admitted %d completed %d shed %d, want 2, 2, %d", snap.Admitted, snap.Completed, snap.RejectedOverload, shed)
+	}
+}
+
+// TestRunDrainsOnSignal drives the daemon loop cmd/jsk-serve runs:
+// Server.Run on a loopback listener, with SIGTERM delivered on its stop
+// channel while both workers are held and a third request is queued.
+// A request sent after the signal is refused with the typed draining
+// error; once the workers are released every admitted request completes
+// with the reference bytes, and Run returns nil.
+func TestRunDrainsOnSignal(t *testing.T) {
+	req := Request{Attack: "loopscan", Defense: "jskernel-chrome", Seed: 42, Reps: 1}
+	want := referenceBody(t, req)
+
+	gate := newWorkerGate(2)
+	s := New(Config{Pool: 2, QueueDepth: 4, Log: io.Discard, faultHook: gate.hook})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	client := &Client{BaseURL: "http://" + ln.Addr().String(), HTTPClient: noKeepAlive(), MaxAttempts: 1}
+	stop := make(chan os.Signal, 1)
+	runDone := make(chan struct{})
+	var runErr error
+	go func() {
+		runErr = s.Run(ln, stop, 30*time.Second)
+		close(runDone)
+	}()
+	defer func() {
+		select {
+		case stop <- syscall.SIGTERM:
+		default:
+		}
+		gate.open()
+		<-runDone
+	}()
+
+	admitted := []<-chan evalResult{evalAsync(client, req), evalAsync(client, req)}
+	gate.awaitHeld(t, 2)
+	admitted = append(admitted, evalAsync(client, req))
+	waitUntil(t, "the third request is queued", func() bool { return s.Snapshot().Admitted == 3 })
+
+	stop <- syscall.SIGTERM
+	waitUntil(t, "the drain begins", s.Draining)
+	_, err = client.EvalBytes(context.Background(), req)
+	if e, ok := err.(*Error); !ok || e.Code != CodeDraining || e.HTTPStatus() != http.StatusServiceUnavailable || e.RetryAfterMs <= 0 {
+		t.Fatalf("request after SIGTERM: got %v, want a typed 503 draining error with a retry hint", err)
+	}
+
+	gate.open()
+	for i, ch := range admitted {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("admitted request %d failed during the drain: %v", i, r.err)
+		}
+		if !bytes.Equal(r.body, want) {
+			t.Errorf("admitted request %d: response during the drain differs from the reference", i)
+		}
+	}
+	<-runDone
+	if runErr != nil {
+		t.Fatalf("Run: %v", runErr)
+	}
+	snap := s.Snapshot()
+	if snap.Admitted != 3 || snap.Completed != 3 || snap.RejectedDraining != 1 {
+		t.Errorf("admitted %d completed %d refused %d, want 3, 3, 1", snap.Admitted, snap.Completed, snap.RejectedDraining)
 	}
 }
 

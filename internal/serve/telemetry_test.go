@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"jskernel/internal/expr/runner"
 	"jskernel/internal/telemetry"
 )
 
@@ -268,7 +269,8 @@ func TestTraceQueryParam(t *testing.T) {
 
 // TestResponseDeterminismAcrossPlaneModes pins obs neutrality at the
 // service boundary: the same request returns identical bytes with the
-// telemetry plane off and on, over three rounds on one worker, with
+// telemetry plane off and on, over three rounds on one worker, and on a
+// four-worker pool with every body posted twice concurrently, with
 // trace and forensics attachments. The wall clock only exists on the
 // serve/telemetry side of the boundary, so this is also the lint
 // boundary test backing the detwalltime allowlist extension. The plane
@@ -284,34 +286,55 @@ func TestResponseDeterminismAcrossPlaneModes(t *testing.T) {
 		`{"attack":"cache-attack","defense":"jskernel-chrome","seed":7,"reps":2}`,
 		`{"attack":"clock-edge","defense":"chrome","seed":42,"reps":2,"forensics":true}`,
 		`{"attack":"CVE-2018-5092","defense":"chrome","seed":42,"forensics":true}`,
+		`{"attack":"loopscan","defense":"jskernel-chrome","seed":42,"reps":2,"trace":true,"forensics":true}`,
+		`{"attack":"clock-edge","defense":"deterfox","seed":11,"reps":2}`,
 	}
-	const rounds = 3
-	configs := []Config{
-		{Pool: 1},
-		{Pool: 1, Telemetry: true},
+	configs := []struct {
+		cfg Config
+		// posts is how often each body is sent; concurrent sends them
+		// from four goroutines at once rather than round by round.
+		posts      int
+		concurrent bool
+	}{
+		{Config{Pool: 1}, 3, false},
+		{Config{Pool: 1, Telemetry: true}, 3, false},
+		{Config{Pool: 4, Telemetry: true}, 2, true},
 	}
+	// want holds the first config's first-round bytes: pool 1, plane off.
 	want := make([][]byte, len(bodies))
-	for i, cfg := range configs {
-		s := newTestServer(t, cfg)
-		for b, body := range bodies {
-			for round := 0; round < rounds; round++ {
-				w := postEval(t, s, body)
-				if w.Code != http.StatusOK {
-					t.Fatalf("body %d config %d round %d: %d", b, i, round, w.Code)
-				}
-				if want[b] == nil {
-					want[b] = append([]byte(nil), w.Body.Bytes()...)
-					continue
-				}
-				if !bytes.Equal(w.Body.Bytes(), want[b]) {
-					t.Fatalf("body %d config %d round %d diverged: plane mode leaked into response bytes", b, i, round)
+	for i, c := range configs {
+		s := newTestServer(t, c.cfg)
+		check := func(b, post int, w *httptest.ResponseRecorder) {
+			if w.Code != http.StatusOK {
+				t.Fatalf("body %d config %d post %d: %d", b, i, post, w.Code)
+			}
+			if want[b] == nil {
+				want[b] = append([]byte(nil), w.Body.Bytes()...)
+				return
+			}
+			if !bytes.Equal(w.Body.Bytes(), want[b]) {
+				t.Fatalf("body %d config %d post %d diverged: pool width or plane mode leaked into response bytes", b, i, post)
+			}
+		}
+		if c.concurrent {
+			n := len(bodies) * c.posts
+			got := runner.Map(4, n, func(k int) *httptest.ResponseRecorder {
+				return postEval(t, s, bodies[k%len(bodies)])
+			})
+			for k, w := range got {
+				check(k%len(bodies), k/len(bodies), w)
+			}
+		} else {
+			for b, body := range bodies {
+				for post := 0; post < c.posts; post++ {
+					check(b, post, postEval(t, s, body))
 				}
 			}
 		}
-		if cfg.Telemetry {
+		if c.cfg.Telemetry {
 			snap := s.Snapshot()
-			if k := snap.Kernel; k == nil || k.Runs != uint64(len(bodies)*rounds) || k.Dispatched == 0 {
-				t.Errorf("plane did not aggregate all %d requests: %+v", len(bodies)*rounds, k)
+			if k := snap.Kernel; k == nil || k.Runs != uint64(len(bodies)*c.posts) || k.Dispatched == 0 {
+				t.Errorf("config %d: plane did not aggregate all %d requests: %+v", i, len(bodies)*c.posts, k)
 			}
 		}
 	}

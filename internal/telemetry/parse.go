@@ -11,9 +11,9 @@ import (
 // ParseExposition parses and validates OpenMetrics text produced by
 // WriteExposition (or any conforming writer of the same subset). It is
 // the self-check half of the exposition contract: /metricsz is tested
-// against this parser in unit tests, in the service smoke suite, and
-// in the chaos runs, so a format regression fails loudly instead of
-// silently breaking scrapers.
+// against this parser in the serve tests and in the chaos runs, so a
+// format regression fails loudly instead of silently breaking
+// scrapers.
 //
 // Structural rules enforced:
 //

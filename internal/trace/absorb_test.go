@@ -15,7 +15,7 @@ import (
 func tracePart(t *testing.T, d defense.Defense, seed int64) *trace.Session {
 	t.Helper()
 	s := trace.NewSession()
-	attack.CVE20185092().Evaluate(d.WithTracer(s), seed)
+	attack.EvaluateCVE(attack.CVE20185092(), d.WithTracer(s), seed)
 	s.Close()
 	if s.Len() == 0 {
 		t.Fatal("scenario emitted no records")

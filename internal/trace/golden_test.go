@@ -103,7 +103,7 @@ func checkGolden(t *testing.T, name string, run func(t *testing.T, s *trace.Sess
 // vulnerability never triggers.
 func TestGoldenTraceCVEDefended(t *testing.T) {
 	checkGolden(t, "cve-2018-5092-defended", func(t *testing.T, s *trace.Session) {
-		out := attack.CVE20185092().Evaluate(defense.JSKernel("chrome").WithTracer(s), goldenSeed)
+		out := attack.EvaluateCVE(attack.CVE20185092(), defense.JSKernel("chrome").WithTracer(s), goldenSeed)
 		if !out.Defended {
 			t.Fatalf("expected JSKernel to defend CVE-2018-5092")
 		}
@@ -115,7 +115,7 @@ func TestGoldenTraceCVEDefended(t *testing.T) {
 // kernel lifecycle is fully traced and the exploit still lands.
 func TestGoldenTraceCVEUndefended(t *testing.T) {
 	checkGolden(t, "cve-2018-5092-undefended", func(t *testing.T, s *trace.Session) {
-		out := attack.CVE20185092().Evaluate(defense.DeterFox().WithTracer(s), goldenSeed)
+		out := attack.EvaluateCVE(attack.CVE20185092(), defense.DeterFox().WithTracer(s), goldenSeed)
 		if out.Defended {
 			t.Fatalf("expected DeterFox to remain exploitable by CVE-2018-5092")
 		}
