@@ -52,7 +52,7 @@ func BenchmarkTable1TimingRows(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, a := range attacks {
 			for _, d := range defenses {
-				out := a.Evaluate(d, cfg.Reps, cfg.Seed)
+				out := expr.RunCell(expr.Cell{Timing: a, Defense: d, Reps: cfg.Reps, Seed: cfg.Seed}, expr.Instruments{}).Outcome
 				if out.AttackID == "" {
 					b.Fatal("empty outcome")
 				}

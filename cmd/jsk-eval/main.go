@@ -1,5 +1,6 @@
 // Command jsk-eval regenerates the paper's evaluation artifacts: Tables
 // I–III, Figures 2–3, and the Dromaeo / worker / compatibility numbers.
+// It also runs one cell of Table I and prints its detailed verdict.
 //
 // Usage:
 //
@@ -8,6 +9,8 @@
 //	jsk-eval -table 1             # one artifact
 //	jsk-eval -fig 3 -csv          # figure data as CSV-ish rows
 //	jsk-eval -all -parallel 8     # same bytes, 8 experiment workers
+//	jsk-eval -cell svg-filtering/tor -seed 1 -reps 25
+//	jsk-eval -cell CVE-2018-5092/jskernel-chrome
 //
 // Observability (all outputs byte-identical across reruns and widths):
 //
@@ -26,11 +29,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
+	"jskernel/internal/attack"
+	"jskernel/internal/defense"
 	"jskernel/internal/expr"
 	"jskernel/internal/obs"
 	"jskernel/internal/report"
 	"jskernel/internal/trace"
+	"jskernel/internal/vuln"
 )
 
 func main() {
@@ -52,6 +59,7 @@ func run(w io.Writer, args []string) error {
 		ablation  = fs.Bool("ablation", false, "run the quantum and policy ablation studies")
 		recovery  = fs.Bool("recovery", false, "run the end-to-end secret recovery experiment")
 		chaos     = fs.Bool("chaos", false, "re-run the Table I matrix under seeded fault plans and diff every verdict")
+		cell      = fs.String("cell", "", "run one Table I cell, ROW/DEFENSE (e.g. svg-filtering/tor), and print its per-channel or registry verdict")
 		all       = fs.Bool("all", false, "run every experiment")
 		paper     = fs.Bool("paper", false, "paper-scale parameters (slow); default is quick scale")
 		seed      = fs.Int64("seed", 0, "override the experiment seed")
@@ -152,6 +160,12 @@ func run(w io.Writer, args []string) error {
 	}
 
 	any := false
+	if *cell != "" {
+		any = true
+		if err := runCell(w, cfg, *cell); err != nil {
+			return fmt.Errorf("cell: %w", err)
+		}
+	}
 	if *all || *table == 1 {
 		any = true
 		res, err := expr.Table1(cfg)
@@ -362,9 +376,65 @@ func run(w io.Writer, args []string) error {
 	}
 	if !any {
 		fs.Usage()
-		return fmt.Errorf("nothing to do: pass -all, -table N, -fig N, -chaos, or an experiment flag")
+		return fmt.Errorf("nothing to do: pass -all, -table N, -fig N, -chaos, -cell ROW/DEFENSE, or an experiment flag")
 	}
 	return nil
+}
+
+// runCell evaluates the Table I cell ROW/DEFENSE at cfg's seed and
+// repetition budget, tracing it into cfg.Trace when that is set, and
+// prints its verdict: per-channel statistics for a timing row, the
+// registry's state for a CVE row.
+func runCell(w io.Writer, cfg expr.Config, spec string) error {
+	rowID, defenseID, _ := strings.Cut(spec, "/")
+	c := expr.Cell{Reps: cfg.Reps, Seed: cfg.Seed}
+	c.Timing, _ = expr.TimingRow(rowID)
+	if c.Timing == nil {
+		_, c.CVE, _ = expr.CVERow(vuln.CVE(rowID))
+	}
+	if c.Timing == nil && c.CVE == nil {
+		var ids []string
+		for _, a := range attack.TimingAttacks() {
+			ids = append(ids, a.ID)
+		}
+		for _, a := range attack.CVEAttacks() {
+			ids = append(ids, string(a.CVE))
+		}
+		return fmt.Errorf("unknown row %q (valid: %s)", rowID, strings.Join(ids, ", "))
+	}
+	d, err := defense.ByID(defenseID)
+	if err != nil {
+		return err
+	}
+	c.Defense = d
+	traced := cfg.Trace != nil
+	res := expr.RunCell(c, expr.Instruments{Records: traced, Obs: traced && cfg.Obs})
+	if traced {
+		if err := cfg.Trace.Absorb(res.Trace); err != nil {
+			return err
+		}
+	}
+	out := res.Outcome
+	if c.Timing != nil {
+		fmt.Fprintf(w, "%s vs %s: %s\n", c.Timing.Label, d.Label, verdict(out.Defended))
+		for _, ch := range out.Channels {
+			fmt.Fprintf(w, "  channel %-14s meanA=%.3f meanB=%.3f cohens-d=%.2f leaks=%v\n",
+				ch.Channel, ch.MeanA, ch.MeanB, ch.CohensD, ch.Leaks)
+		}
+		return nil
+	}
+	fmt.Fprintf(w, "%s vs %s: %s (exploited=%v)\n", c.CVE.CVE, d.Label, verdict(out.Defended), out.Exploited)
+	if out.Err != nil {
+		fmt.Fprintf(w, "  driver note: %v\n", out.Err)
+	}
+	return nil
+}
+
+func verdict(defended bool) string {
+	if defended {
+		return report.CheckDefended + " defended"
+	}
+	return report.CheckVulnerable + " vulnerable"
 }
 
 // writeProfile writes the collapsed-stack flamegraph and prints the

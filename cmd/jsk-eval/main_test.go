@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -126,5 +129,95 @@ func TestRunTable1Quick(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "CVE-2010-4576") {
 		t.Error("table 1 output incomplete")
+	}
+}
+
+// TestRunCell pins -cell's report for five Table I cells at seed 1:
+// per-channel statistics for a timing row (non-finite effect sizes
+// included), the registry's verdict for a CVE row, and the driver's note
+// when the kernel's policy refused a trigger outright.
+func TestRunCell(t *testing.T) {
+	cases := []struct {
+		cell, reps, want string
+	}{
+		{"svg-filtering/tor", "25", "" +
+			"SVG Filtering [9] vs Tor Browser: ✗ vulnerable\n" +
+			"  channel perf-now       meanA=100.000 meanB=500.000 cohens-d=+Inf leaks=true\n" +
+			"  channel worker-ticks   meanA=58.000 meanB=477.000 cohens-d=+Inf leaks=true\n"},
+		{"history-sniffing/chrome", "3", "" +
+			"History Sniffing [9] vs Chrome: ✗ vulnerable\n" +
+			"  channel perf-now       meanA=9.000 meanB=15.750 cohens-d=+Inf leaks=true\n" +
+			"  channel worker-ticks   meanA=10.000 meanB=16.000 cohens-d=+Inf leaks=true\n"},
+		{"loopscan/jskernel-chrome", "25", "" +
+			"Loopscan [11] vs JSKernel (chrome): ✓ defended\n" +
+			"  channel max-gap        meanA=1.000 meanB=1.000 cohens-d=0.00 leaks=false\n" +
+			"  channel perf-now       meanA=1.000 meanB=1.000 cohens-d=0.00 leaks=false\n"},
+		{"CVE-2017-7843/jskernel-chrome", "25", "" +
+			"CVE-2017-7843 vs JSKernel (chrome): ✓ defended (exploited=false)\n" +
+			"  driver note: jskernel: denied by security policy: IndexedDB in private browsing\n"},
+		{"CVE-2013-1714/jskernel-chrome", "25", "" +
+			"CVE-2013-1714 vs JSKernel (chrome): ✓ defended (exploited=false)\n"},
+	}
+	for _, c := range cases {
+		t.Run(c.cell, func(t *testing.T) {
+			var b strings.Builder
+			if err := run(&b, []string{"-cell", c.cell, "-seed", "1", "-reps", c.reps}); err != nil {
+				t.Fatal(err)
+			}
+			if got := b.String(); got != c.want {
+				t.Errorf("-cell %s:\n%s\nwant:\n%s", c.cell, got, c.want)
+			}
+		})
+	}
+}
+
+// TestRunCellTraced: -cell feeds the run's trace session, so an
+// observability output describes the cell rather than an empty run.
+func TestRunCellTraced(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "metrics.json")
+	var b strings.Builder
+	if err := run(&b, []string{"-cell", "loopscan/jskernel-chrome", "-reps", "1", "-metrics", out}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct{ Installs, Enqueued int }
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Installs == 0 || m.Enqueued == 0 {
+		t.Errorf("-cell -metrics recorded installs=%d enqueued=%d, want the cell's kernel activity", m.Installs, m.Enqueued)
+	}
+}
+
+// TestRunCellRejects: a cell missing its row or defense, or naming an
+// unknown one, is an error, and the error names the valid IDs.
+func TestRunCellRejects(t *testing.T) {
+	rows := []string{"svg-filtering", "loopscan", "CVE-2018-5092"}
+	defenses := []string{"tor", "jskernel-chrome", "jskernel-edge"}
+	cases := []struct {
+		name, cell string
+		want       []string
+	}{
+		{"missing row", "/chrome", rows},
+		{"missing defense", "svg-filtering", defenses},
+		{"unknown row", "quantum-leap/chrome", append([]string{`"quantum-leap"`}, rows...)},
+		{"unknown defense", "cache-attack/netscape", append([]string{`"netscape"`}, defenses...)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var b strings.Builder
+			err := run(&b, []string{"-cell", c.cell})
+			if err == nil {
+				t.Fatalf("-cell %q ran:\n%s", c.cell, b.String())
+			}
+			for _, id := range c.want {
+				if !strings.Contains(err.Error(), id) {
+					t.Errorf("-cell %q error %q does not name %s", c.cell, err, id)
+				}
+			}
+		})
 	}
 }

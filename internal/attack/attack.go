@@ -108,8 +108,8 @@ type RepSamples map[string][2][]float64
 
 // MeasureRep performs one repetition of the attack — both secret
 // variants, each in a fresh environment — and returns the measurements.
-// Variant environments are seeded repSeedBase+variant+1, matching the
-// per-(rep, variant) seed layout Evaluate has always used. This is the
+// Variant environments are seeded repSeedBase+variant+1, the
+// per-(rep, variant) seed layout of every timing cell. This is the
 // cell-sized unit of work the parallel experiment runner schedules: a
 // rep touches nothing outside its own environments, so reps of the same
 // (attack, defense) pair may run on different workers. Once the
@@ -202,23 +202,6 @@ func (a *TimingAttack) AssembleOutcome(defenseID string, samples map[string][2][
 		out.Channels = append(out.Channels, cr)
 	}
 	return out
-}
-
-// Evaluate runs the timing attack against a defense with the given
-// repetition budget. Each (rep, variant) pair gets a fresh environment
-// with its own seed, so network jitter and fuzzing re-randomize per run —
-// matching how the paper repeats and averages experiments. It is the
-// serial composition of MeasureRep/MergeSamples/AssembleOutcome and its
-// output is unchanged from when it was a single loop.
-func (a *TimingAttack) Evaluate(d defense.Defense, reps int, baseSeed int64) Outcome {
-	if reps <= 0 {
-		reps = Reps
-	}
-	parts := make([]RepSamples, reps)
-	for rep := 0; rep < reps; rep++ {
-		parts[rep] = a.MeasureRep(d, baseSeed+int64(rep)*2)
-	}
-	return a.AssembleOutcome(d.ID, MergeSamples(parts))
 }
 
 // errSkip marks attacks that could not start under a defense.

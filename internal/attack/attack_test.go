@@ -12,7 +12,18 @@ const testReps = 5
 
 func evalTiming(t *testing.T, a *TimingAttack, d defense.Defense) Outcome {
 	t.Helper()
-	return a.Evaluate(d, testReps, 1000)
+	return evaluate(a, d, testReps, 1000)
+}
+
+// evaluate runs reps repetitions of a against d serially, rep r seeded
+// from seed+2r as expr.RunCell seeds a timing cell, and judges the
+// merged samples.
+func evaluate(a *TimingAttack, d defense.Defense, reps int, seed int64) Outcome {
+	parts := make([]RepSamples, reps)
+	for r := range parts {
+		parts[r] = a.MeasureRep(d, seed+int64(r)*2)
+	}
+	return a.AssembleOutcome(d.ID, MergeSamples(parts))
 }
 
 // TestAllTimingAttacksLeakOnLegacyChrome verifies the attacks themselves:
@@ -159,7 +170,7 @@ func TestCriterionSensitivity(t *testing.T) {
 		{CacheAttack(), defense.JSKernel("chrome")},
 	}
 	for _, c := range cells {
-		out := c.attack.Evaluate(c.defense, testReps, 4000)
+		out := evaluate(c.attack, c.defense, testReps, 4000)
 		if out.Defended != out.WelchDefended() {
 			t.Errorf("%s vs %s: Cohen verdict %v but Welch verdict %v",
 				c.attack.ID, c.defense.ID, out.Defended, out.WelchDefended())

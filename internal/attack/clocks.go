@@ -70,7 +70,7 @@ const (
 // channelTickTotal carries the worker clock's total tick count, used to
 // judge whether the implicit channel has usable resolution. The leading
 // underscore marks it as harness metadata (the attacker has no wall clock
-// to normalize totals against), so Evaluate skips it.
+// to normalize totals against), so MeasureRep skips it.
 const channelTickTotal = "_tick-total"
 
 // warmupDelay lets tick sources reach steady state before measuring.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSABTimerLeaksOnLegacy(t *testing.T) {
-	out := SABTimerAttack().Evaluate(defense.Chrome(), testReps, 900)
+	out := evaluate(SABTimerAttack(), defense.Chrome(), testReps, 900)
 	if out.Defended {
 		t.Fatalf("SAB timer did not leak on legacy Chrome: %+v", out.Channels)
 	}
@@ -27,8 +27,8 @@ func TestSABTimerLeaksOnLegacy(t *testing.T) {
 // is coarsened by orders of magnitude (the paper notes SAB was simply
 // disabled in browsers — see the hardening policy below).
 func TestSABTimerKernelSerializationCoarsens(t *testing.T) {
-	legacy := SABTimerAttack().Evaluate(defense.Chrome(), testReps, 900)
-	kernelOut := SABTimerAttack().Evaluate(defense.JSKernel("chrome"), testReps, 900)
+	legacy := evaluate(SABTimerAttack(), defense.Chrome(), testReps, 900)
+	kernelOut := evaluate(SABTimerAttack(), defense.JSKernel("chrome"), testReps, 900)
 	lb, kb := legacy.BestChannel(), kernelOut.BestChannel()
 	if lb.MeanB == 0 {
 		t.Fatal("legacy measurement empty")
@@ -52,7 +52,7 @@ func TestSABTimerClosedByHardeningPolicy(t *testing.T) {
 	hardened := policy.Combine("jskernel-hardened",
 		policy.DisableSharedBuffers(), policy.FullDefense())
 	d := defense.JSKernelWithPolicy("chrome", "jskernel-hardened", hardened)
-	out := SABTimerAttack().Evaluate(d, testReps, 900)
+	out := evaluate(SABTimerAttack(), d, testReps, 900)
 	if !out.Defended {
 		t.Fatalf("hardened kernel leaked via SAB: %+v", out.Channels)
 	}

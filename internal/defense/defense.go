@@ -9,6 +9,7 @@ package defense
 
 import (
 	"fmt"
+	"strings"
 
 	"jskernel/internal/browser"
 	"jskernel/internal/fault"
@@ -401,7 +402,8 @@ func Figure3Defenses() []Defense {
 	}
 }
 
-// ByID resolves a defense from its identifier.
+// ByID resolves a defense from its identifier. An unknown identifier's
+// error names the valid ones.
 func ByID(id string) (Defense, error) {
 	all := append(TableIDefenses(), JSKernel("firefox"), JSKernel("edge"))
 	for _, d := range all {
@@ -409,5 +411,9 @@ func ByID(id string) (Defense, error) {
 			return d, nil
 		}
 	}
-	return Defense{}, fmt.Errorf("defense: unknown id %q", id)
+	ids := make([]string, len(all))
+	for i, d := range all {
+		ids[i] = d.ID
+	}
+	return Defense{}, fmt.Errorf("defense: unknown id %q (valid: %s)", id, strings.Join(ids, ", "))
 }

@@ -50,7 +50,7 @@ func QuantumAblation(cfg Config) ([]QuantumAblationRow, *report.Table, error) {
 		p.QuantumMicros = q
 		d := defense.JSKernelWithPolicy("chrome", p.PolicyName, p)
 
-		svg := attack.SVGFilteringAttack().Evaluate(d, cfg.Reps, cfg.Seed)
+		svg := RunCell(Cell{Timing: attack.SVGFilteringAttack(), Defense: d, Reps: cfg.Reps, Seed: cfg.Seed}, Instruments{}).Outcome
 
 		diffs, _, err := workload.CompatCount(d, defense.Chrome(), cfg.Seed)
 		if err != nil {
@@ -130,12 +130,12 @@ func PolicyAblation(cfg Config) ([]PolicyAblationRow, *report.Table, error) {
 	for _, v := range variants {
 		row := PolicyAblationRow{Config: v.name}
 		for _, a := range probes {
-			if a.Evaluate(v.d, cfg.Reps, cfg.Seed).Defended {
+			if RunCell(Cell{Timing: a, Defense: v.d, Reps: cfg.Reps, Seed: cfg.Seed}, Instruments{}).Outcome.Defended {
 				row.TimingBlocked++
 			}
 		}
 		for _, a := range attack.CVEAttacks() {
-			if attack.EvaluateCVE(a, v.d, cfg.Seed).Defended {
+			if RunCell(Cell{CVE: a, Defense: v.d, Seed: cfg.Seed}, Instruments{}).Outcome.Defended {
 				row.CVEBlocked++
 			}
 		}

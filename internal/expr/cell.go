@@ -11,11 +11,11 @@ import (
 // The cell pipeline. The paper's evaluation is one matrix — Table I's
 // attack rows against its defense columns — and every tool here
 // evaluates cells of it: Table I itself (and the chaos matrix over it),
-// the forensic and race re-judgements, jsk-serve's /v1/eval and
-// jsk-race. Each of them describes a cell as a Cell, says which
-// instruments to attach, and calls RunCell, which owns the cell's one
-// trace session. Where a matrix cell's seed comes from is decided once,
-// in newTable1Grid.
+// the forensic and race re-judgements, the ablations, jsk-eval -cell,
+// jsk-serve's /v1/eval and jsk-race. Each of them describes a cell as a
+// Cell, says which instruments to attach, and calls RunCell, which owns
+// the cell's one trace session. Where a matrix cell's seed comes from is
+// decided once, in newTable1Grid.
 
 // Cell is one evaluation of a Table I coordinate: a timing or CVE row
 // under one defense.
@@ -27,8 +27,8 @@ type Cell struct {
 	// cancellation hook). RunCell adds the tracer and obs setting.
 	Defense defense.Defense
 	// Reps is a timing row's repetition budget (0 means attack.Reps).
-	// Rep r seeds its two secret-variant environments from Seed+2r, the
-	// layout TimingAttack.Evaluate uses. A CVE row runs its trigger once.
+	// Rep r seeds its two secret-variant environments from Seed+2r
+	// (attack.TimingAttack.MeasureRep). A CVE row runs its trigger once.
 	Reps int
 	// Seed is the cell's base seed.
 	Seed int64

@@ -113,8 +113,8 @@ func (g *table1Grid) timingReps(outs []CellResult, ri, di int) []CellResult {
 	return outs[i : i+g.reps]
 }
 
-// mergedOutcome judges a timing pair's merged reps — the statistics a
-// serial TimingAttack.Evaluate computes.
+// mergedOutcome judges a timing pair's merged reps — the statistics
+// RunCell computes for the pair run serially as one cell.
 func (g *table1Grid) mergedOutcome(outs []CellResult, ri, di int) attack.Outcome {
 	reps := g.timingReps(outs, ri, di)
 	parts := make([]attack.RepSamples, len(reps))

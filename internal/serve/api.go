@@ -55,7 +55,8 @@ type Request struct {
 	// Tenant attributes this request in the cross-request forensics
 	// ledger (empty accumulates under the anonymous tenant). It never
 	// affects the evaluation or the response bytes — the same cell with
-	// a different tenant returns identical bodies.
+	// a different tenant returns identical bodies. A name longer than
+	// 128 bytes is a bad_request.
 	Tenant string `json:"tenant,omitempty"`
 }
 

@@ -22,16 +22,21 @@ type Client struct {
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// MaxAttempts bounds tries per Eval, counting the first. Default: 4.
+	// MaxAttempts bounds tries per evaluation, counting the first, and
+	// consecutive failed connections per Events. Default: 4.
 	MaxAttempts int
-	// BaseBackoff is the first retry wait, doubling each attempt up to
-	// MaxBackoff. Defaults: 100ms / 5s.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Sleep replaces time.Sleep between attempts (tests virtualize the
-	// schedule through this hook). Default: time.Sleep.
-	Sleep func(time.Duration)
+
+	// sleep replaces time.Sleep between attempts: a test seam, set only
+	// by this package's tests to virtualize the schedule.
+	sleep func(time.Duration)
 }
+
+// The retry schedule: the first wait, doubling each attempt up to the
+// cap.
+const (
+	baseBackoff = 100 * time.Millisecond
+	maxBackoff  = 5 * time.Second
+)
 
 func (c *Client) maxAttempts() int {
 	if c.MaxAttempts > 0 {
@@ -39,30 +44,11 @@ func (c *Client) maxAttempts() int {
 	}
 	return 4
 }
-func (c *Client) baseBackoff() time.Duration {
-	if c.BaseBackoff > 0 {
-		return c.BaseBackoff
-	}
-	return 100 * time.Millisecond
-}
-func (c *Client) maxBackoff() time.Duration {
-	if c.MaxBackoff > 0 {
-		return c.MaxBackoff
-	}
-	return 5 * time.Second
-}
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
 	return http.DefaultClient
-}
-func (c *Client) sleep(d time.Duration) {
-	if c.Sleep != nil {
-		c.Sleep(d)
-		return
-	}
-	time.Sleep(d)
 }
 
 // transportError wraps a failure below the HTTP layer (dial refused,
@@ -78,81 +64,39 @@ func (e *transportError) Retryable() bool { return true }
 
 // backoffWait computes the wait before retry attempt (1-based), taking
 // the larger of the exponential schedule and the server's hint.
-func (c *Client) backoffWait(attempt int, hintMs int64) time.Duration {
-	wait := c.baseBackoff()
+func backoffWait(attempt int, hintMs int64) time.Duration {
+	wait := baseBackoff
 	for i := 1; i < attempt; i++ {
 		wait *= 2
-		if wait >= c.maxBackoff() {
-			wait = c.maxBackoff()
+		if wait >= maxBackoff {
+			wait = maxBackoff
 			break
 		}
 	}
 	if hint := time.Duration(hintMs) * time.Millisecond; hint > wait {
 		wait = hint
 	}
-	if wait > c.maxBackoff() {
-		wait = c.maxBackoff()
-	}
-	return wait
+	return min(wait, maxBackoff)
 }
 
-// Eval runs one evaluation request, retrying transient failures up to
-// MaxAttempts. The returned error, when non-nil, is always a
-// RetryableError (*Error from the server, *transportError below it) —
-// callers branch on the classification, never on text.
+// backoff sleeps before retry attempt (1-based) after err.
+func (c *Client) backoff(attempt int, err error) {
+	var hint int64
+	if e, ok := err.(*Error); ok {
+		hint = e.RetryAfterMs
+	}
+	sleep := c.sleep
+	if sleep == nil {
+		sleep = time.Sleep
+	}
+	sleep(backoffWait(attempt, hint))
+}
+
+// Eval is EvalBytes with the response decoded.
 func (c *Client) Eval(ctx context.Context, req Request) (*Response, error) {
-	body, err := json.Marshal(req)
+	data, err := c.EvalBytes(ctx, req)
 	if err != nil {
-		return nil, fmt.Errorf("serve: encoding request: %w", err)
-	}
-	var last error
-	for attempt := 1; ; attempt++ {
-		resp, err := c.once(ctx, body)
-		if err == nil {
-			return resp, nil
-		}
-		last = err
-		if attempt >= c.maxAttempts() {
-			break
-		}
-		re, ok := err.(RetryableError)
-		if !ok || !re.Retryable() {
-			break
-		}
-		var hint int64
-		if e, ok := err.(*Error); ok {
-			hint = e.RetryAfterMs
-		}
-		c.sleep(c.backoffWait(attempt, hint))
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, last
-}
-
-// once performs a single attempt.
-func (c *Client) once(ctx context.Context, body []byte) (*Response, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/eval", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("serve: building request: %w", err)
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.httpClient().Do(httpReq)
-	if err != nil {
-		return nil, &transportError{err: err}
-	}
-	defer httpResp.Body.Close()
-	data, err := io.ReadAll(httpResp.Body)
-	if err != nil {
-		return nil, &transportError{err: err}
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		var env errEnvelope
-		if jerr := json.Unmarshal(data, &env); jerr != nil || env.Error == nil {
-			return nil, &transportError{err: fmt.Errorf("status %d with undecodable error body", httpResp.StatusCode)}
-		}
-		return nil, env.Error
+		return nil, err
 	}
 	var resp Response
 	if err := json.Unmarshal(data, &resp); err != nil {
@@ -161,14 +105,35 @@ func (c *Client) once(ctx context.Context, body []byte) (*Response, error) {
 	return &resp, nil
 }
 
-// EvalBytes is Eval without response decoding: it returns the exact
-// response body bytes on success. The determinism suites compare these
-// byte-for-byte across pool widths and repeated rounds.
+// EvalBytes runs one evaluation request, retrying transient failures up
+// to MaxAttempts, and returns the exact response body bytes. The
+// determinism suites compare these byte-for-byte across pool widths and
+// repeated rounds. The returned error, when non-nil, is always a
+// RetryableError (*Error from the server, *transportError below it) —
+// callers branch on the classification, never on text.
 func (c *Client) EvalBytes(ctx context.Context, req Request) ([]byte, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("serve: encoding request: %w", err)
 	}
+	for attempt := 1; ; attempt++ {
+		data, err := c.once(ctx, body)
+		if err == nil {
+			return data, nil
+		}
+		re, ok := err.(RetryableError)
+		if attempt >= c.maxAttempts() || !ok || !re.Retryable() {
+			return nil, err
+		}
+		c.backoff(attempt, err)
+		if ctx.Err() != nil {
+			return nil, err
+		}
+	}
+}
+
+// once performs a single attempt and returns the body of a 200.
+func (c *Client) once(ctx context.Context, body []byte) ([]byte, error) {
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/eval", bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("serve: building request: %w", err)

@@ -61,11 +61,7 @@ func (c *Client) Events(ctx context.Context, after uint64, fn func(StreamEvent) 
 		if failures >= c.maxAttempts() {
 			return last
 		}
-		var hint int64
-		if e, ok := err.(*Error); ok {
-			hint = e.RetryAfterMs
-		}
-		c.sleep(c.backoffWait(failures, hint))
+		c.backoff(failures, err)
 	}
 }
 

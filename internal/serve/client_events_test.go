@@ -68,7 +68,7 @@ func TestClientEventsResume(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	cl := &Client{BaseURL: srv.URL, Sleep: func(time.Duration) {}}
+	cl := &Client{BaseURL: srv.URL, sleep: func(time.Duration) {}}
 	var got []uint64
 	err := cl.Events(context.Background(), 0, func(ev StreamEvent) error {
 		if ev.Type != "forensics" {
@@ -103,7 +103,7 @@ func TestClientEventsPermanentError(t *testing.T) {
 	defer srv.Close()
 
 	slept := 0
-	cl := &Client{BaseURL: srv.URL, Sleep: func(time.Duration) { slept++ }}
+	cl := &Client{BaseURL: srv.URL, sleep: func(time.Duration) { slept++ }}
 	err := cl.Events(context.Background(), 0, func(StreamEvent) error {
 		t.Fatal("received an event from a telemetry-off server")
 		return nil
@@ -130,7 +130,7 @@ func TestClientEventsFailureBudget(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	cl := &Client{BaseURL: srv.URL, MaxAttempts: 3, Sleep: func(time.Duration) {}}
+	cl := &Client{BaseURL: srv.URL, MaxAttempts: 3, sleep: func(time.Duration) {}}
 	err := cl.Events(context.Background(), 0, func(StreamEvent) error { return nil })
 	if err == nil {
 		t.Fatal("Events returned nil despite every connection dying")

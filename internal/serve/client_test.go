@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -44,7 +45,7 @@ func TestClientRetriesTransient(t *testing.T) {
 	c := &Client{
 		BaseURL:     ts.URL,
 		MaxAttempts: 4,
-		Sleep:       func(d time.Duration) { waits = append(waits, d) },
+		sleep:       func(d time.Duration) { waits = append(waits, d) },
 	}
 	resp, err := c.Eval(context.Background(), Request{Attack: "loopscan", Defense: "chrome"})
 	if err != nil {
@@ -73,7 +74,7 @@ func TestClientStopsOnPermanent(t *testing.T) {
 	ts, attempts := scriptedServer(t, []*Error{errf(CodeUnknownAttack, "nope")})
 	c := &Client{
 		BaseURL: ts.URL,
-		Sleep:   func(time.Duration) { t.Error("slept before a permanent failure") },
+		sleep:   func(time.Duration) { t.Error("slept before a permanent failure") },
 	}
 	_, err := c.Eval(context.Background(), Request{Attack: "nope", Defense: "chrome"})
 	e, ok := err.(*Error)
@@ -91,7 +92,7 @@ func TestClientRetriesTransport(t *testing.T) {
 	c := &Client{
 		BaseURL:     "http://127.0.0.1:1", // nothing listens on port 1
 		MaxAttempts: 2,
-		Sleep:       func(time.Duration) {},
+		sleep:       func(time.Duration) {},
 	}
 	_, err := c.Eval(context.Background(), Request{Attack: "loopscan", Defense: "chrome"})
 	if err == nil {
@@ -104,9 +105,8 @@ func TestClientRetriesTransport(t *testing.T) {
 }
 
 // TestClientBackoffSchedule pins the full deterministic schedule: pure
-// doubling from the base, capped at the max, hint taken when larger.
+// doubling from the 100 ms base, capped at 5 s, hint taken when larger.
 func TestClientBackoffSchedule(t *testing.T) {
-	c := &Client{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 1 * time.Second}
 	cases := []struct {
 		attempt int
 		hintMs  int64
@@ -115,16 +115,54 @@ func TestClientBackoffSchedule(t *testing.T) {
 		{1, 0, 100 * time.Millisecond},
 		{2, 0, 200 * time.Millisecond},
 		{3, 0, 400 * time.Millisecond},
-		{4, 0, 800 * time.Millisecond},
-		{5, 0, 1 * time.Second},          // capped
-		{10, 0, 1 * time.Second},         // stays capped
+		{6, 0, 3200 * time.Millisecond},
+		{7, 0, 5 * time.Second},          // capped
+		{10, 0, 5 * time.Second},         // stays capped
 		{1, 300, 300 * time.Millisecond}, // hint dominates
 		{3, 300, 400 * time.Millisecond}, // schedule dominates
-		{1, 5000, 1 * time.Second},       // hint capped too
+		{1, 60000, 5 * time.Second},      // hint capped too
 	}
 	for _, tc := range cases {
-		if got := c.backoffWait(tc.attempt, tc.hintMs); got != tc.want {
+		if got := backoffWait(tc.attempt, tc.hintMs); got != tc.want {
 			t.Errorf("backoffWait(%d, %d) = %v, want %v", tc.attempt, tc.hintMs, got, tc.want)
+		}
+	}
+}
+
+// TestClientEvalBytesRetries: EvalBytes retries a transient refusal up
+// to MaxAttempts and returns the successful attempt's body verbatim.
+// MaxAttempts 1 makes exactly one attempt and surfaces the refusal.
+func TestClientEvalBytesRetries(t *testing.T) {
+	body := []byte(`{"attack":"loopscan","defense":"chrome","kind":"timing","seed":0,"defended":true,"table":""}` + "\n")
+	for _, tc := range []struct {
+		maxAttempts int
+		attempts    int64
+	}{{2, 2}, {1, 1}} {
+		var attempts atomic.Int64
+		srv := &Server{} // only for the writeError helper
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if attempts.Add(1) == 1 {
+				srv.writeError(w, errf(CodeDraining, "draining"))
+				return
+			}
+			w.Write(body)
+		}))
+		slept := 0
+		c := &Client{BaseURL: ts.URL, MaxAttempts: tc.maxAttempts, sleep: func(time.Duration) { slept++ }}
+		got, err := c.EvalBytes(context.Background(), Request{Attack: "loopscan", Defense: "chrome"})
+		ts.Close()
+		if n := attempts.Load(); n != tc.attempts || slept != int(tc.attempts)-1 {
+			t.Errorf("MaxAttempts %d: %d attempts and %d waits, want %d and %d",
+				tc.maxAttempts, n, slept, tc.attempts, tc.attempts-1)
+		}
+		if tc.maxAttempts == 1 {
+			if e, ok := err.(*Error); !ok || e.Code != CodeDraining {
+				t.Errorf("MaxAttempts 1: got %q, %v; want the typed draining refusal", got, err)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("MaxAttempts 2: got %q, %v; want the 200 body %q", got, err, body)
 		}
 	}
 }

@@ -55,9 +55,9 @@ func decodeRequest(body []byte) (Request, *Error) {
 }
 
 // resolve validates the request against the catalog, the server's
-// repetition bounds and the deadline range. It runs at admission time,
-// before any pool capacity is spent, so malformed work is rejected
-// without queueing.
+// repetition bounds, the deadline range and the tenant-name cap. It
+// runs at admission time, before any pool capacity is spent, so
+// malformed work is rejected without queueing.
 func (c *Config) resolve(req Request) (*cell, *Error) {
 	cl := &cell{req: req}
 	cl.Seed = req.Seed
@@ -66,6 +66,9 @@ func (c *Config) resolve(req Request) (*cell, *Error) {
 	}
 	if req.Defense == "" {
 		return nil, errf(CodeBadRequest, "missing defense")
+	}
+	if len(req.Tenant) > maxTenantBytes {
+		return nil, errf(CodeBadRequest, "tenant is %d bytes, above %d", len(req.Tenant), maxTenantBytes)
 	}
 	d, err := defense.ByID(req.Defense)
 	if err != nil {

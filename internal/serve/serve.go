@@ -77,6 +77,9 @@ type Config struct {
 const (
 	// maxBodyBytes bounds request bodies.
 	maxBodyBytes = 1 << 20
+	// maxTenantBytes bounds a request's tenant name. Every distinct name
+	// is a key of the cross-request ledger.
+	maxTenantBytes = 128
 	// defaultReadTimeout bounds how long a client may take to deliver
 	// its request (the slow-loris bound).
 	defaultReadTimeout = 15 * time.Second
@@ -179,7 +182,6 @@ type Server struct {
 	reqSeq atomic.Uint64
 
 	httpSrv *http.Server
-	lnAddr  atomic.Value // string; set by Start
 }
 
 // New builds a server and starts its worker pool. The caller serves
@@ -512,7 +514,6 @@ func (s *Server) Start(ln net.Listener) {
 		ReadTimeout:       readTimeout,
 		ReadHeaderTimeout: readTimeout,
 	}
-	s.lnAddr.Store(ln.Addr().String())
 	fmt.Fprintf(s.cfg.log(), "jsk-serve: listening on %s (pool %d, queue %d)\n",
 		ln.Addr(), s.cfg.pool(), s.cfg.queueDepth())
 	srv := s.httpSrv
@@ -521,14 +522,6 @@ func (s *Server) Start(ln net.Listener) {
 			fmt.Fprintf(s.cfg.log(), "jsk-serve: serve error: %v\n", err)
 		}
 	}()
-}
-
-// Addr reports the listening address once Start has run ("" before).
-func (s *Server) Addr() string {
-	if v := s.lnAddr.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
 }
 
 // Run serves on ln until a signal arrives on stop, then drains

@@ -140,6 +140,7 @@ func TestEvalRejections(t *testing.T) {
 		{"negative deadline", `{"attack":"loopscan","defense":"chrome","deadline_ms":-1}`, http.StatusBadRequest, CodeBadRequest},
 		{"deadline overflows to a negative budget", `{"attack":"loopscan","defense":"chrome","deadline_ms":9223372036854775807}`, http.StatusBadRequest, CodeBadRequest},
 		{"deadline overflows to a zero budget", `{"attack":"loopscan","defense":"chrome","deadline_ms":4611686018427387904}`, http.StatusBadRequest, CodeBadRequest},
+		{"tenant over cap", `{"attack":"loopscan","defense":"chrome","tenant":"` + strings.Repeat("t", maxTenantBytes+1) + `"}`, http.StatusBadRequest, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -71,13 +71,18 @@ test -s "$trace_tmp/dromaeo-trace.json" || fail "trace export smoke (empty outpu
 # Fuzz: each native fuzz target runs for a short fixed budget on top of
 # its checked-in seed corpus (which the unit-test stage above already
 # replays): the trace record codec, the /v1/eval request decoder and
-# resolver, and the replay-token parser, all fed bytes from outside the
-# program. A failing input is written under the package's testdata/fuzz
-# directory for replay.
-stage "fuzz (FuzzReadRecords, FuzzEvalRequest, FuzzParseToken; 10s each)"
+# resolver, the replay-token parser and the /metricsz exposition parser,
+# all fed bytes from outside the program. A failing input is written
+# under the package's testdata/fuzz directory for replay.
+stage "fuzz (FuzzReadRecords, FuzzEvalRequest, FuzzParseToken, FuzzParseExposition; 10s each)"
 go test -run '^$' -fuzz '^FuzzReadRecords$' -fuzztime 10s ./internal/trace || fail "fuzz FuzzReadRecords"
 go test -run '^$' -fuzz '^FuzzEvalRequest$' -fuzztime 10s ./internal/serve || fail "fuzz FuzzEvalRequest"
 go test -run '^$' -fuzz '^FuzzParseToken$' -fuzztime 10s ./internal/explore || fail "fuzz FuzzParseToken"
+# FuzzParseExposition's seeds include whole /metricsz scrapes (up to
+# 8 KB). At the default 60 s minimization cap, minimizing the first new
+# input derived from one ate the whole budget: 120 to 335 executions in
+# 10 s on a 2-vCPU host, against about 124,000 with a 1 s cap.
+go test -run '^$' -fuzz '^FuzzParseExposition$' -fuzztime 10s -fuzzminimizetime 1s ./internal/telemetry || fail "fuzz FuzzParseExposition"
 
 # Observability smoke: the streaming consumers must attach, profile and
 # report without perturbing the run — flamegraph, telemetry report and
