@@ -92,6 +92,22 @@ func run(w io.Writer, args []string) error {
 	}
 	cfg.Parallel = *parallel
 
+	// The observability outputs read the run's trace session, and only
+	// -cell, -table 1/2/3, -dromaeo and -chaos (whose plans rerun the
+	// Table I matrix) feed it, alone or through -all. Without one of them
+	// each output would describe an empty run, so the combination is
+	// refused.
+	var unfed []string
+	for _, o := range []struct{ flag, out string }{{"-trace", *traceOut}, {"-profile", *profOut}, {"-obs-report", *obsDir}, {"-metrics", *metrOut}} {
+		if o.out != "" {
+			unfed = append(unfed, o.flag)
+		}
+	}
+	fed := *cell != "" || (*table >= 1 && *table <= 3) || *dromaeo || *chaos || *all
+	if len(unfed) > 0 && !fed {
+		return fmt.Errorf("%s: no selected experiment feeds the trace session; add -cell, -table 1|2|3, -dromaeo, -chaos or -all", strings.Join(unfed, ", "))
+	}
+
 	// Any observability output needs a trace session on the experiments.
 	// The session only retains records when the full trace is being
 	// exported; the streaming consumers (profiler, detectors, validator,

@@ -171,6 +171,34 @@ func TestRunCell(t *testing.T) {
 	}
 }
 
+// TestRunRefusesUnfedObservability: -fig 2 and -recovery run nothing
+// through the trace session, so asking them for -trace, -profile,
+// -obs-report or -metrics is an error that names the flags, not an
+// empty artifact.
+func TestRunRefusesUnfedObservability(t *testing.T) {
+	dir := t.TempDir()
+	cases := [][]string{
+		{"-fig", "2", "-metrics", filepath.Join(dir, "m.json")},
+		{"-recovery", "-trace", filepath.Join(dir, "t.json")},
+		{"-fig", "2", "-profile", filepath.Join(dir, "p.folded"), "-obs-report", filepath.Join(dir, "obs")},
+	}
+	for _, args := range cases {
+		var b strings.Builder
+		err := run(&b, args)
+		if err == nil {
+			t.Fatalf("%v ran:\n%s", args, b.String())
+		}
+		for _, a := range args {
+			if strings.HasPrefix(a, "-") && a != "-fig" && a != "-recovery" && !strings.Contains(err.Error(), a) {
+				t.Errorf("%v: error %q does not name %s", args, err, a)
+			}
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("refused runs wrote %d files", len(entries))
+	}
+}
+
 // TestRunCellTraced: -cell feeds the run's trace session, so an
 // observability output describes the cell rather than an empty run.
 func TestRunCellTraced(t *testing.T) {
@@ -183,12 +211,12 @@ func TestRunCellTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m struct{ Installs, Enqueued int }
+	var m struct{ Installs, Enqueued, Dispatched int }
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Installs == 0 || m.Enqueued == 0 {
-		t.Errorf("-cell -metrics recorded installs=%d enqueued=%d, want the cell's kernel activity", m.Installs, m.Enqueued)
+	if m.Installs == 0 || m.Enqueued == 0 || m.Dispatched == 0 {
+		t.Errorf("-cell -metrics recorded installs=%d enqueued=%d dispatched=%d, want the cell's kernel activity", m.Installs, m.Enqueued, m.Dispatched)
 	}
 }
 

@@ -17,7 +17,8 @@
 //     cases uniformly at random.
 //   - goroutinescope: go statements outside the scheduler/runtime
 //     allowlist — stray goroutines race the discrete-event loop.
-//   - panicsafe: raw Policy.Evaluate / Event.Callback invocations that
+//   - panicsafe: raw Policy.Evaluate calls and raw calls of an event's
+//     user code (Event.Callback, its typed callbacks, ticker.fire) that
 //     bypass the recover-wrapped helpers (safeEvaluate, dispatchUser).
 //
 // Intentional exceptions are annotated in source with

@@ -444,10 +444,44 @@ func (k *Kernel) raw(ev *Event) {
 }
 `
 
+// panicSafeTypedFixture holds an event's typed callbacks: a func-typed
+// field and a tick source behind the kernel's ticker interface.
+const panicSafeTypedFixture = `package kernel
+
+type Global struct{}
+
+type ticker interface{ fire(*Global) }
+
+type Event struct {
+	timeout func(*Global)
+	ticker  ticker
+	k       *Kernel
+}
+
+type Kernel struct{ g *Global }
+
+func (k *Kernel) confirm(*Event) {}
+
+func (k *Kernel) dispatchUser(ev *Event) {
+	ev.timeout(k.g)     // allowed: the recover-wrapped helper
+	ev.ticker.fire(k.g) // allowed
+}
+
+func (k *Kernel) raw(ev *Event) {
+	ev.timeout(k.g)     // finding: bypasses panic isolation
+	ev.ticker.fire(k.g) // finding: bypasses panic isolation
+	ev.k.confirm(ev)    // a kernel method, not user code
+}
+`
+
 func TestPanicSafe(t *testing.T) {
 	t.Run("raw calls flagged, wrappers allowed", func(t *testing.T) {
 		diags := fixtures.run(t, "jskernel/internal/kernel", panicSafeFixture)
 		wantFindings(t, diags, [2]any{"panicsafe", 23}, [2]any{"panicsafe", 36})
+	})
+	t.Run("typed event callbacks flagged like Callback", func(t *testing.T) {
+		diags := fixtures.run(t, "jskernel/internal/kernel", panicSafeTypedFixture)
+		wantFindings(t, diags, [2]any{"panicsafe", 23}, [2]any{"panicsafe", 24})
 	})
 	t.Run("outside kernel and browser the analyzer stays quiet", func(t *testing.T) {
 		diags := fixtures.run(t, "jskernel/internal/policy", strings.Replace(panicSafeFixture, "package kernel", "package policy", 1))

@@ -29,7 +29,7 @@ var panicSafeWrappers = map[string]string{
 // released event callbacks must run through Kernel.dispatchUser.
 var PanicSafe = &Analyzer{
 	Name: "panicsafe",
-	Doc:  "forbid raw Policy.Evaluate / Event.Callback calls in kernel+browser; use the recover-wrapped helpers",
+	Doc:  "forbid raw Policy.Evaluate calls and raw event-callback calls in kernel+browser; use the recover-wrapped helpers",
 	Applies: func(pkgPath string) bool {
 		for _, patrolled := range panicSafePkgs {
 			if hasPathSuffix(pkgPath, patrolled) {
@@ -64,7 +64,7 @@ func runPanicSafe(p *Pass) {
 					}
 				case isEventCallback(p, sel):
 					if fd.Name.Name != panicSafeWrappers["Event.Callback"] {
-						p.Reportf(call.Pos(), "raw Event.Callback invocation: a panicking user callback would unwind the dispatcher; release events through Kernel.dispatchUser")
+						p.Reportf(call.Pos(), "raw event callback invocation: a panicking user callback would unwind the dispatcher; release events through Kernel.dispatchUser")
 					}
 				}
 				return true
@@ -83,17 +83,25 @@ func isPolicyEvaluate(p *Pass, sel *ast.SelectorExpr) bool {
 	return isKernelNamed(deref(p.Info.TypeOf(sel.X)), "Policy")
 }
 
-// isEventCallback reports whether sel selects the Callback field of the
-// kernel's Event type.
+// isEventCallback reports whether sel calls a released event's user
+// code: a func-typed field of the kernel's Event type (Callback, and the
+// typed timeout and frame callbacks), or the fire method of the kernel's
+// ticker interface, through which interval and tick-chain events run.
 func isEventCallback(p *Pass, sel *ast.SelectorExpr) bool {
-	if sel.Sel.Name != "Callback" {
-		return false
-	}
 	selection, ok := p.Info.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
+	if !ok {
 		return false
 	}
-	return isKernelNamed(deref(selection.Recv()), "Event")
+	switch selection.Kind() {
+	case types.FieldVal:
+		if _, isFunc := selection.Type().Underlying().(*types.Signature); !isFunc {
+			return false
+		}
+		return isKernelNamed(deref(selection.Recv()), "Event")
+	case types.MethodVal:
+		return sel.Sel.Name == "fire" && isKernelNamed(deref(selection.Recv()), "ticker")
+	}
+	return false
 }
 
 // isKernelNamed reports whether t is the named type internal/kernel.<name>.

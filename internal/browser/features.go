@@ -121,13 +121,9 @@ func (g *Global) nativeTransferToParent(data any, buf *SharedBuffer) error {
 	}
 	st.inFlight++
 	deliverAt := g.thread.Now() + b.Profile.MessageLatency
-	st.parent.PostTask(deliverAt, func(pg *Global) {
-		st.inFlight--
-		b.trace(TraceEvent{Kind: TraceMessageDelivered, ThreadID: st.parent.id, WorkerID: st.id, Detail: "transfer"})
-		if st.handleOnMessage != nil {
-			st.handleOnMessage(pg, MessageEvent{Data: data, SourceWorker: st.id, Transfer: buf})
-		}
-	})
+	if l := st.parent.postLetter(deliverAt, routeTransfer); l != nil {
+		l.msg, l.worker = MessageEvent{Data: data, SourceWorker: st.id, Transfer: buf}, st
+	}
 	return nil
 }
 

@@ -81,13 +81,9 @@ func (f *FrameHandle) PostMessage(data any, targetOrigin string) {
 	}
 	b.trace(TraceEvent{Kind: TracePostMessage, ThreadID: st.parent.thread.id, Detail: "to-frame", Value: int64(st.id)})
 	deliverAt := st.parent.thread.Now() + b.Profile.MessageLatency
-	st.parent.thread.PostTask(deliverAt, func(*Global) {
-		if !st.attached {
-			return
-		}
-		b.trace(TraceEvent{Kind: TraceMessageDelivered, ThreadID: st.parent.thread.id, Detail: "to-frame", Value: int64(st.id)})
-		st.deliver(MessageEvent{Data: data, Origin: b.Origin})
-	})
+	if l := st.parent.thread.postLetter(deliverAt, routeToFrame); l != nil {
+		l.msg.Data, l.msg.Origin, l.frame = data, b.Origin, st
+	}
 }
 
 // RunScript schedules script execution inside the frame. Like
@@ -196,14 +192,11 @@ func (st *frameState) setOnMessage(cb func(*Global, MessageEvent)) {
 	}
 	queued := st.inbox
 	st.inbox = nil
-	parent := st.parent
+	th := st.parent.thread
 	for _, m := range queued {
-		m := m
-		parent.thread.PostTask(parent.thread.Now(), func(*Global) {
-			if st.attached {
-				cb(st.scope, m)
-			}
-		})
+		if l := th.postLetter(th.Now(), routeFrameHandler); l != nil {
+			l.msg, l.frame, l.handler = m, st, cb
+		}
 	}
 }
 
@@ -217,8 +210,7 @@ func (g *Global) framePostToParent(data any) {
 	}
 	b.trace(TraceEvent{Kind: TracePostMessage, ThreadID: g.thread.id, Detail: "to-parent-window", Value: int64(st.id)})
 	deliverAt := g.thread.Now() + b.Profile.MessageLatency
-	st.parent.thread.PostTask(deliverAt, func(*Global) {
-		b.trace(TraceEvent{Kind: TraceMessageDelivered, ThreadID: st.parent.thread.id, Detail: "from-frame", Value: int64(st.id)})
-		st.parent.thread.deliverMessage(MessageEvent{Data: data, Origin: st.origin})
-	})
+	if l := st.parent.thread.postLetter(deliverAt, routeFromFrame); l != nil {
+		l.msg.Data, l.msg.Origin, l.frame = data, st.origin, st
+	}
 }

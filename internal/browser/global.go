@@ -93,16 +93,15 @@ type Global struct {
 	// dispatched tasks always receive the thread's global.
 	token int64
 
-	// timers holds the IDs of live timeout, interval and animation-frame
-	// registrations; clearing one deletes it, and a queued firing whose
-	// ID is gone does nothing.
-	timers      map[int]struct{}
-	nextTimerID int
+	// timers is the scope's timer table: its timeouts, intervals,
+	// animation frames, CSS animations and video cues. A timer's ID is
+	// its slot+generation handle, so clearing one frees its slot and a
+	// queued firing for it finds a newer generation and does nothing.
+	// freeTimers lists the reusable slots.
+	timers     []timer
+	freeTimers []int32
 
 	microtasks []func(*Global)
-
-	cssAnims   map[int]*cssAnimation
-	nextAnimID int
 }
 
 // Browser returns the owning browser.
@@ -316,65 +315,195 @@ func nativeBindings(g *Global) *Bindings {
 	}
 }
 
-// newTimer registers a live timer and returns its ID.
-func (g *Global) newTimer() int {
-	if g.timers == nil {
-		g.timers = make(map[int]struct{})
-	}
-	g.nextTimerID++
-	g.timers[g.nextTimerID] = struct{}{}
-	return g.nextTimerID
+// Target receives a typed native firing on behalf of a kernel. A kernel
+// arms a native timer or animation frame with itself as the target
+// instead of a callback, and the browser fires it with the token given
+// at arming, so a target kept in pooled storage can tell a late firing
+// from its storage's next occupant.
+type Target interface {
+	Fire(token uint64)
 }
 
-// timerLive reports whether timer id is registered and not cleared.
-func (g *Global) timerLive(id int) bool {
-	_, ok := g.timers[id]
-	return ok
+// timerKind says what a timer slot holds; 0 marks a free slot.
+type timerKind uint8
+
+const (
+	timerTimeout timerKind = iota + 1
+	timerInterval
+	timerFrame
+	timerAnimation
+	timerCue
+)
+
+// timer is one slot of a scope's timer table.
+type timer struct {
+	gen    uint32
+	kind   timerKind
+	period sim.Duration           // interval, animation and cue period
+	at     sim.Time               // arrival of an animation's or cue's next tick
+	count  int                    // animation frames or cues fired so far
+	cb     func(*Global)          // timeout and interval callback
+	frame  func(*Global, float64) // animation-frame callback
+	tick   func(*Global, int)     // animation and cue callback
+	target Target                 // kernel target of a timeout or frame
+	token  uint64                 // handed back to target
+}
+
+// newTimer takes a free slot of the timer table for a timer of the given
+// kind and returns its handle, with the slot for the caller to fill in.
+// The pointer is valid until the table next grows.
+func (g *Global) newTimer(kind timerKind) (*timer, uint64) {
+	var slot int32
+	if n := len(g.freeTimers); n > 0 {
+		slot = g.freeTimers[n-1]
+		g.freeTimers = g.freeTimers[:n-1]
+	} else {
+		slot = int32(len(g.timers))
+		g.timers = append(g.timers, timer{gen: 1})
+	}
+	tm := &g.timers[slot]
+	tm.kind = kind
+	return tm, slotHandle(slot, tm.gen)
+}
+
+// liveTimer returns the slot of the timer handle h names, or -1 once
+// that timer is cleared or spent.
+func (g *Global) liveTimer(h uint64) int32 {
+	slot, gen := splitHandle(h)
+	if slot < 0 || int(slot) >= len(g.timers) || g.timers[slot].gen != gen || g.timers[slot].kind == 0 {
+		return -1
+	}
+	return slot
+}
+
+// freeTimer retires a slot's timer. Advancing the generation makes every
+// handle to it stale.
+func (g *Global) freeTimer(slot int32) {
+	tm := &g.timers[slot]
+	*tm = timer{gen: nextGen(tm.gen)}
+	g.freeTimers = append(g.freeTimers, slot)
+}
+
+// queueTimer queues a firing of timer h at `at` and returns the timer's
+// ID.
+func (g *Global) queueTimer(h uint64, at sim.Time) int {
+	g.thread.post(task{arrival: at, scope: g, handle: h})
+	return int(h)
+}
+
+// fireTimer runs the firing task of timer h, registered in scope s, on
+// the thread's global gg: a frame scope's timers fire with the window's
+// global, as every task on the main thread does.
+func (s *Global) fireTimer(gg *Global, h uint64) {
+	slot := s.liveTimer(h)
+	if slot < 0 {
+		return
+	}
+	// Callbacks may register timers and grow the table, so read what a
+	// firing needs before running one, and index the table again after.
+	tm := &s.timers[slot]
+	switch tm.kind {
+	case timerTimeout, timerFrame:
+		cb, frame, target, token := tm.cb, tm.frame, tm.target, tm.token
+		s.freeTimer(slot)
+		switch {
+		case target != nil:
+			// A kernel target reads its own clock at dispatch, so its
+			// frame skips the clock read below; the kernel's
+			// performance.now binding has no side effect to keep.
+			target.Fire(token)
+		case cb != nil:
+			cb(gg)
+		default:
+			frame(gg, gg.bindings.PerformanceNow())
+		}
+		gg.drainMicrotasks()
+	case timerInterval:
+		cb, period := tm.cb, tm.period
+		cb(gg)
+		gg.drainMicrotasks()
+		if s.liveTimer(h) >= 0 {
+			s.queueTimer(h, gg.thread.Now()+period)
+		}
+	case timerAnimation, timerCue:
+		tm.count++
+		tick, count, next := tm.tick, tm.count, tm.at+tm.period
+		tick(gg, count)
+		if s.liveTimer(h) >= 0 {
+			s.timers[slot].at = next
+			s.queueTimer(h, next)
+		}
+	}
+}
+
+// clampTimer applies the browser's minimum timer delay.
+func (g *Global) clampTimer(d sim.Duration) sim.Duration {
+	if d < g.browser.Profile.TimerClampMin {
+		return g.browser.Profile.TimerClampMin
+	}
+	return d
+}
+
+// nextFrame returns the next animation-frame boundary after now.
+func (g *Global) nextFrame() sim.Time {
+	period := g.browser.Profile.FramePeriod
+	return (g.thread.Now()/period + 1) * period
 }
 
 func (g *Global) nativeSetTimeout(cb func(*Global), d sim.Duration) int {
 	if cb == nil {
 		return 0
 	}
-	if d < g.browser.Profile.TimerClampMin {
-		d = g.browser.Profile.TimerClampMin
-	}
-	id := g.newTimer()
-	g.thread.PostTask(g.thread.Now()+d, func(gg *Global) {
-		if !g.timerLive(id) {
-			return
-		}
-		delete(g.timers, id)
-		cb(gg)
-		gg.drainMicrotasks()
-	})
-	return id
+	tm, h := g.newTimer(timerTimeout)
+	tm.cb = cb
+	return g.queueTimer(h, g.thread.Now()+g.clampTimer(d))
 }
 
 func (g *Global) nativeSetInterval(cb func(*Global), d sim.Duration) int {
 	if cb == nil {
 		return 0
 	}
-	if d < g.browser.Profile.TimerClampMin {
-		d = g.browser.Profile.TimerClampMin
-	}
-	id := g.newTimer()
-	var tick func(gg *Global)
-	tick = func(gg *Global) {
-		if !g.timerLive(id) {
-			return
-		}
-		cb(gg)
-		gg.drainMicrotasks()
-		if g.timerLive(id) {
-			g.thread.PostTask(gg.thread.Now()+d, tick)
-		}
-	}
-	g.thread.PostTask(g.thread.Now()+d, tick)
-	return id
+	d = g.clampTimer(d)
+	tm, h := g.newTimer(timerInterval)
+	tm.cb, tm.period = cb, d
+	return g.queueTimer(h, g.thread.Now()+d)
 }
 
-func (g *Global) nativeClearTimer(id int) { delete(g.timers, id) }
+// nativeClearTimer cancels a timeout, interval or animation frame. An ID
+// that names another kind of timer, or a spent one, clears nothing.
+func (g *Global) nativeClearTimer(id int) {
+	if slot := g.liveTimer(uint64(id)); slot >= 0 && g.timers[slot].kind <= timerFrame {
+		g.freeTimer(slot)
+	}
+}
+
+func (g *Global) nativeRequestAnimationFrame(cb func(*Global, float64)) int {
+	if cb == nil {
+		return 0
+	}
+	tm, h := g.newTimer(timerFrame)
+	tm.frame = cb
+	return g.queueTimer(h, g.nextFrame())
+}
+
+// ArmTimeout arms a native one-shot timer that fires t with token after
+// d, clamped as setTimeout clamps. It is the typed entry point a kernel
+// confirms through, and it always reaches the native timer, whatever the
+// bindings table holds; pages schedule through SetTimeout. ClearTimeout's
+// native binding cancels it.
+func (g *Global) ArmTimeout(t Target, token uint64, d sim.Duration) int {
+	tm, h := g.newTimer(timerTimeout)
+	tm.target, tm.token = t, token
+	return g.queueTimer(h, g.thread.Now()+g.clampTimer(d))
+}
+
+// ArmFrame is ArmTimeout for the next animation frame. The target gets
+// no timestamp: a kernel reads its own clock at dispatch.
+func (g *Global) ArmFrame(t Target, token uint64) int {
+	tm, h := g.newTimer(timerFrame)
+	tm.target, tm.token = t, token
+	return g.queueTimer(h, g.nextFrame())
+}
 
 func (g *Global) nativePerformanceNow() float64 {
 	now := g.thread.Now()
@@ -387,25 +516,6 @@ func (g *Global) nativePerformanceNow() float64 {
 
 func (g *Global) nativeDateNow() int64 {
 	return int64(g.thread.Now() / sim.Millisecond)
-}
-
-func (g *Global) nativeRequestAnimationFrame(cb func(*Global, float64)) int {
-	if cb == nil {
-		return 0
-	}
-	id := g.newTimer()
-	period := g.browser.Profile.FramePeriod
-	now := g.thread.Now()
-	next := (now/period + 1) * period
-	g.thread.PostTask(next, func(gg *Global) {
-		if !g.timerLive(id) {
-			return
-		}
-		delete(g.timers, id)
-		cb(gg, gg.bindings.PerformanceNow())
-		gg.drainMicrotasks()
-	})
-	return id
 }
 
 func (g *Global) drainMicrotasks() {

@@ -146,13 +146,6 @@ func (g *Global) FloatOps(n int, subnormal bool) {
 	g.thread.advance(sim.Duration(n) * per)
 }
 
-// cssAnimation is one running CSS animation whose per-frame events form an
-// implicit clock.
-type cssAnimation struct {
-	id        int
-	cancelled bool
-}
-
 // StartCSSAnimation begins an animation on el; cb fires once per frame
 // period with the frame index until StopCSSAnimation. This reproduces the
 // "Fantastic Timers" CSS-animation implicit clock.
@@ -160,40 +153,19 @@ func (g *Global) nativeStartCSSAnimation(el *dom.Element, cb func(*Global, int))
 	if cb == nil {
 		return 0
 	}
-	if g.cssAnims == nil {
-		g.cssAnims = make(map[int]*cssAnimation)
-	}
-	g.nextAnimID++
-	anim := &cssAnimation{id: g.nextAnimID}
-	g.cssAnims[anim.id] = anim
+	first := g.nextFrame()
+	tm, h := g.newTimer(timerAnimation)
+	tm.tick, tm.period, tm.at = cb, g.browser.Profile.FramePeriod, first
 	if el != nil {
-		el.SetStyle("animation", fmt.Sprintf("anim-%d", anim.id))
+		el.SetStyle("animation", fmt.Sprintf("anim-%d", h))
 	}
-	period := g.browser.Profile.FramePeriod
-	frame := 0
-	var schedule func(at sim.Time)
-	schedule = func(at sim.Time) {
-		g.thread.PostTask(at, func(gg *Global) {
-			if anim.cancelled {
-				return
-			}
-			frame++
-			cb(gg, frame)
-			if !anim.cancelled {
-				schedule(at + period)
-			}
-		})
-	}
-	now := g.thread.Now()
-	schedule((now/period + 1) * period)
-	return anim.id
+	return g.queueTimer(h, first)
 }
 
 // StopCSSAnimation cancels a running animation.
 func (g *Global) nativeStopCSSAnimation(id int) {
-	if anim, ok := g.cssAnims[id]; ok {
-		anim.cancelled = true
-		delete(g.cssAnims, id)
+	if slot := g.liveTimer(uint64(id)); slot >= 0 && g.timers[slot].kind == timerAnimation {
+		g.freeTimer(slot)
 	}
 }
 
@@ -203,24 +175,16 @@ func (g *Global) nativePlayVideo(cueCb func(*Global, int)) (stop func()) {
 	if cueCb == nil {
 		return func() {}
 	}
-	stopped := false
 	period := g.browser.Profile.VideoCuePeriod
-	cue := 0
-	var schedule func(at sim.Time)
-	schedule = func(at sim.Time) {
-		g.thread.PostTask(at, func(gg *Global) {
-			if stopped {
-				return
-			}
-			cue++
-			cueCb(gg, cue)
-			if !stopped {
-				schedule(at + period)
-			}
-		})
+	first := g.thread.Now() + period
+	tm, h := g.newTimer(timerCue)
+	tm.tick, tm.period, tm.at = cueCb, period, first
+	g.queueTimer(h, first)
+	return func() {
+		if slot := g.liveTimer(h); slot >= 0 {
+			g.freeTimer(slot)
+		}
 	}
-	schedule(g.thread.Now() + period)
-	return func() { stopped = true }
 }
 
 // LoadScript loads a URL as a <script> element through the bindings table.

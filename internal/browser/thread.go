@@ -6,10 +6,18 @@ import (
 	"jskernel/internal/sim"
 )
 
-// task is one unit of work queued on a thread's event loop.
+// task is one unit of work queued on a thread's event loop: a closure,
+// or a typed firing whose payload waits in a slot table. A typed task
+// names a timer slot of the registering scope (scope non-nil) or a
+// letter slot of the thread (scope nil); handle is the slot and its
+// generation, so a task whose slot was cleared and reused does nothing.
+// The loop's one dispatch function runs both kinds, so registering a
+// timer or posting a message builds no closure.
 type task struct {
 	arrival sim.Time
 	fn      func(g *Global)
+	scope   *Global
+	handle  uint64
 }
 
 // Thread is one browser thread — the main thread or a web worker — with a
@@ -50,6 +58,11 @@ type Thread struct {
 	onError func(g *Global, err *WorkerError)
 	// inbox holds messages delivered before a handler was installed.
 	inbox []MessageEvent
+
+	// letters holds the messages in flight to this thread, each the
+	// payload of one typed task; freeLetters lists reusable slots.
+	letters     []letter
+	freeLetters []int32
 
 	// tasksExecuted counts dispatched tasks (loopscan instrumentation).
 	tasksExecuted int
@@ -92,6 +105,15 @@ func (t *Thread) PostTask(at sim.Time, fn func(g *Global)) {
 	if t.terminated || fn == nil {
 		return
 	}
+	t.post(task{arrival: at, fn: fn})
+}
+
+// post inserts a task into the queue and pumps the loop.
+func (t *Thread) post(tk task) {
+	if t.terminated {
+		return
+	}
+	at := tk.arrival
 	// Insertion order breaks arrival ties, so the new task goes after
 	// every queued task arriving no later than it.
 	q := t.pending[t.head:]
@@ -105,7 +127,7 @@ func (t *Thread) PostTask(at sim.Time, fn func(g *Global)) {
 	}
 	t.pending = append(t.pending, task{})
 	copy(t.pending[i+1:], t.pending[i:])
-	t.pending[i] = task{arrival: at, fn: fn}
+	t.pending[i] = tk
 	t.pump()
 }
 
@@ -138,7 +160,7 @@ func (t *Thread) dispatchOne() {
 	if t.terminated || t.QueueDepth() == 0 {
 		return
 	}
-	fn := t.pending[t.head].fn
+	tk := t.pending[t.head]
 	t.pending[t.head] = task{}
 	t.head++
 	if t.head == len(t.pending) {
@@ -149,7 +171,14 @@ func (t *Thread) dispatchOne() {
 	t.cursor = t.b.Sim.Now()
 	t.cursor += t.b.Profile.TaskDispatch
 	t.tasksExecuted++
-	fn(t.global)
+	switch {
+	case tk.fn != nil:
+		tk.fn(t.global)
+	case tk.scope != nil:
+		tk.scope.fireTimer(t.global, tk.handle)
+	default:
+		t.deliverLetter(tk.handle)
+	}
 	t.global.drainMicrotasks()
 	t.running = false
 	t.busyUntil = t.cursor
@@ -179,6 +208,7 @@ func (t *Thread) terminate() {
 	}
 	t.terminated = true
 	t.pending, t.head = nil, 0
+	t.letters, t.freeLetters = nil, nil
 	if t.hasWakeup {
 		t.b.Sim.Cancel(t.wakeup)
 		t.hasWakeup = false
@@ -208,7 +238,8 @@ func (t *Thread) setOnMessage(h func(g *Global, m MessageEvent)) {
 	queued := t.inbox
 	t.inbox = nil
 	for _, m := range queued {
-		m := m
-		t.PostTask(t.Now(), func(g *Global) { h(g, m) })
+		if l := t.postLetter(t.Now(), routeHandler); l != nil {
+			l.msg, l.handler = m, h
+		}
 	}
 }

@@ -101,22 +101,9 @@ func (w *WorkerHandle) post(m MessageEvent) {
 	}
 	st.inFlight++
 	deliverAt := st.parent.Now() + b.Profile.MessageLatency
-	st.thread.PostTask(deliverAt, func(g *Global) {
-		st.inFlight--
-		if h := b.faults; h != nil && h.WorkerDelivery != nil && h.WorkerDelivery(st.id) {
-			// Injected crash mid-message: the worker thread dies without
-			// any terminate bookkeeping. Its pending fetches stay pending
-			// forever (the kernel watchdog's job to reap), and the message
-			// is lost. The trace detail is distinct from user-initiated
-			// termination so CVE detectors never mistake a crash for an
-			// exploit step.
-			b.trace(TraceEvent{Kind: TraceFaultInjected, ThreadID: st.thread.id, WorkerID: st.id, Detail: "worker-crash"})
-			st.thread.terminate()
-			return
-		}
-		b.trace(TraceEvent{Kind: TraceMessageDelivered, ThreadID: st.thread.id, WorkerID: st.id, Detail: "to-worker"})
-		st.thread.deliverMessage(m)
-	})
+	if l := st.thread.postLetter(deliverAt, routeToWorker); l != nil {
+		l.msg, l.worker = m, st
+	}
 }
 
 // SetOnMessage installs the parent-side handler for worker→main messages.
@@ -248,42 +235,24 @@ func (g *Global) nativePostMessage(data any) {
 		// Self-post on the main thread.
 		b.trace(TraceEvent{Kind: TracePostMessage, ThreadID: g.thread.id, Detail: "self"})
 		deliverAt := g.thread.Now() + b.Profile.MessageLatency
-		g.thread.PostTask(deliverAt, func(gg *Global) {
-			b.trace(TraceEvent{Kind: TraceMessageDelivered, ThreadID: g.thread.id, Detail: "self"})
-			gg.thread.deliverMessage(MessageEvent{Data: data})
-		})
+		if l := g.thread.postLetter(deliverAt, routeSelf); l != nil {
+			l.msg.Data = data
+		}
 		return
 	}
 	st := g.worker
 	b.trace(TraceEvent{Kind: TracePostMessage, ThreadID: g.thread.id, WorkerID: st.id, Detail: "to-parent"})
-	detail := "to-parent"
+	rt := routeToParent
 	if b.tornDown {
 		// Vulnerable native behaviour: delivery proceeds into a torn-down
 		// document (CVE-2010-4576).
-		detail = "after-teardown"
+		rt = routeAfterTeardown
 	}
 	st.inFlight++
 	deliverAt := g.thread.Now() + b.Profile.MessageLatency
-	st.parent.PostTask(deliverAt, func(pg *Global) {
-		st.inFlight--
-		if detail == "after-teardown" {
-			// Hazard witness: the delivery dereferences the torn-down
-			// document's freed state (CVE-2010-4576).
-			b.access(st.parent, "doc", 0, AccessWrite|AccessGuardian)
-			b.access(st.parent, "doc", 0, 0)
-		}
-		b.trace(TraceEvent{Kind: TraceMessageDelivered, ThreadID: st.parent.id, WorkerID: st.id, Detail: detail})
-		if st.released {
-			// Handle was GC'd; vulnerable engines still touch it (the
-			// CVE-2013-6646 hazard witness).
-			b.access(st.parent, "worker", int64(st.id), AccessWrite|AccessGuardian)
-			b.access(st.parent, "worker", int64(st.id), 0)
-			b.trace(TraceEvent{Kind: TraceMessageDelivered, ThreadID: st.parent.id, WorkerID: st.id, Detail: "released-use"})
-		}
-		if st.handleOnMessage != nil {
-			st.handleOnMessage(pg, MessageEvent{Data: data, SourceWorker: st.id})
-		}
-	})
+	if l := st.parent.postLetter(deliverAt, rt); l != nil {
+		l.msg.Data, l.msg.SourceWorker, l.worker = data, st.id, st
+	}
 }
 
 // nativeSetOnMessage installs the current scope's message handler. Frame

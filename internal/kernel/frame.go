@@ -48,14 +48,8 @@ func (f *FrameStub) PostMessage(data any, targetOrigin string) {
 		f.native.PostMessage(data, targetOrigin)
 		return
 	}
-	ev := fk.newEvent("onmessage", fk.nextInboundPred(f.parent.nextOutgoingPred()), func(g *browser.Global, args any) {
-		m, ok := args.(browser.MessageEvent)
-		if !ok {
-			return
-		}
-		fk.deliverUserMessage(g, m)
-	})
-	f.native.PostMessage(envelope{Kind: "user", Data: data, EvID: ev.ID}, targetOrigin)
+	ev := fk.newMessage(fk.nextInboundPred(f.parent.nextOutgoingPred()), nil)
+	f.native.PostMessage(f.shared.userEnvelope(ev, data, 0), targetOrigin)
 }
 
 // kCreateFrame wraps frame creation; the new scope is kernelized by the

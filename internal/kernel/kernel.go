@@ -40,6 +40,9 @@ type Shared struct {
 	kernels  map[*browser.Global]*Kernel
 	byThread map[int]*Kernel
 	workers  map[int]*WorkerStub // worker ID → thread-manager entry
+	// main is the window's kernel: frames share the main thread, so it
+	// is not just any kernel outside a worker.
+	main *Kernel
 
 	// simNow is captured from the first installed scope so Shared-level
 	// trace emissions (policy verdicts) can be virtual-time-stamped
@@ -60,6 +63,9 @@ type Shared struct {
 	traceRun int
 
 	lastBufAccess sim.Time // serialization point for shared-buffer ops
+
+	// envelopes is the free list of message envelopes (messaging.go).
+	envelopes []*envelope
 
 	pendingFetch map[int]int  // worker ID → in-flight fetch count
 	transferred  map[int]bool // worker ID → transferred a buffer to parent
@@ -153,9 +159,12 @@ type Kernel struct {
 	lastMsgPred sim.Time // chain for sender-less (raw) inbound messages
 	lastOutPred sim.Time // chain for messages this kernel sends
 
-	timerEv       map[int]*Event         // timer/rAF id → kernel event
 	intervals     map[int]*intervalState // kernel interval id → chain state
 	nextIntervals int
+
+	// watchdog is the one callback every watchdog alarm runs (k.expire,
+	// bound once).
+	watchdog func()
 
 	userOnMessage func(*browser.Global, browser.MessageEvent)
 	msgInbox      []browser.MessageEvent
@@ -174,7 +183,8 @@ type Kernel struct {
 
 // emit stamps one trace record with this kernel's virtual time, logical
 // clock, thread and scope, and forwards it to the session. The nil check
-// is the tracing-off fast path.
+// is the tracing-off fast path; hot call sites check the session before
+// they build the record, so tracing off does not pay for its copy.
 func (k *Kernel) emit(r trace.Record) {
 	t := k.shared.tracer
 	if t == nil {
@@ -196,7 +206,9 @@ func (k *Kernel) emit(r trace.Record) {
 // object, action "rel" (release) or "acq" (acquire). Release/acquire
 // pairs on the same (run, api, id) key become happens-before edges.
 func (k *Kernel) emitEdge(api string, id int64, action string) {
-	k.emit(trace.Record{Op: trace.OpEdge, API: api, Action: action, Value: id})
+	if k.shared.tracer != nil {
+		k.emit(trace.Record{Op: trace.OpEdge, API: api, Action: action, Value: id})
+	}
 }
 
 // Queue exposes the kernel event queue (tests and reports).

@@ -10,14 +10,62 @@ import (
 // (sys) traffic, and buffer transfer to the parent.
 
 // envelope is the kernel's overlay on the postMessage channel (§III-E2):
-// a type field distinguishes kernel-space from user-space traffic, and the
-// event ID links a delivery to its pre-registered pending event.
+// a type field distinguishes kernel-space from user-space traffic, and a
+// user envelope references the receiving kernel's pre-registered pending
+// event. Envelopes travel by pointer, so posting one boxes nothing, and
+// they come from the environment's free list: the receiving kernel
+// returns each one as it opens it.
 type envelope struct {
 	Kind string // "user" or "sys"
 	Op   string // sys operation name
 	Data any
-	EvID EventID
+	ev   evRef // user traffic: the delivery's pending event
 	Wid  int
+}
+
+// newEnvelope takes an envelope from the free list.
+func (s *Shared) newEnvelope() *envelope {
+	if n := len(s.envelopes); n > 0 {
+		env := s.envelopes[n-1]
+		s.envelopes = s.envelopes[:n-1]
+		return env
+	}
+	return &envelope{}
+}
+
+// userEnvelope wraps user data for delivery through pending event ev.
+func (s *Shared) userEnvelope(ev *Event, data any, wid int) *envelope {
+	env := s.newEnvelope()
+	env.Kind, env.Data, env.ev, env.Wid = "user", data, refOf(ev), wid
+	return env
+}
+
+// freeEnvelope returns an opened envelope to the free list.
+func (s *Shared) freeEnvelope(env *envelope) {
+	*env = envelope{}
+	s.envelopes = append(s.envelopes, env)
+}
+
+// openEnvelope frees a delivered user envelope and returns its data and
+// the pending event it names, or a nil event when that event is not
+// this kernel's or has left the queue since the message was sent (the
+// watchdog expired it and its storage was reused).
+func (k *Kernel) openEnvelope(env *envelope) (*Event, any) {
+	ev, data := env.ev.get(), env.Data
+	k.shared.freeEnvelope(env)
+	if ev == nil || ev.k != k {
+		return nil, data
+	}
+	return ev, data
+}
+
+// newMessage registers a message delivery event in this kernel. At
+// dispatch it reaches the worker stub's handler when stub is set, and
+// this kernel's user handler otherwise.
+func (k *Kernel) newMessage(pred sim.Time, stub *WorkerStub) *Event {
+	ev := k.newEvent("onmessage", pred)
+	ev.kind, ev.stub = kindMessage, stub
+	return ev
 }
 
 // kPostMessage handles scope-level postMessage: worker scopes post to the
@@ -35,14 +83,8 @@ func (k *Kernel) kPostMessage(data any) {
 			k.native.PostMessage(data)
 			return
 		}
-		ev := mk.newEvent("onmessage", mk.nextInboundPred(k.nextOutgoingPred()), func(g *browser.Global, args any) {
-			m, ok := args.(browser.MessageEvent)
-			if !ok {
-				return
-			}
-			mk.deliverUserMessage(g, m)
-		})
-		k.native.PostMessage(envelope{Kind: "user", Data: data, EvID: ev.ID})
+		ev := mk.newMessage(mk.nextInboundPred(k.nextOutgoingPred()), nil)
+		k.native.PostMessage(k.shared.userEnvelope(ev, data, 0))
 		return
 	}
 	if k.g.IsWorkerScope() {
@@ -63,30 +105,13 @@ func (k *Kernel) kPostMessage(data any) {
 			k.native.PostMessage(data)
 			return
 		}
-		stub := k.shared.workers[wid]
-		ev := mk.newEvent("onmessage", mk.nextInboundPred(k.nextOutgoingPred()), func(g *browser.Global, args any) {
-			m, ok := args.(browser.MessageEvent)
-			if !ok {
-				return
-			}
-			if stub != nil {
-				stub.deliver(g, m)
-				return
-			}
-			mk.deliverUserMessage(g, m)
-		})
-		k.native.PostMessage(envelope{Kind: "user", Data: data, EvID: ev.ID, Wid: wid})
+		ev := mk.newMessage(mk.nextInboundPred(k.nextOutgoingPred()), k.shared.workers[wid])
+		k.native.PostMessage(k.shared.userEnvelope(ev, data, wid))
 		return
 	}
 	// Main-scope self post.
-	ev := k.newEvent("onmessage", k.nextInboundPred(k.nextOutgoingPred()), func(g *browser.Global, args any) {
-		m, ok := args.(browser.MessageEvent)
-		if !ok {
-			return
-		}
-		k.deliverUserMessage(g, m)
-	})
-	k.native.PostMessage(envelope{Kind: "user", Data: data, EvID: ev.ID})
+	ev := k.newMessage(k.nextInboundPred(k.nextOutgoingPred()), nil)
+	k.native.PostMessage(k.shared.userEnvelope(ev, data, 0))
 }
 
 // kSetOnMessage is the onmessage trap for the scope itself (worker `self`
@@ -114,33 +139,35 @@ func (k *Kernel) deliverUserMessage(g *browser.Global, m browser.MessageEvent) {
 	k.userOnMessage(g, m)
 }
 
-// onNativeMessage is the kernel's claim on the scope's real onmessage: it
-// unwraps the overlay, routes kernel-space traffic, and confirms the
-// pending event for user-space traffic.
-func (k *Kernel) onNativeMessage(g *browser.Global, m browser.MessageEvent) {
-	env, ok := m.Data.(envelope)
+// onNativeMessage is the kernel's claim on the scope's real onmessage.
+func (k *Kernel) onNativeMessage(g *browser.Global, m browser.MessageEvent) { k.receive(m, nil) }
+
+// receive handles one native message delivered to this kernel, through
+// the scope's onmessage or, when stub is set, through that worker's
+// handle: it unwraps the overlay, routes kernel-space traffic, and
+// confirms the pending event for user-space traffic.
+func (k *Kernel) receive(m browser.MessageEvent, stub *WorkerStub) {
+	env, ok := m.Data.(*envelope)
 	if !ok {
 		// Raw (non-kernel) traffic: deliver through a freshly registered
 		// event to keep ordering deterministic.
-		ev := k.newEvent("onmessage", k.nextMessagePred(), func(gg *browser.Global, args any) {
-			mm, ok := args.(browser.MessageEvent)
-			if !ok {
-				return
-			}
-			k.deliverUserMessage(gg, mm)
-		})
-		k.confirm(ev, m)
+		k.confirmMessage(k.newMessage(k.nextMessagePred(), stub), m)
 		return
 	}
 	if env.Kind == "sys" {
-		k.handleSysMessage(env)
+		k.handleSysMessage(*env)
+		k.shared.freeEnvelope(env)
 		return
 	}
-	ev, found := k.queue.Lookup(env.EvID)
-	if !found {
+	wid := env.Wid
+	ev, data := k.openEnvelope(env)
+	if ev == nil {
 		return
 	}
-	k.confirm(ev, browser.MessageEvent{Data: env.Data, SourceWorker: env.Wid, Transfer: m.Transfer, Origin: m.Origin})
+	if stub != nil {
+		wid = stub.id
+	}
+	k.confirmMessage(ev, browser.MessageEvent{Data: data, SourceWorker: wid, Transfer: m.Transfer, Origin: m.Origin})
 }
 
 // handleSysMessage processes kernel-space traffic (§III-E2: the paper's
@@ -197,16 +224,6 @@ func (k *Kernel) kTransferToParent(data any, buf *browser.SharedBuffer) error {
 	if mk == nil {
 		return k.native.TransferToParent(data, buf)
 	}
-	ev := mk.newEvent("onmessage", mk.nextInboundPred(k.nextOutgoingPred()), func(g *browser.Global, args any) {
-		m, ok := args.(browser.MessageEvent)
-		if !ok {
-			return
-		}
-		if stub != nil {
-			stub.deliver(g, m)
-			return
-		}
-		mk.deliverUserMessage(g, m)
-	})
-	return k.native.TransferToParent(envelope{Kind: "user", Data: data, EvID: ev.ID, Wid: wid}, buf)
+	ev := mk.newMessage(mk.nextInboundPred(k.nextOutgoingPred()), stub)
+	return k.native.TransferToParent(k.shared.userEnvelope(ev, data, wid), buf)
 }

@@ -24,15 +24,17 @@ func (k *Kernel) kFetch(url string, opts browser.FetchOptions, cb func(*browser.
 	wid := k.workerID()
 	ctx.WorkerID = wid
 	if v := k.shared.evaluate(ctx); v.Action == ActionDeny {
-		ev := k.newEvent("fetch", k.predict("fetch", 0), func(g *browser.Global, _ any) {
+		ev := k.newEvent("fetch", k.predict("fetch", 0))
+		ev.Callback = func(g *browser.Global, _ any) {
 			if cb != nil {
 				cb(nil, fmt.Errorf("%w: fetch %s", ErrPolicyDenied, url))
 			}
-		})
-		k.confirm(ev, nil)
+		}
+		k.confirm(ev)
 		return 0
 	}
-	ev := k.newEvent("fetch", k.predict("fetch", 0), func(g *browser.Global, args any) {
+	ev := k.newEvent("fetch", k.predict("fetch", 0))
+	ev.Callback = func(g *browser.Global, args any) {
 		r, ok := args.(fetchResult)
 		if !ok {
 			return
@@ -40,7 +42,8 @@ func (k *Kernel) kFetch(url string, opts browser.FetchOptions, cb func(*browser.
 		if cb != nil {
 			cb(r.resp, r.err)
 		}
-	})
+	}
+	pending := refOf(ev)
 	if wid != 0 {
 		// Kernel-space bookkeeping + the Listing 4 handshake to the main
 		// kernel, so a user-level terminate can be safely deferred.
@@ -50,7 +53,7 @@ func (k *Kernel) kFetch(url string, opts browser.FetchOptions, cb func(*browser.
 		if wid != 0 {
 			k.sysToMain(envelope{Kind: "sys", Op: "childFetchDone", Wid: wid})
 		}
-		k.confirm(ev, fetchResult{resp: resp, err: err})
+		k.confirmRef(pending, fetchResult{resp: resp, err: err})
 	})
 	return fid
 }
@@ -115,7 +118,8 @@ func (k *Kernel) kWorkerLocation() string {
 // --- Resource loads (multi-callback confirmation, §III-D1) ---
 
 func (k *Kernel) kLoadScript(url string, onload func(*browser.Global), onerror func(*browser.Global)) {
-	ev := k.newEvent("script-load", k.predict("script-load", 0), func(g *browser.Global, args any) {
+	ev := k.newEvent("script-load", k.predict("script-load", 0))
+	ev.Callback = func(g *browser.Global, args any) {
 		outcome, ok := args.(string)
 		if !ok {
 			return
@@ -132,10 +136,11 @@ func (k *Kernel) kLoadScript(url string, onload func(*browser.Global), onerror f
 				onerror(g)
 			}
 		}
-	})
+	}
+	pending := refOf(ev)
 	k.native.LoadScript(url,
-		func(*browser.Global) { k.confirm(ev, "load") },
-		func(*browser.Global) { k.confirm(ev, "error") },
+		func(*browser.Global) { k.confirmRef(pending, "load") },
+		func(*browser.Global) { k.confirmRef(pending, "error") },
 	)
 }
 
@@ -145,7 +150,8 @@ type loadedImage struct {
 }
 
 func (k *Kernel) kLoadImage(url string, onload func(*browser.Global, *dom.Element), onerror func(*browser.Global)) {
-	ev := k.newEvent("image-load", k.predict("image-load", 0), func(g *browser.Global, args any) {
+	ev := k.newEvent("image-load", k.predict("image-load", 0))
+	ev.Callback = func(g *browser.Global, args any) {
 		switch v := args.(type) {
 		case loadedImage:
 			if onload != nil {
@@ -156,9 +162,10 @@ func (k *Kernel) kLoadImage(url string, onload func(*browser.Global, *dom.Elemen
 				onerror(g)
 			}
 		}
-	})
+	}
+	pending := refOf(ev)
 	k.native.LoadImage(url,
-		func(_ *browser.Global, el *dom.Element) { k.confirm(ev, loadedImage{el: el}) },
-		func(*browser.Global) { k.confirm(ev, "error") },
+		func(_ *browser.Global, el *dom.Element) { k.confirmRef(pending, loadedImage{el: el}) },
+		func(*browser.Global) { k.confirmRef(pending, "error") },
 	)
 }

@@ -65,16 +65,40 @@ func (k *Kernel) nextInboundPred(senderPred sim.Time) sim.Time {
 	return r
 }
 
-// confirm moves a pending event to ready with its final arguments and lets
-// the dispatcher run (paper §III-D1, confirmation stage).
-func (k *Kernel) confirm(ev *Event, args any) {
+// confirm moves a pending event to ready and lets the dispatcher run
+// (paper §III-D1, confirmation stage).
+func (k *Kernel) confirm(ev *Event) {
 	if ev.Status != StatusPending {
 		return
 	}
-	ev.Args = args
 	ev.Status = StatusReady
-	k.emit(trace.Record{Op: trace.OpConfirm, API: ev.API, Event: uint64(ev.ID), Predicted: ev.Predicted})
+	if k.shared.tracer != nil {
+		k.emit(trace.Record{Op: trace.OpConfirm, API: ev.API, Event: uint64(ev.ID), Predicted: ev.Predicted})
+	}
 	k.drain()
+}
+
+// confirmRef confirms an event registered with a Callback through the
+// reference its native completion kept, handing the callback its final
+// arguments. Nothing happens once the event has left the queue and its
+// storage was reused.
+func (k *Kernel) confirmRef(r evRef, args any) {
+	ev := r.get()
+	if ev == nil {
+		return
+	}
+	if ev.Status == StatusPending {
+		ev.Args = args
+	}
+	k.confirm(ev)
+}
+
+// confirmMessage confirms a message event with the delivered message.
+func (k *Kernel) confirmMessage(ev *Event, m browser.MessageEvent) {
+	if ev.Status == StatusPending {
+		ev.msg = m
+	}
+	k.confirm(ev)
 }
 
 // cancelEvent implements §III-D2's three cancellation cases: pending →
@@ -85,7 +109,9 @@ func (k *Kernel) cancelEvent(ev *Event) {
 		return
 	}
 	ev.Status = StatusCancelled
-	k.emit(trace.Record{Op: trace.OpCancel, API: ev.API, Event: uint64(ev.ID), Predicted: ev.Predicted, Action: "cancel"})
+	if k.shared.tracer != nil {
+		k.emit(trace.Record{Op: trace.OpCancel, API: ev.API, Event: uint64(ev.ID), Predicted: ev.Predicted, Action: "cancel"})
+	}
 }
 
 // drain is the dispatcher (§III-D3): release queue-head events in
@@ -94,7 +120,8 @@ func (k *Kernel) cancelEvent(ev *Event) {
 // The dispatcher survives whatever user space throws at it: a pending
 // head that never confirms is force-expired by the watchdog, and a user
 // callback that panics is isolated (and, past a threshold, its whole
-// context quarantined) without ever unwinding the dispatch loop.
+// context quarantined) without ever unwinding the dispatch loop. Every
+// popped event goes back to the pool once its callback has returned.
 func (k *Kernel) drain() {
 	if k.dispatching {
 		return
@@ -112,16 +139,19 @@ func (k *Kernel) drain() {
 		}
 		k.queue.Pop()
 		k.disarmWatchdog(head)
-		k.retireTimer(head)
 		if head.Status == StatusCancelled {
+			k.queue.release(head)
 			continue
 		}
 		k.clock.TickTo(head.Predicted)
 		head.Status = StatusDone
-		k.emit(trace.Record{Op: trace.OpDispatch, API: head.API, Event: uint64(head.ID), Predicted: head.Predicted, Depth: k.queue.Len()})
-		if head.Callback != nil {
+		if k.shared.tracer != nil {
+			k.emit(trace.Record{Op: trace.OpDispatch, API: head.API, Event: uint64(head.ID), Predicted: head.Predicted, Depth: k.queue.Len()})
+		}
+		if head.kind != kindCallback || head.Callback != nil {
 			k.dispatchUser(head)
 		}
+		k.queue.release(head)
 	}
 }
 
@@ -149,7 +179,22 @@ func (k *Kernel) dispatchUser(ev *Event) {
 	if f := k.shared.callbackFault; f != nil && f(ev.API) {
 		panic("fault: injected user-callback panic")
 	}
-	ev.Callback(k.g, ev.Args)
+	switch ev.kind {
+	case kindTimeout:
+		ev.timeout(k.g)
+	case kindFrame:
+		ev.frame(k.g, k.clock.DisplayMillis())
+	case kindMessage:
+		if ev.stub != nil {
+			ev.stub.deliver(k.g, ev.msg)
+		} else {
+			k.deliverUserMessage(k.g, ev.msg)
+		}
+	case kindTicker:
+		ev.ticker.fire(k.g)
+	default:
+		ev.Callback(k.g, ev.Args)
+	}
 }
 
 // armWatchdog schedules a force-expiry alarm for a pending queue head.
@@ -157,21 +202,14 @@ func (k *Kernel) dispatchUser(ev *Event) {
 // (virtual time), the event is cancelled, the expiry traced, and the
 // queue drained past it — registered-but-never-confirmed events cannot
 // wedge the context forever. Confirmation or dispatch disarms the alarm.
+// Every alarm of a kernel runs the kernel's one expire function.
 func (k *Kernel) armWatchdog(ev *Event) {
 	if ev.watchdogArmed {
 		return
 	}
 	ev.watchdogArmed = true
 	s := k.g.Browser().Sim
-	ev.watchdogID = s.Schedule(s.Now()+WatchdogDeadline, "kernel-watchdog", func() {
-		ev.watchdogArmed = false
-		if ev.Status != StatusPending {
-			return
-		}
-		ev.Status = StatusCancelled
-		k.emit(trace.Record{Op: trace.OpExpire, API: ev.API, Event: uint64(ev.ID), Predicted: ev.Predicted, Action: string(ActionExpire), Reason: fmt.Sprintf("watchdog: confirmation never arrived within %v", WatchdogDeadline)})
-		k.drain()
-	})
+	ev.watchdogID = s.Schedule(s.Now()+WatchdogDeadline, "kernel-watchdog", k.watchdog)
 }
 
 // disarmWatchdog cancels a popped event's pending alarm, if any.
@@ -183,21 +221,51 @@ func (k *Kernel) disarmWatchdog(ev *Event) {
 	k.g.Browser().Sim.Cancel(ev.watchdogID)
 }
 
+// expire is the kernel's watchdog callback. Alarms armed at one virtual
+// time fire in whatever order the simulator's Chooser picks, so the
+// expiring event is the one whose alarm is firing, not the oldest. An
+// armed event stays queued until its alarm fires or it pops, and
+// expiries are rare, so a scan of the queue finds it.
+func (k *Kernel) expire() {
+	id := k.g.Browser().Sim.Firing()
+	for _, ev := range k.queue.heap {
+		if !ev.watchdogArmed || ev.watchdogID != id {
+			continue
+		}
+		ev.watchdogArmed = false
+		if ev.Status != StatusPending {
+			return
+		}
+		ev.Status = StatusCancelled
+		if k.shared.tracer != nil {
+			k.emit(trace.Record{Op: trace.OpExpire, API: ev.API, Event: uint64(ev.ID), Predicted: ev.Predicted, Action: string(ActionExpire), Reason: fmt.Sprintf("watchdog: confirmation never arrived within %v", WatchdogDeadline)})
+		}
+		k.drain()
+		return
+	}
+}
+
 // newEvent registers an event with overload shedding: once the context's
 // queue depth hits MaxQueueDepth, the registration is refused — the
-// returned event is born cancelled and unqueued, so confirmations for it
-// are no-ops and its callback never runs. Every shed is traced.
-func (k *Kernel) newEvent(api string, predicted sim.Time, cb func(*browser.Global, any)) *Event {
+// returned event is born cancelled, unqueued and unpooled, so
+// confirmations for it are no-ops and its callback never runs. Every
+// shed is traced. The caller sets the event's callback.
+func (k *Kernel) newEvent(api string, predicted sim.Time) *Event {
 	if k.queue.Len() >= MaxQueueDepth {
-		ev := &Event{ID: k.queue.AllocID(), API: api, Status: StatusCancelled, Predicted: predicted, index: -1}
-		k.emit(trace.Record{Op: trace.OpPolicy, API: api, Event: uint64(ev.ID), Predicted: predicted, Action: "schedule"})
-		k.emit(trace.Record{Op: trace.OpEnqueue, API: api, Event: uint64(ev.ID), Predicted: predicted, Depth: k.queue.Len()})
-		k.emit(trace.Record{Op: trace.OpShed, API: api, Event: uint64(ev.ID), Predicted: predicted, Action: string(ActionShed), Reason: fmt.Sprintf("overload: queue depth at bound (%d)", MaxQueueDepth)})
+		ev := &Event{ID: k.queue.AllocID(), API: api, Status: StatusCancelled, Predicted: predicted, k: k, index: -1, slot: -1}
+		if k.shared.tracer != nil {
+			k.emit(trace.Record{Op: trace.OpPolicy, API: api, Event: uint64(ev.ID), Predicted: predicted, Action: "schedule"})
+			k.emit(trace.Record{Op: trace.OpEnqueue, API: api, Event: uint64(ev.ID), Predicted: predicted, Depth: k.queue.Len()})
+			k.emit(trace.Record{Op: trace.OpShed, API: api, Event: uint64(ev.ID), Predicted: predicted, Action: string(ActionShed), Reason: fmt.Sprintf("overload: queue depth at bound (%d)", MaxQueueDepth)})
+		}
 		return ev
 	}
-	ev := k.queue.NewEvent(api, predicted, cb)
-	k.emit(trace.Record{Op: trace.OpPolicy, API: api, Event: uint64(ev.ID), Predicted: predicted, Action: "schedule"})
-	k.emit(trace.Record{Op: trace.OpEnqueue, API: api, Event: uint64(ev.ID), Predicted: predicted, Depth: k.queue.Len()})
+	ev := k.queue.NewEvent(api, predicted, nil)
+	ev.k = k
+	if k.shared.tracer != nil {
+		k.emit(trace.Record{Op: trace.OpPolicy, API: api, Event: uint64(ev.ID), Predicted: predicted, Action: "schedule"})
+		k.emit(trace.Record{Op: trace.OpEnqueue, API: api, Event: uint64(ev.ID), Predicted: predicted, Depth: k.queue.Len()})
+	}
 	return ev
 }
 

@@ -26,10 +26,14 @@ func (s *Shared) Install(g *browser.Global) {
 		queue:  NewEventQueue(),
 		clock:  NewClock(s.policy.Quantum()),
 	}
+	k.watchdog = k.expire
 	s.kernels[g] = k
 	if _, ok := s.byThread[g.Thread().ID()]; !ok {
 		// The first scope installed on a thread is its primary scope.
 		s.byThread[g.Thread().ID()] = k
+		if g.Thread().IsMain() {
+			s.main = k
+		}
 	}
 	if s.simNow == nil {
 		s.simNow = g.Browser().Sim.Now

@@ -10,99 +10,83 @@ import (
 // logical-clock-backed explicit clocks, animation frames, and the
 // frame-driven tick chains (CSS animation, video cues).
 
-func (k *Kernel) ensureTimerMaps() {
-	if k.timerEv == nil {
-		k.timerEv = make(map[int]*Event)
-	}
-	if k.intervals == nil {
-		k.intervals = make(map[int]*intervalState)
-	}
-}
-
+// kSetTimeout registers a timeout event and arms its native timer with
+// the event itself as the confirmation target. The page's timer ID is
+// the event's token, so clearTimeout finds the event for as long as it
+// is queued.
 func (k *Kernel) kSetTimeout(cb func(*browser.Global), d sim.Duration) int {
 	if cb == nil {
 		return 0
 	}
 	k.interpose()
-	k.ensureTimerMaps()
-	ev := k.newEvent("setTimeout", k.predict("setTimeout", d), func(g *browser.Global, _ any) {
-		cb(g)
-	})
-	id := k.native.SetTimeout(func(*browser.Global) { k.confirm(ev, nil) }, d)
-	k.trackTimer(id, ev)
-	return id
+	ev := k.newEvent("setTimeout", k.predict("setTimeout", d))
+	ev.kind, ev.timeout = kindTimeout, cb
+	ev.nativeID = k.g.ArmTimeout(ev, ev.token(), d)
+	return int(ev.token())
 }
 
-// trackTimer maps a native timer or animation-frame ID to its kernel
-// event so clearTimeout can find it until the event leaves the queue.
-func (k *Kernel) trackTimer(id int, ev *Event) {
-	ev.timerID = id
-	k.timerEv[id] = ev
-}
-
-// retireTimer drops the timer-map entry of an event the dispatcher has
-// popped: once the event has left the queue there is nothing left for
-// clearTimeout to cancel, and the entry would otherwise keep the event
-// and its callbacks alive for the rest of the run.
-func (k *Kernel) retireTimer(ev *Event) {
-	if ev.timerID != 0 {
-		delete(k.timerEv, ev.timerID)
-	}
-}
-
-// kClearTimer cancels a setTimeout or requestAnimationFrame registration.
+// kClearTimer cancels a setTimeout or requestAnimationFrame registration
+// whose event is still queued. Once the event has left the queue its
+// token is spent, and the ID clears nothing.
 func (k *Kernel) kClearTimer(id int) {
-	k.ensureTimerMaps()
-	ev, ok := k.timerEv[id]
-	if !ok {
+	ev := k.queue.queued(uint64(id))
+	if ev == nil || (ev.kind != kindTimeout && ev.kind != kindFrame) {
 		return
 	}
-	delete(k.timerEv, id)
-	k.native.ClearTimeout(id)
-	k.native.CancelAnimationFrame(id)
+	k.native.ClearTimeout(ev.nativeID)
 	k.cancelEvent(ev)
 }
 
-// intervalState tracks one kernelized setInterval chain.
+// intervalState tracks one kernelized setInterval chain. Each tick is
+// one registration-confirmed event whose native timer is re-armed when
+// the previous tick dispatches.
 type intervalState struct {
+	k         *Kernel
+	cb        func(*browser.Global)
+	d         sim.Duration // requested delay, re-armed natively every tick
+	delta     sim.Duration // predicted spacing of the ticks
 	cancelled bool
 	nativeID  int
-	ev        *Event
+	ev        evRef
 	pred      sim.Time
+}
+
+// arm registers the chain's next tick.
+func (st *intervalState) arm() {
+	st.pred += st.delta
+	ev := st.k.newEvent("setInterval", st.pred)
+	ev.kind, ev.ticker = kindTicker, st
+	st.ev = refOf(ev)
+	st.nativeID = st.k.g.ArmTimeout(ev, ev.token(), st.d)
+}
+
+// fire is a tick's dispatch: run the user callback, then arm the next.
+func (st *intervalState) fire(g *browser.Global) {
+	if st.cancelled {
+		return
+	}
+	st.cb(g)
+	if !st.cancelled {
+		st.arm()
+	}
 }
 
 func (k *Kernel) kSetInterval(cb func(*browser.Global), d sim.Duration) int {
 	if cb == nil {
 		return 0
 	}
-	k.ensureTimerMaps()
-	delta := k.shared.policy.PredictDelay("setInterval", d)
-	st := &intervalState{pred: k.clock.Now()}
+	if k.intervals == nil {
+		k.intervals = make(map[int]*intervalState)
+	}
+	st := &intervalState{k: k, cb: cb, d: d, delta: k.shared.policy.PredictDelay("setInterval", d), pred: k.clock.Now()}
 	k.nextIntervals++
 	id := k.nextIntervals
 	k.intervals[id] = st
-
-	var arm func()
-	arm = func() {
-		st.pred += delta
-		ev := k.newEvent("setInterval", st.pred, func(g *browser.Global, _ any) {
-			if st.cancelled {
-				return
-			}
-			cb(g)
-			if !st.cancelled {
-				arm()
-			}
-		})
-		st.ev = ev
-		st.nativeID = k.native.SetTimeout(func(*browser.Global) { k.confirm(ev, nil) }, d)
-	}
-	arm()
+	st.arm()
 	return id
 }
 
 func (k *Kernel) kClearInterval(id int) {
-	k.ensureTimerMaps()
 	st, ok := k.intervals[id]
 	if !ok {
 		return
@@ -110,7 +94,7 @@ func (k *Kernel) kClearInterval(id int) {
 	delete(k.intervals, id)
 	st.cancelled = true
 	k.native.ClearTimeout(st.nativeID)
-	k.cancelEvent(st.ev)
+	k.cancelEvent(st.ev.get())
 }
 
 func (k *Kernel) kPerformanceNow() float64 { return k.clock.DisplayMillis() }
@@ -121,15 +105,12 @@ func (k *Kernel) kRequestAnimationFrame(cb func(*browser.Global, float64)) int {
 	if cb == nil {
 		return 0
 	}
-	k.ensureTimerMaps()
 	frame := k.shared.policy.PredictDelay("raf", 0)
 	pred := (k.clock.Now()/frame + 1) * frame
-	ev := k.newEvent("raf", pred, func(g *browser.Global, _ any) {
-		cb(g, k.clock.DisplayMillis())
-	})
-	id := k.native.RequestAnimationFrame(func(*browser.Global, float64) { k.confirm(ev, nil) })
-	k.trackTimer(id, ev)
-	return id
+	ev := k.newEvent("raf", pred)
+	ev.kind, ev.frame = kindFrame, cb
+	ev.nativeID = k.g.ArmFrame(ev, ev.token())
+	return int(ev.token())
 }
 
 // --- Frame-driven tick sources (CSS animation, video cues) ---
@@ -141,7 +122,7 @@ type tickChain struct {
 	api       string
 	delta     sim.Duration
 	pred      sim.Time
-	ev        *Event
+	ev        evRef
 	cancelled bool
 	cb        func(*browser.Global, int)
 	count     int
@@ -149,16 +130,21 @@ type tickChain struct {
 
 func (c *tickChain) arm() {
 	c.pred += c.delta
-	c.ev = c.k.newEvent(c.api, c.pred, func(g *browser.Global, _ any) {
-		if c.cancelled {
-			return
-		}
-		c.count++
-		cb := c.cb
-		if cb != nil {
-			cb(g, c.count)
-		}
-	})
+	ev := c.k.newEvent(c.api, c.pred)
+	ev.kind, ev.ticker = kindTicker, c
+	c.ev = refOf(ev)
+}
+
+// fire is a tick's dispatch.
+func (c *tickChain) fire(g *browser.Global) {
+	if c.cancelled {
+		return
+	}
+	c.count++
+	cb := c.cb
+	if cb != nil {
+		cb(g, c.count)
+	}
 }
 
 // tick confirms the armed event and re-arms for the next native tick.
@@ -166,14 +152,16 @@ func (c *tickChain) tick() {
 	if c.cancelled {
 		return
 	}
-	ev := c.ev
+	armed := c.ev
 	c.arm()
-	c.k.confirm(ev, nil)
+	if ev := armed.get(); ev != nil {
+		c.k.confirm(ev)
+	}
 }
 
 func (c *tickChain) cancel() {
 	c.cancelled = true
-	c.k.cancelEvent(c.ev)
+	c.k.cancelEvent(c.ev.get())
 }
 
 func (k *Kernel) kStartCSSAnimation(el *dom.Element, cb func(*browser.Global, int)) int {

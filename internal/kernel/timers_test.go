@@ -20,11 +20,11 @@ func (quantumPolicy) PredictDelay(api string, d sim.Duration) sim.Duration {
 }
 func (quantumPolicy) Evaluate(CallContext) Verdict { return Allow }
 
-// TestTimerMapRetiredAtDispatch: the timer map holds an event only while
-// it is queued. After a setTimeout tick loop, an animation-frame loop
-// and a timer cleared while ready-but-undispatched have all finished,
-// the map is empty — fired timers no longer pin their events and
-// closures for the rest of the run.
+// TestTimerMapRetiredAtDispatch: a timer's event is held only while it
+// is queued. After a setTimeout tick loop, an animation-frame loop and
+// a timer cleared while ready-but-undispatched have all finished, every
+// event is back in the queue's pool — fired timers no longer pin their
+// events and callbacks for the rest of the run.
 func TestTimerMapRetiredAtDispatch(t *testing.T) {
 	s := sim.New(1)
 	shared := NewShared(quantumPolicy{})
@@ -65,8 +65,13 @@ func TestTimerMapRetiredAtDispatch(t *testing.T) {
 	if clearedFired {
 		t.Fatal("timer cleared while ready-but-undispatched still fired")
 	}
-	k := shared.KernelFor(b.Main())
-	if n := len(k.timerEv); n != 0 {
-		t.Fatalf("timer map holds %d events after the run, want 0", n)
+	q := shared.KernelFor(b.Main()).queue
+	if held := len(q.pool) - len(q.free); held != 0 {
+		t.Fatalf("%d of %d pooled events still held after the run, want 0", held, len(q.pool))
+	}
+	for _, ev := range q.pool {
+		if ev.timeout != nil || ev.frame != nil || ev.Callback != nil {
+			t.Fatalf("released event %d still holds a callback", ev.slot)
+		}
 	}
 }

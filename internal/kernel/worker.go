@@ -73,14 +73,8 @@ func (w *WorkerStub) PostMessage(data any) {
 		w.native.PostMessage(data)
 		return
 	}
-	ev := wk.newEvent("onmessage", wk.nextInboundPred(mk.nextOutgoingPred()), func(g *browser.Global, args any) {
-		m, ok := args.(browser.MessageEvent)
-		if !ok {
-			return
-		}
-		wk.deliverUserMessage(g, m)
-	})
-	w.native.PostMessage(envelope{Kind: "user", Data: data, EvID: ev.ID})
+	ev := wk.newMessage(wk.nextInboundPred(mk.nextOutgoingPred()), nil)
+	w.native.PostMessage(w.shared.userEnvelope(ev, data, 0))
 }
 
 // PostMessageTransfer sends data and a transferable to the worker.
@@ -94,14 +88,8 @@ func (w *WorkerStub) PostMessageTransfer(data any, buf *browser.SharedBuffer) {
 		w.native.PostMessageTransfer(data, buf)
 		return
 	}
-	ev := wk.newEvent("onmessage", wk.nextInboundPred(mk.nextOutgoingPred()), func(g *browser.Global, args any) {
-		m, ok := args.(browser.MessageEvent)
-		if !ok {
-			return
-		}
-		wk.deliverUserMessage(g, m)
-	})
-	w.native.PostMessageTransfer(envelope{Kind: "user", Data: data, EvID: ev.ID}, buf)
+	ev := wk.newMessage(wk.nextInboundPred(mk.nextOutgoingPred()), nil)
+	w.native.PostMessageTransfer(w.shared.userEnvelope(ev, data, 0), buf)
 }
 
 // SetOnMessage is the kernel trap on the worker's onmessage setter. The
@@ -236,27 +224,7 @@ func (k *Kernel) kNewWorker(src string) (browser.Worker, error) {
 			stub.deliver(g, m)
 			return
 		}
-		env, ok := m.Data.(envelope)
-		if !ok {
-			ev := mk.newEvent("onmessage", mk.nextMessagePred(), func(gg *browser.Global, args any) {
-				mm, ok := args.(browser.MessageEvent)
-				if !ok {
-					return
-				}
-				stub.deliver(gg, mm)
-			})
-			mk.confirm(ev, m)
-			return
-		}
-		if env.Kind == "sys" {
-			mk.handleSysMessage(env)
-			return
-		}
-		ev, found := mk.queue.Lookup(env.EvID)
-		if !found {
-			return
-		}
-		mk.confirm(ev, browser.MessageEvent{Data: env.Data, SourceWorker: stub.id, Transfer: m.Transfer})
+		mk.receive(m, stub)
 	})
 	stub.status = StatusReadyW
 	// Kernel-space communication at thread creation (§III-E2): the parent
@@ -265,7 +233,9 @@ func (k *Kernel) kNewWorker(src string) (browser.Worker, error) {
 	// second communication type.) The Wid names the sync-object key the
 	// hb edge pairs on; clockExchange ignores it otherwise.
 	k.emitEdge("sys", int64(stub.id), "rel")
-	native.PostMessage(envelope{Kind: "sys", Op: "clockExchange", Wid: stub.id, Data: int64(k.clock.Now())})
+	env := k.shared.newEnvelope()
+	env.Kind, env.Op, env.Wid, env.Data = "sys", "clockExchange", stub.id, int64(k.clock.Now())
+	native.PostMessage(env)
 	return stub, nil
 }
 
@@ -310,12 +280,5 @@ func (s *Shared) mainGlobal() *browser.Global {
 	return nil
 }
 
-// mainKernel returns the main thread's kernel instance.
-func (s *Shared) mainKernel() *Kernel {
-	for _, k := range s.kernels {
-		if !k.g.IsWorkerScope() {
-			return k
-		}
-	}
-	return nil
-}
+// mainKernel returns the window's kernel instance.
+func (s *Shared) mainKernel() *Kernel { return s.main }

@@ -68,7 +68,7 @@ func (c *Client) Events(ctx context.Context, after uint64, fn func(StreamEvent) 
 // eventsOnce runs one streaming attempt, advancing *cursor for every
 // delivered event. It reports whether any event was delivered this
 // attempt, and a nil error only on clean stream end.
-func (c *Client) eventsOnce(ctx context.Context, from uint64, cursor *uint64, fn func(StreamEvent) error) (progressed bool, err error) {
+func (c *Client) eventsOnce(ctx context.Context, from uint64, cursor *uint64, fn func(StreamEvent) error) (bool, error) {
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/events", nil)
 	if err != nil {
 		return false, fmt.Errorf("serve: building request: %w", err)
@@ -90,8 +90,18 @@ func (c *Client) eventsOnce(ctx context.Context, from uint64, cursor *uint64, fn
 		}
 		return false, env.Error
 	}
+	return readEventStream(httpResp.Body, cursor, fn)
+}
 
-	sc := bufio.NewScanner(httpResp.Body)
+// readEventStream parses one text/event-stream body, handing fn every
+// event whose ID is above *cursor and advancing *cursor to it. Events at
+// or below the cursor are dropped: a resumed stream may replay from an
+// older ring position, and IDs are authoritative. It reports whether any
+// event was delivered, and returns fn's error, a transportError when the
+// body fails mid-stream (a line over 1 MiB included), or nil at a clean
+// end of stream.
+func readEventStream(r io.Reader, cursor *uint64, fn func(StreamEvent) error) (progressed bool, err error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var ev StreamEvent
 	flush := func() error {
@@ -99,8 +109,6 @@ func (c *Client) eventsOnce(ctx context.Context, from uint64, cursor *uint64, fn
 		if ev.Type == "" && ev.Data == nil {
 			return nil
 		}
-		// Dedup after resume: the server may replay from an older ring
-		// position; IDs are authoritative.
 		if ev.ID <= *cursor {
 			return nil
 		}

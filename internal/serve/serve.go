@@ -513,6 +513,12 @@ func (s *Server) Start(ln net.Listener) {
 		Handler:           s.mux,
 		ReadTimeout:       readTimeout,
 		ReadHeaderTimeout: readTimeout,
+		// A keep-alive connection waits for its next request this long,
+		// whatever the read bound. Left zero it would follow the read
+		// bound, which tests shrink: a server then closes idle
+		// connections every few hundred milliseconds, and a POST that a
+		// client sends on one as it closes fails with EOF, unretried.
+		IdleTimeout: defaultReadTimeout,
 	}
 	fmt.Fprintf(s.cfg.log(), "jsk-serve: listening on %s (pool %d, queue %d)\n",
 		ln.Addr(), s.cfg.pool(), s.cfg.queueDepth())

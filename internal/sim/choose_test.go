@@ -187,3 +187,29 @@ func TestChooserDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestFiringNamesTheRunningEvent: one callback scheduled under several
+// IDs learns from Firing which of them is running, whichever order a
+// Chooser dispatches them in; outside a callback Firing reads 0.
+func TestFiringNamesTheRunningEvent(t *testing.T) {
+	for _, c := range []Chooser{nil, lastChooser{}} {
+		s := New(1)
+		s.SetChooser(c)
+		var fired []EventID
+		shared := func() { fired = append(fired, s.Firing()) }
+		ids := []EventID{s.Schedule(100, "a", shared), s.Schedule(100, "b", shared)}
+		if err := s.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		want := ids
+		if c != nil {
+			want = []EventID{ids[1], ids[0]}
+		}
+		if len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
+			t.Fatalf("chooser %T: Firing read %v, want %v", c, fired, want)
+		}
+		if s.Firing() != 0 {
+			t.Fatalf("Firing reads %v outside a callback, want 0", s.Firing())
+		}
+	}
+}

@@ -91,6 +91,7 @@ type Simulator struct {
 	rng     *rand.Rand
 	stopped bool
 	steps   uint64
+	firing  EventID // ID of the event whose callback is running; 0 between steps
 
 	// chooser, when non-nil, breaks ties among same-virtual-time ready
 	// events (see choose.go); nil keeps the default lowest-seq order.
@@ -127,6 +128,13 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // Steps reports how many events have been dispatched so far.
 func (s *Simulator) Steps() uint64 { return s.steps }
+
+// Firing returns the ID of the event whose callback is running, or 0
+// outside a callback. One callback scheduled under several IDs uses it
+// to tell which of them fired: a Chooser may dispatch events that share
+// a virtual time in any order, so the order they were scheduled in does
+// not say.
+func (s *Simulator) Firing() EventID { return s.firing }
 
 // Pending reports the number of events still scheduled.
 func (s *Simulator) Pending() int { return len(s.queue) }
@@ -213,7 +221,10 @@ func (s *Simulator) Step() bool {
 	if s.observer != nil {
 		s.observer.Dispatched(s.steps, c)
 	}
+	prev := s.firing
+	s.firing = c.ID
 	fn()
+	s.firing = prev
 	return true
 }
 
