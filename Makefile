@@ -25,8 +25,8 @@ race:
 # check is the pre-merge gate: compile, vet, the perfbench module's vet
 # and unit tests, jsk-lint, the full test suite under the race
 # detector, the native fuzz targets (FuzzReadRecords, FuzzEvalRequest,
-# FuzzParseToken, FuzzParseExposition, FuzzEventStream; 10 s each), and
-# the smoke stages.
+# FuzzParseToken, FuzzParseExposition, FuzzEventStream,
+# FuzzSuppressions; 10 s each), and the smoke stages.
 check:
 	./scripts/check.sh
 

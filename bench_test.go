@@ -12,7 +12,8 @@ package jskernel_test
 //	BenchmarkWorkerCreation — §V-A1 16-worker benchmark
 //	BenchmarkCompat*  — §V-B compatibility studies
 //
-// plus micro-benchmarks of the substrate and the kernel hot paths.
+// plus micro-benchmarks of the substrate, the kernel hot paths and the
+// record path (BenchmarkEmit, BenchmarkAbsorb, BenchmarkSinks).
 
 import (
 	"fmt"
@@ -23,6 +24,7 @@ import (
 	"jskernel/internal/attack"
 	"jskernel/internal/defense"
 	"jskernel/internal/expr"
+	"jskernel/internal/hb"
 	"jskernel/internal/kernel"
 	"jskernel/internal/obs"
 	"jskernel/internal/policy"
@@ -254,6 +256,91 @@ func BenchmarkDromaeoJSKernelObs(b *testing.B) {
 		if s.Len() == 0 {
 			b.Fatal("obs run emitted no records")
 		}
+	}
+}
+
+// --- The record path, layer by layer ---
+//
+// Each benchmark below runs over the record stream of one recorded
+// obs-on loopscan/jskernel-chrome cell (reps 1, seed 42) and reports
+// ns/record, so the per-layer costs of an obs-on run can be read without
+// the end-to-end benchmark: Session.Emit into a retaining cell session,
+// Session.Absorb of the closed cell into a bare parent, and each sink's
+// Observe.
+
+// recordedCell traces the loopscan/jskernel-chrome cell into a closed,
+// retaining session.
+func recordedCell(b *testing.B) *trace.Session {
+	b.Helper()
+	a, ok := expr.TimingRow("loopscan")
+	_, d, ok2 := expr.Table1Column("jskernel-chrome")
+	if !ok || !ok2 {
+		b.Fatal("loopscan/jskernel-chrome is not a Table I cell")
+	}
+	res := expr.RunCell(expr.Cell{Timing: a, Defense: d, Reps: 1, Seed: 42}, expr.Instruments{Records: true, Obs: true})
+	return res.Trace
+}
+
+// reportNsPerRecord reports the loop's time per record.
+func reportNsPerRecord(b *testing.B, records int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+}
+
+// BenchmarkEmit prices Session.Emit into a retaining session.
+func BenchmarkEmit(b *testing.B) {
+	recs := recordedCell(b).Records()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := trace.NewSession()
+		for i := range recs {
+			s.Emit(recs[i])
+		}
+	}
+	reportNsPerRecord(b, len(recs))
+}
+
+// BenchmarkAbsorb prices Session.Absorb of the closed cell into a
+// retain-off parent with no sinks attached.
+func BenchmarkAbsorb(b *testing.B) {
+	part := recordedCell(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := trace.NewSession()
+		s.SetRetain(false)
+		if err := s.Absorb(part); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportNsPerRecord(b, part.Len())
+}
+
+// BenchmarkSinks prices each sink's Observe: the -obs-report sinks
+// (profiler, detectors, validator), the timing cells' collector and the
+// race detector.
+func BenchmarkSinks(b *testing.B) {
+	recs := recordedCell(b).Records()
+	for _, bc := range []struct {
+		name string
+		sink func() trace.Sink
+	}{
+		{"profiler", func() trace.Sink { return obs.NewProfiler() }},
+		{"detectors", func() trace.Sink { return obs.NewDetectors(obs.DefaultDetectorConfig()) }},
+		{"validator", func() trace.Sink { return trace.NewStreamValidator(false) }},
+		{"collector", func() trace.Sink { return obs.NewCollector() }},
+		{"hb", func() trace.Sink { return hb.NewDetector() }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink := bc.sink()
+				for i := range recs {
+					sink.Observe(recs[i])
+				}
+			}
+			reportNsPerRecord(b, len(recs))
+		})
 	}
 }
 

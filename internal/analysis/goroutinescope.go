@@ -21,7 +21,7 @@ var goroutineAllowedPkgs = []string{
 //
 // The common shape of a sanctioned function: its goroutines share no
 // simulator or kernel state with each other (share-nothing cells, the
-// runner.Map argument), and they are joined before the function's owner
+// runner.Ordered argument), and they are joined before the function's owner
 // considers the work done — nothing outlives the structure that spawned
 // it.
 var goroutineSanctionedFuncs = map[string]map[string]string{
@@ -48,8 +48,8 @@ var goroutineSanctionedFuncs = map[string]map[string]string{
 	"internal/expr/runner": {
 		// The sanctioned worker-pool bridge between the deterministic
 		// world and OS threads (also annotated in source; listed here so
-		// the audit trail lives in one table).
-		"Map": "share-nothing cell workers, index-ordered results, joined before return",
+		// the audit trail lives in one table). Map is built on it.
+		"Ordered": "share-nothing cell workers, index-ordered delivery, drained before return",
 	},
 }
 

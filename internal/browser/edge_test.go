@@ -282,12 +282,21 @@ func TestSelfPostMessageRoundTrip(t *testing.T) {
 }
 
 func TestTraceKindStrings(t *testing.T) {
-	for k := TraceWorkerCreated; k <= TraceSharedBufferOp; k++ {
+	for k := TraceWorkerCreated; k <= TraceAccess; k++ {
 		if k.String() == "unknown" {
 			t.Errorf("TraceKind(%d) has no name", k)
 		}
+		// KindByName must invert String for every kind.
+		if got, ok := KindByName(k.String()); !ok || got != k {
+			t.Errorf("KindByName(%q) = %d, %v; want %d", k.String(), got, ok, k)
+		}
 	}
-	if TraceKind(999).String() != "unknown" {
-		t.Error("invalid kind should be unknown")
+	for _, k := range []TraceKind{0, -1, TraceAccess + 1, 999} {
+		if k.String() != "unknown" {
+			t.Errorf("invalid kind %d should be unknown, got %q", k, k.String())
+		}
+	}
+	if _, ok := KindByName("unknown"); ok {
+		t.Error("KindByName resolved an unknown name")
 	}
 }

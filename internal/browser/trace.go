@@ -62,9 +62,8 @@ const (
 	AccessGuardian
 )
 
-// traceKindNames names each kind; KindByName inverts it. Both maps are
-// package-level literals so lookups never range over a map.
-var traceKindNames = map[TraceKind]string{
+// traceKindNames names each kind, indexed by kind.
+var traceKindNames = [...]string{
 	TraceWorkerCreated:    "worker-created",
 	TraceWorkerReady:      "worker-ready",
 	TraceWorkerTerminated: "worker-terminated",
@@ -93,49 +92,74 @@ var traceKindNames = map[TraceKind]string{
 	TraceAccess:           "access",
 }
 
-var traceKindByName = map[string]TraceKind{
-	"worker-created":    TraceWorkerCreated,
-	"worker-ready":      TraceWorkerReady,
-	"worker-terminated": TraceWorkerTerminated,
-	"worker-error":      TraceWorkerError,
-	"post-message":      TracePostMessage,
-	"onmessage-set":     TraceOnMessageSet,
-	"message-delivered": TraceMessageDelivered,
-	"fetch-start":       TraceFetchStart,
-	"fetch-done":        TraceFetchDone,
-	"fetch-abort":       TraceFetchAbort,
-	"xhr":               TraceXHR,
-	"import-scripts":    TraceImportScripts,
-	"transferable":      TraceTransferable,
-	"indexeddb-open":    TraceIndexedDBOpen,
-	"indexeddb-put":     TraceIndexedDBPut,
-	"document-teardown": TraceDocumentTeardown,
-	"navigation-error":  TraceNavigationError,
-	"shared-buffer-op":  TraceSharedBufferOp,
-	"fetch-retry":       TraceFetchRetry,
-	"fault-injected":    TraceFaultInjected,
-	"timer-fired":       TraceTimerFired,
-	"clock-read":        TraceClockRead,
-	"message-callback":  TraceMessageCallback,
-	"frame-tick":        TraceFrameTick,
-	"load-done":         TraceLoadDone,
-	"access":            TraceAccess,
-}
-
 // String names the trace kind for diagnostics.
 func (k TraceKind) String() string {
-	if s, ok := traceKindNames[k]; ok {
-		return s
+	if k > 0 && int(k) < len(traceKindNames) {
+		return traceKindNames[k]
 	}
 	return "unknown"
 }
 
 // KindByName inverts String: it resolves a trace-kind name back to its
 // TraceKind. The obs layer uses it to reconstruct native events from
-// kernel-trace records bridged through OpNative.
+// kernel-trace records bridged through OpNative, once per record, so it
+// is a switch the compiler turns into comparisons: no string is hashed.
 func KindByName(name string) (TraceKind, bool) {
-	k, ok := traceKindByName[name]
-	return k, ok
+	switch name {
+	case "worker-created":
+		return TraceWorkerCreated, true
+	case "worker-ready":
+		return TraceWorkerReady, true
+	case "worker-terminated":
+		return TraceWorkerTerminated, true
+	case "worker-error":
+		return TraceWorkerError, true
+	case "post-message":
+		return TracePostMessage, true
+	case "onmessage-set":
+		return TraceOnMessageSet, true
+	case "message-delivered":
+		return TraceMessageDelivered, true
+	case "fetch-start":
+		return TraceFetchStart, true
+	case "fetch-done":
+		return TraceFetchDone, true
+	case "fetch-abort":
+		return TraceFetchAbort, true
+	case "xhr":
+		return TraceXHR, true
+	case "import-scripts":
+		return TraceImportScripts, true
+	case "transferable":
+		return TraceTransferable, true
+	case "indexeddb-open":
+		return TraceIndexedDBOpen, true
+	case "indexeddb-put":
+		return TraceIndexedDBPut, true
+	case "document-teardown":
+		return TraceDocumentTeardown, true
+	case "navigation-error":
+		return TraceNavigationError, true
+	case "shared-buffer-op":
+		return TraceSharedBufferOp, true
+	case "fetch-retry":
+		return TraceFetchRetry, true
+	case "fault-injected":
+		return TraceFaultInjected, true
+	case "timer-fired":
+		return TraceTimerFired, true
+	case "clock-read":
+		return TraceClockRead, true
+	case "message-callback":
+		return TraceMessageCallback, true
+	case "frame-tick":
+		return TraceFrameTick, true
+	case "load-done":
+		return TraceLoadDone, true
+	case "access":
+		return TraceAccess, true
+	}
+	return 0, false
 }
 
 // TraceEvent is one native-layer occurrence.

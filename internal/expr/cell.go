@@ -2,6 +2,7 @@ package expr
 
 import (
 	"jskernel/internal/attack"
+	"jskernel/internal/browser"
 	"jskernel/internal/defense"
 	"jskernel/internal/hb"
 	"jskernel/internal/obs"
@@ -199,16 +200,17 @@ func RunCell(c Cell, ins Instruments) CellResult {
 	return res
 }
 
-// obsOnlyNativeKinds are the native-record API names emitted solely
+// obsOnly reports whether a native record's kind is emitted solely
 // when a defense runs with obs events on (browser.TraceTimerFired and
 // friends). Everything else in the record stream is present with obs
 // off too.
-var obsOnlyNativeKinds = map[string]bool{
-	"timer-fired":      true,
-	"clock-read":       true,
-	"message-callback": true,
-	"frame-tick":       true,
-	"load-done":        true,
+func obsOnly(api string) bool {
+	switch k, _ := browser.KindByName(api); k {
+	case browser.TraceTimerFired, browser.TraceClockRead, browser.TraceMessageCallback,
+		browser.TraceFrameTick, browser.TraceLoadDone:
+		return true
+	}
+	return false
 }
 
 // obsOffView passes its sink the records an obs-off run of the same
@@ -216,7 +218,7 @@ var obsOnlyNativeKinds = map[string]bool{
 type obsOffView struct{ trace.Sink }
 
 func (v obsOffView) Observe(r trace.Record) {
-	if r.Op == trace.OpNative && obsOnlyNativeKinds[r.API] {
+	if r.Op == trace.OpNative && obsOnly(r.API) {
 		return
 	}
 	v.Sink.Observe(r)

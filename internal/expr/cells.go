@@ -18,9 +18,11 @@ import (
 //     which worker ran it or when. (Matched-pair drivers like Table III
 //     deliberately ignore the derived seed and share cfg.Seed across
 //     columns — the pairing is the experiment.)
-//   - traces: each cell traces into a private session; the parts are
-//     absorbed into cfg.Trace in cell-index order after the pool
-//     drains, so the merged trace is independent of completion order.
+//   - traces: each cell traces into a private session; each part is
+//     absorbed into cfg.Trace in cell-index order as soon as every
+//     lower-index part is in, then dropped, so the merged trace is
+//     independent of completion order and only parts still in flight
+//     (or finished early) are held.
 //   - errors: the lowest-index cell error is returned, exactly the one
 //     a serial loop would have hit first.
 
@@ -36,7 +38,9 @@ type cellResult[T any] struct {
 // per-cell seed, and a private trace session (nil when cfg.Trace is
 // nil); it must confine all mutation to state it creates itself.
 func runCells[T any](cfg Config, n int, fn func(i int, seed int64, tr *trace.Session) (T, error)) ([]T, error) {
-	outs := runner.Map(cfg.Parallel, n, func(i int) cellResult[T] {
+	vals := make([]T, n)
+	var err error
+	runner.Ordered(cfg.Parallel, n, func(i int) cellResult[T] {
 		var tr *trace.Session
 		if cfg.Trace != nil {
 			tr = trace.NewSession()
@@ -46,18 +50,17 @@ func runCells[T any](cfg Config, n int, fn func(i int, seed int64, tr *trace.Ses
 			tr.Close()
 		}
 		return cellResult[T]{val: v, err: err, tr: tr}
-	})
-	vals := make([]T, n)
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, o.err
+	}, func(i int, o cellResult[T]) {
+		if err != nil {
+			return
+		}
+		if err = o.err; err == nil && o.tr != nil {
+			err = cfg.Trace.Absorb(o.tr)
 		}
 		vals[i] = o.val
-		if o.tr != nil {
-			if err := cfg.Trace.Absorb(o.tr); err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return vals, nil
 }

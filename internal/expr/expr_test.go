@@ -272,7 +272,7 @@ func TestDromaeoReport(t *testing.T) {
 type obsOnlyCounter struct{ n int }
 
 func (c *obsOnlyCounter) Observe(r trace.Record) {
-	if r.Op == trace.OpNative && obsOnlyNativeKinds[r.API] {
+	if r.Op == trace.OpNative && obsOnly(r.API) {
 		c.n++
 	}
 }

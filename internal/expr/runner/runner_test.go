@@ -77,6 +77,90 @@ func TestMapPanicPropagation(t *testing.T) {
 	}
 }
 
+// TestOrderedDeliversAsSoonAsNext pins the ordered-delivery contract:
+// deliver sees every index once, in order, on the calling goroutine (the
+// race detector checks the unsynchronized slice), and each as soon as
+// every lower index is in. Cell 1 cannot finish until cell 0 has been
+// delivered, which a pool that delivered only after draining would
+// never do.
+func TestOrderedDeliversAsSoonAsNext(t *testing.T) {
+	const n = 6
+	first := make(chan struct{})
+	var got []int
+	Ordered(2, n, func(i int) int {
+		if i == 1 {
+			select {
+			case <-first:
+			case <-time.After(10 * time.Second):
+				return -1
+			}
+		}
+		return i * 10
+	}, func(i, v int) {
+		if i == 0 {
+			close(first)
+		}
+		if v != i*10 {
+			t.Errorf("cell %d delivered %d; cell 1 waited for a delivery that never came", i, v)
+		}
+		got = append(got, i)
+	})
+	if want := []int{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+}
+
+// TestOrderedPanicDeliversLowerCells: a cell panic still delivers every
+// lower-index result, and nothing after it, before re-panicking with the
+// lowest-index value — what a serial loop would have done.
+func TestOrderedPanicDeliversLowerCells(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		var got []int
+		func() {
+			defer func() {
+				if r := recover(); r != "boom-3" {
+					t.Fatalf("width %d: got panic %v, want boom-3", width, r)
+				}
+			}()
+			Ordered(width, 10, func(i int) int {
+				if i == 3 || i == 7 {
+					panic(fmt.Sprintf("boom-%d", i))
+				}
+				return i
+			}, func(i, _ int) { got = append(got, i) })
+		}()
+		if want := []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("width %d: delivered %v before the panic, want %v", width, got, want)
+		}
+	}
+}
+
+// TestOrderedDeliverPanicDrains: a panic in deliver propagates to the
+// caller once the pool has drained, and stops the pool pulling cells.
+func TestOrderedDeliverPanicDrains(t *testing.T) {
+	const n = 1000
+	var ran atomic.Int64
+	func() {
+		defer func() {
+			if r := recover(); r != "deliver" {
+				t.Fatalf("got panic %v, want deliver", r)
+			}
+		}()
+		Ordered(4, n, func(i int) int {
+			ran.Add(1)
+			time.Sleep(100 * time.Microsecond)
+			return i
+		}, func(i, _ int) {
+			if i == 2 {
+				panic("deliver")
+			}
+		})
+	}()
+	if r := ran.Load(); r >= n {
+		t.Fatalf("the pool ran all %d cells after deliver panicked", r)
+	}
+}
+
 // TestMapEmpty and small-n edge cases.
 func TestMapEdgeCases(t *testing.T) {
 	if got := Map(8, 0, func(i int) int { return i }); got != nil {

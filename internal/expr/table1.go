@@ -6,6 +6,7 @@ import (
 	"jskernel/internal/expr/runner"
 	"jskernel/internal/report"
 	"jskernel/internal/sim"
+	"jskernel/internal/trace"
 	"jskernel/internal/vuln"
 )
 
@@ -174,22 +175,38 @@ func Table1Column(id string) (int, defense.Defense, bool) {
 // table1Matrix runs the Table I attack matrix against an arbitrary
 // defense list — the chaos experiment reuses it with fault-carrying
 // defense variants. The grid's cells run on the cfg.Parallel worker
-// pool; with cfg.Trace set, each cell retains its records and the
-// parts are absorbed into cfg.Trace in cell order once the pool drains,
-// so the merged trace is independent of completion order.
+// pool; with cfg.Trace set, each cell retains its records and its part
+// is absorbed into cfg.Trace in cell order, as soon as every
+// lower-index part is in, and then dropped. The merged trace is
+// independent of completion order, and only the parts of cells still
+// in flight or finished early are held.
 func table1Matrix(cfg Config, defenses []defense.Defense) (*Table1Result, error) {
+	var absorb func(*trace.Session) error
+	if cfg.Trace != nil {
+		absorb = cfg.Trace.Absorb
+	}
+	return table1MatrixInto(cfg, defenses, absorb)
+}
+
+// table1MatrixInto is table1Matrix with each cell's closed part handed
+// to absorb in cell order; a nil absorb runs the cells untraced.
+func table1MatrixInto(cfg Config, defenses []defense.Defense, absorb func(*trace.Session) error) (*Table1Result, error) {
 	g := newTable1Grid(cfg, defenses)
-	traced := cfg.Trace != nil
+	traced := absorb != nil
 	ins := Instruments{Records: traced, Obs: traced && cfg.Obs}
-	outs := runner.Map(cfg.Parallel, len(g.cells), func(i int) CellResult {
+	outs := make([]CellResult, len(g.cells))
+	var err error
+	runner.Ordered(cfg.Parallel, len(g.cells), func(i int) CellResult {
 		return RunCell(g.cells[i], ins)
-	})
-	if traced {
-		for _, o := range outs {
-			if err := cfg.Trace.Absorb(o.Trace); err != nil {
-				return nil, err
-			}
+	}, func(i int, o CellResult) {
+		if traced && err == nil {
+			err = absorb(o.Trace)
 		}
+		o.Trace = nil // absorbed: drop the part's records
+		outs[i] = o
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Table1Result{

@@ -165,11 +165,6 @@ type syncKey struct {
 	value int64
 }
 
-type evKey struct {
-	scope int
-	event uint64
-}
-
 type targetKey struct {
 	class string
 	id    int64
@@ -177,15 +172,28 @@ type targetKey struct {
 
 // runState is all happens-before state for one trace run.
 type runState struct {
+	run     int
 	ctxIdx  map[string]int
 	ctxName []string
 	vcs     []VC
 	// threads caches each thread's context index, so the per-record
-	// path never formats a context name.
-	threads map[int]int
+	// path never formats a context name; lastThread and lastCtx cache
+	// the last lookup, so it rarely hashes either.
+	threads    map[int]int
+	lastThread int
+	lastCtx    int
 
-	syncs   map[syncKey]VC
-	events  map[evKey]VC
+	syncs map[syncKey]VC
+	// events holds each kernel scope's in-flight event clocks by event
+	// ID; lastScope and lastEvents cache the last scope looked up.
+	events     map[int]map[uint64]VC
+	lastScope  int
+	lastEvents map[uint64]VC
+	// free holds retired clocks, emptied, for reuse: those of retired
+	// kernel events and of received channel messages. An event's or a
+	// message's clock is allocated only while more of them are in
+	// flight than ever before.
+	free    []VC
 	chans   map[chanKey][]chanMsg
 	spawns  map[int]VC
 	fetches map[int64]VC
@@ -193,12 +201,14 @@ type runState struct {
 	targets map[targetKey]*targetState
 }
 
-func newRunState() *runState {
+func newRunState(run int) *runState {
 	return &runState{
+		run:     run,
+		lastCtx: -1,
 		ctxIdx:  make(map[string]int),
 		threads: make(map[int]int),
 		syncs:   make(map[syncKey]VC),
-		events:  make(map[evKey]VC),
+		events:  make(map[int]map[uint64]VC),
 		chans:   make(map[chanKey][]chanMsg),
 		spawns:  make(map[int]VC),
 		fetches: make(map[int64]VC),
@@ -228,11 +238,15 @@ func (rs *runState) tick(i int) uint64 {
 
 // threadCtx interns the context for a thread ID, "t<id>".
 func (rs *runState) threadCtx(thread int) int {
-	if i, ok := rs.threads[thread]; ok {
-		return i
+	if rs.lastCtx >= 0 && rs.lastThread == thread {
+		return rs.lastCtx
 	}
-	i := rs.ctx("t" + strconv.Itoa(thread))
-	rs.threads[thread] = i
+	i, ok := rs.threads[thread]
+	if !ok {
+		i = rs.ctx("t" + strconv.Itoa(thread))
+		rs.threads[thread] = i
+	}
+	rs.lastThread, rs.lastCtx = thread, i
 	return i
 }
 
@@ -261,6 +275,7 @@ func (rs *runState) renderVC(v VC) string {
 // must arrive in Seq order per run, which Session guarantees.
 type Detector struct {
 	runs      map[int]*runState
+	cur       *runState // the last record's run
 	window    sim.Duration
 	findings  []Finding
 	seen      map[string]bool
@@ -351,24 +366,28 @@ func (d *Detector) Observe(r trace.Record) {
 	if d == nil {
 		return
 	}
-	rs := d.runs[r.Run]
-	if rs == nil {
-		rs = newRunState()
-		d.runs[r.Run] = rs
+	rs := d.cur
+	if rs == nil || rs.run != r.Run {
+		rs = d.runs[r.Run]
+		if rs == nil {
+			rs = newRunState(r.Run)
+			d.runs[r.Run] = rs
+		}
+		d.cur = rs
 	}
 	switch r.Op {
 	case trace.OpAccess:
-		d.access(rs, r)
+		d.access(rs, &r)
 	case trace.OpEdge:
-		rs.edge(r)
+		rs.edge(&r)
 	case trace.OpEnqueue, trace.OpConfirm:
-		rs.release(r)
+		rs.release(&r)
 	case trace.OpDispatch:
-		rs.acquire(r)
+		rs.acquire(&r)
 	case trace.OpCancel, trace.OpExpire:
-		rs.retire(r)
+		rs.retire(&r)
 	case trace.OpNative:
-		rs.native(r)
+		rs.native(&r)
 	default:
 		if r.Thread != 0 {
 			rs.tick(rs.threadCtx(r.Thread))
@@ -377,40 +396,80 @@ func (d *Detector) Observe(r trace.Record) {
 }
 
 // release publishes the enqueuing/confirming thread's clock into the
-// kernel event's sync state (OpEnqueue, OpConfirm).
-func (rs *runState) release(r trace.Record) {
+// kernel event's sync state (OpEnqueue, OpConfirm). A new event takes a
+// retired event's clock when one is free.
+func (rs *runState) release(r *trace.Record) {
 	ci := rs.threadCtx(r.Thread)
 	rs.tick(ci)
-	k := evKey{scope: r.Scope, event: r.Event}
-	v := rs.events[k]
+	evs := rs.scopeEvents(r.Scope)
+	v, ok := evs[r.Event]
+	if !ok {
+		v = rs.take()
+	}
 	v.join(rs.vcs[ci])
-	rs.events[k] = v
+	evs[r.Event] = v
+}
+
+// take returns an empty clock: a retired one when one is free.
+func (rs *runState) take() VC {
+	n := len(rs.free)
+	if n == 0 {
+		return nil
+	}
+	v := rs.free[n-1]
+	rs.free = rs.free[:n-1]
+	return v
+}
+
+// scopeEvents returns the in-flight event clocks of a kernel scope.
+func (rs *runState) scopeEvents(scope int) map[uint64]VC {
+	if rs.lastEvents != nil && rs.lastScope == scope {
+		return rs.lastEvents
+	}
+	evs := rs.events[scope]
+	if evs == nil {
+		evs = make(map[uint64]VC)
+		rs.events[scope] = evs
+	}
+	rs.lastScope, rs.lastEvents = scope, evs
+	return evs
 }
 
 // acquire joins the kernel event's accumulated sync state into the
 // dispatching thread (OpDispatch) and retires the event.
-func (rs *runState) acquire(r trace.Record) {
+func (rs *runState) acquire(r *trace.Record) {
 	ci := rs.threadCtx(r.Thread)
 	rs.tick(ci)
-	k := evKey{scope: r.Scope, event: r.Event}
-	if v, ok := rs.events[k]; ok {
+	evs := rs.scopeEvents(r.Scope)
+	if v, ok := evs[r.Event]; ok {
 		rs.vcs[ci].join(v)
-		delete(rs.events, k)
+		rs.drop(evs, r.Event, v)
 	}
 }
 
 // retire drops sync state for a cancelled/expired kernel event.
-func (rs *runState) retire(r trace.Record) {
+func (rs *runState) retire(r *trace.Record) {
 	if r.Thread != 0 {
 		rs.tick(rs.threadCtx(r.Thread))
 	}
-	delete(rs.events, evKey{scope: r.Scope, event: r.Event})
+	evs := rs.scopeEvents(r.Scope)
+	if v, ok := evs[r.Event]; ok {
+		rs.drop(evs, r.Event, v)
+	}
+}
+
+// drop retires event ev of evs, keeping its clock v, emptied, for reuse.
+func (rs *runState) drop(evs map[uint64]VC, ev uint64, v VC) {
+	delete(evs, ev)
+	if v != nil {
+		rs.free = append(rs.free, v[:0])
+	}
 }
 
 // edge handles explicit kernel sync objects (OpEdge): "rel" publishes
 // the thread's clock into the object, "acq" joins the object into the
 // thread.
-func (rs *runState) edge(r trace.Record) {
+func (rs *runState) edge(r *trace.Record) {
 	ci := rs.threadCtx(r.Thread)
 	rs.tick(ci)
 	k := syncKey{api: r.API, value: r.Value}
@@ -428,7 +487,7 @@ func (rs *runState) edge(r trace.Record) {
 
 // native reconstructs happens-before edges from bridged native-layer
 // events: message-channel FIFOs, worker spawn, and fetch lifecycle.
-func (rs *runState) native(r trace.Record) {
+func (rs *runState) native(r *trace.Record) {
 	ci := rs.threadCtx(r.Thread)
 	rs.tick(ci)
 	switch r.API {
@@ -487,27 +546,34 @@ func (rs *runState) native(r trace.Record) {
 	}
 }
 
-// send pushes the sender's clock onto a FIFO channel.
+// send pushes a copy of the sender's clock onto a FIFO channel.
 func (rs *runState) send(k chanKey, ci int) {
-	rs.chans[k] = append(rs.chans[k], chanMsg{vc: rs.vcs[ci].clone()})
+	rs.chans[k] = append(rs.chans[k], chanMsg{vc: append(rs.take(), rs.vcs[ci]...)})
 }
 
-// recv pops the channel head and joins it into the receiver. An empty
-// channel (a delivery whose send the kernel rewrote) contributes no
-// edge, which can only make the analysis report more races, never
-// fewer.
+// recv pops the channel head and joins it into the receiver, retiring
+// the head's clock; a channel it empties keeps its storage for the next
+// send. An empty channel (a delivery whose send the kernel rewrote)
+// contributes no edge, which can only make the analysis report more
+// races, never fewer.
 func (rs *runState) recv(k chanKey, ci int) {
 	q := rs.chans[k]
 	if len(q) == 0 {
 		return
 	}
 	rs.vcs[ci].join(q[0].vc)
-	rs.chans[k] = q[1:]
+	rs.free = append(rs.free, q[0].vc[:0])
+	q[0].vc = nil
+	if len(q) == 1 {
+		rs.chans[k] = q[:0]
+	} else {
+		rs.chans[k] = q[1:]
+	}
 }
 
 // access processes one shared-target access record: FastTrack race
 // checks against the target's history, then history update.
-func (d *Detector) access(rs *runState, r trace.Record) {
+func (d *Detector) access(rs *runState, r *trace.Record) {
 	guardian := strings.Contains(r.Action, "g")
 	write := strings.Contains(r.Action, "w")
 	var ci int
@@ -567,7 +633,7 @@ func (d *Detector) access(rs *runState, r trace.Record) {
 
 // check tests one (previous, current) access pair and records a finding
 // when they conflict, are unordered, and pass the temporal-window rule.
-func (d *Detector) check(rs *runState, r trace.Record, tk targetKey, prev, cur *site, vc VC) {
+func (d *Detector) check(rs *runState, r *trace.Record, tk targetKey, prev, cur *site, vc VC) {
 	if prev.ctx == cur.ctx {
 		return // program order
 	}

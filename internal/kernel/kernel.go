@@ -179,6 +179,9 @@ type Kernel struct {
 	// scope is this kernel's session-unique trace scope ID (0 when the
 	// scope was installed without a tracer attached).
 	scope int
+	// wid is this scope's worker ID: set by kNewWorker once it has
+	// registered the worker, 0 for every other scope.
+	wid int
 }
 
 // emit stamps one trace record with this kernel's virtual time, logical
@@ -195,8 +198,8 @@ func (k *Kernel) emit(r trace.Record) {
 	r.LC = k.clock.Now()
 	r.Thread = k.g.Thread().ID()
 	r.Scope = k.scope
-	if r.WorkerID == 0 && k.g.IsWorkerScope() {
-		r.WorkerID = k.workerID()
+	if r.WorkerID == 0 {
+		r.WorkerID = k.wid
 	}
 	t.Emit(r)
 }

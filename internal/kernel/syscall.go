@@ -155,15 +155,6 @@ func (k *Kernel) kSharedBufferWrite(buf *browser.SharedBuffer, idx int, val int6
 	return k.native.SharedBufferWrite(buf, idx, val)
 }
 
-// workerID returns the worker ID of this scope, or 0 for the main thread.
-func (k *Kernel) workerID() int {
-	if !k.g.IsWorkerScope() {
-		return 0
-	}
-	for wid, stub := range k.shared.workers {
-		if stub.native.Thread().ID() == k.g.Thread().ID() {
-			return wid
-		}
-	}
-	return 0
-}
+// workerID returns the worker ID of this scope, or 0 for the main
+// thread (and for a worker scope before kNewWorker has registered it).
+func (k *Kernel) workerID() int { return k.wid }

@@ -216,6 +216,11 @@ func (k *Kernel) kNewWorker(src string) (browser.Worker, error) {
 		native: native,
 	}
 	k.shared.workers[stub.id] = stub
+	// The worker's scope was installed on its new thread while the
+	// native worker was built; from here on it knows its ID.
+	if wk := k.shared.byThread[native.Thread().ID()]; wk != nil && wk.g.IsWorkerScope() {
+		wk.wid = stub.id
+	}
 	// The kernel owns the handle's native message path; worker→main user
 	// traffic is confirmed against pre-registered events.
 	native.SetOnMessage(func(g *browser.Global, m browser.MessageEvent) {

@@ -88,28 +88,58 @@ type Signature struct {
 	Evidence []uint64 `json:"evidence"`
 }
 
-// subjKey identifies one (run, subject) counter.
-type subjKey struct {
-	run int
-	id  int64
-}
-
 // tally is one counter with its evidence chain.
 type tally struct {
 	count    int
 	evidence []uint64
 }
 
+// tokenTallies are the browser-layer counters of one scope token.
+type tokenTallies struct {
+	zeroTimer tally // zero-delay timer callbacks
+	msgCB     tally // message callbacks
+	anyTimer  tally // all timer callbacks
+	clockRead tally // explicit clock reads
+}
+
+// scopeTallies are the kernel-layer counters of one kernel scope.
+type scopeTallies struct {
+	burst tally // deep-queue records
+	shed  tally // shed registrations
+}
+
+// subject is one counted subject of a run: a scope token or a kernel
+// scope ID, with its counters.
+type subject[T any] struct {
+	id int64
+	t  T
+}
+
+// detRun is the detectors' state for one run. A run has a handful of
+// scope tokens and kernel scopes, so they are found by a scan.
+type detRun struct {
+	run    int
+	tokens []*subject[tokenTallies]
+	scopes []*subject[scopeTallies]
+}
+
+// find returns the subject id of subs, appending a zero one first.
+func find[T any](subs *[]*subject[T], id int64) *T {
+	for _, s := range *subs {
+		if s.id == id {
+			return &s.t
+		}
+	}
+	s := &subject[T]{id: id}
+	*subs = append(*subs, s)
+	return &s.t
+}
+
 // Detectors is the Sink running every detector over one stream.
 type Detectors struct {
-	cfg DetectorConfig
-
-	zeroTimer map[subjKey]*tally // zero-delay timer callbacks per token
-	msgCB     map[subjKey]*tally // message callbacks per token
-	anyTimer  map[subjKey]*tally // all timer callbacks per token
-	clockRead map[subjKey]*tally // explicit clock reads per token
-	burst     map[subjKey]*tally // deep-queue records per kernel scope
-	shed      map[subjKey]*tally // shed registrations per kernel scope
+	cfg  DetectorConfig
+	runs map[int]*detRun
+	cur  *detRun // the last counted record's run
 }
 
 var _ trace.Sink = (*Detectors)(nil)
@@ -119,26 +149,30 @@ func NewDetectors(cfg DetectorConfig) *Detectors {
 	if cfg.EvidenceCap <= 0 {
 		cfg.EvidenceCap = DefaultDetectorConfig().EvidenceCap
 	}
-	return &Detectors{
-		cfg:       cfg,
-		zeroTimer: make(map[subjKey]*tally),
-		msgCB:     make(map[subjKey]*tally),
-		anyTimer:  make(map[subjKey]*tally),
-		clockRead: make(map[subjKey]*tally),
-		burst:     make(map[subjKey]*tally),
-		shed:      make(map[subjKey]*tally),
+	return &Detectors{cfg: cfg, runs: make(map[int]*detRun)}
+}
+
+// run returns run's state, found once per change of run.
+func (d *Detectors) run(run int) *detRun {
+	if d.cur != nil && d.cur.run == run {
+		return d.cur
 	}
+	dr := d.runs[run]
+	if dr == nil {
+		dr = &detRun{run: run}
+		d.runs[run] = dr
+	}
+	d.cur = dr
+	return dr
 }
 
 // bump advances one counter, retaining early evidence.
-func (d *Detectors) bump(m map[subjKey]*tally, k subjKey, seq uint64) {
-	t := m[k]
-	if t == nil {
-		t = &tally{}
-		m[k] = t
-	}
+func (d *Detectors) bump(t *tally, seq uint64) {
 	t.count++
 	if len(t.evidence) < d.cfg.EvidenceCap {
+		if t.evidence == nil {
+			t.evidence = make([]uint64, 0, d.cfg.EvidenceCap)
+		}
 		t.evidence = append(t.evidence, seq)
 	}
 }
@@ -151,23 +185,23 @@ func (d *Detectors) Observe(r trace.Record) {
 		if !ok {
 			return
 		}
-		k := subjKey{run: r.Run, id: r.Value}
 		switch kind {
 		case browser.TraceTimerFired:
-			d.bump(d.anyTimer, k, r.Seq)
+			t := find(&d.run(r.Run).tokens, r.Value)
+			d.bump(&t.anyTimer, r.Seq)
 			if r.Aux == 0 {
-				d.bump(d.zeroTimer, k, r.Seq)
+				d.bump(&t.zeroTimer, r.Seq)
 			}
 		case browser.TraceMessageCallback:
-			d.bump(d.msgCB, k, r.Seq)
+			d.bump(&find(&d.run(r.Run).tokens, r.Value).msgCB, r.Seq)
 		case browser.TraceClockRead:
-			d.bump(d.clockRead, k, r.Seq)
+			d.bump(&find(&d.run(r.Run).tokens, r.Value).clockRead, r.Seq)
 		}
 	case trace.OpShed:
-		d.bump(d.shed, subjKey{run: r.Run, id: int64(r.Scope)}, r.Seq)
+		d.bump(&find(&d.run(r.Run).scopes, int64(r.Scope)).shed, r.Seq)
 	case trace.OpEnqueue, trace.OpDispatch:
 		if r.Depth >= d.cfg.QueueBurstDepth && r.Scope != 0 {
-			d.bump(d.burst, subjKey{run: r.Run, id: int64(r.Scope)}, r.Seq)
+			d.bump(&find(&d.run(r.Run).scopes, int64(r.Scope)).burst, r.Seq)
 		}
 	}
 }
@@ -187,19 +221,24 @@ type FragmentCount struct {
 
 // Fragments sums every counter per detector, sorted by detector name.
 func (d *Detectors) Fragments() []FragmentCount {
-	total := func(m map[subjKey]*tally) int {
-		n := 0
-		for _, t := range m {
-			n += t.count
+	var zero, msg, read, burst, shed int
+	for _, dr := range d.runs {
+		for _, s := range dr.tokens {
+			zero += s.t.zeroTimer.count
+			msg += s.t.msgCB.count
+			read += s.t.clockRead.count
 		}
-		return n
+		for _, s := range dr.scopes {
+			burst += s.t.burst.count
+			shed += s.t.shed.count
+		}
 	}
 	out := []FragmentCount{
-		{Detector: DetectImplicitClockTimer, Count: total(d.zeroTimer)},
-		{Detector: DetectImplicitClockPost, Count: total(d.msgCB)},
-		{Detector: DetectEventLoopProbe, Count: total(d.clockRead)},
-		{Detector: DetectQueueBurst, Count: total(d.burst)},
-		{Detector: DetectQueueShed, Count: total(d.shed)},
+		{Detector: DetectImplicitClockTimer, Count: zero},
+		{Detector: DetectImplicitClockPost, Count: msg},
+		{Detector: DetectEventLoopProbe, Count: read},
+		{Detector: DetectQueueBurst, Count: burst},
+		{Detector: DetectQueueShed, Count: shed},
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Detector < out[j].Detector })
 	filtered := out[:0]
@@ -211,60 +250,38 @@ func (d *Detectors) Fragments() []FragmentCount {
 	return filtered
 }
 
-// sortedKeys renders a counter map's keys in (run, id) order.
-func sortedKeys(m map[subjKey]*tally) []subjKey {
-	keys := make([]subjKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].run != keys[j].run {
-			return keys[i].run < keys[j].run
-		}
-		return keys[i].id < keys[j].id
-	})
-	return keys
-}
-
 // Finish renders every over-threshold counter into a signature, sorted
 // by (run, detector, subject).
 func (d *Detectors) Finish() []Signature {
 	var sigs []Signature
-	emit := func(detector, subject string, m map[subjKey]*tally, min int) {
-		for _, k := range sortedKeys(m) {
-			t := m[k]
-			if t.count < min {
-				continue
-			}
-			sigs = append(sigs, Signature{
-				Detector:  detector,
-				Run:       k.run,
-				Subject:   subject,
-				SubjectID: k.id,
-				Count:     t.count,
-				Evidence:  append([]uint64(nil), t.evidence...),
-			})
-		}
-	}
-	emit(DetectImplicitClockTimer, "scope-token", d.zeroTimer, d.cfg.ImplicitClockMin)
-	emit(DetectImplicitClockPost, "scope-token", d.msgCB, d.cfg.ImplicitClockMin)
-	for _, k := range sortedKeys(d.anyTimer) {
-		timers := d.anyTimer[k]
-		reads := d.clockRead[k]
-		if timers.count < d.cfg.ProbeMinTimers || reads == nil || reads.count < d.cfg.ProbeMinReads {
-			continue
+	add := func(detector, subject string, run int, id int64, t *tally, min int) {
+		if t.count == 0 || t.count < min {
+			return
 		}
 		sigs = append(sigs, Signature{
-			Detector:  DetectEventLoopProbe,
-			Run:       k.run,
-			Subject:   "scope-token",
-			SubjectID: k.id,
-			Count:     reads.count,
-			Evidence:  append([]uint64(nil), reads.evidence...),
+			Detector:  detector,
+			Run:       run,
+			Subject:   subject,
+			SubjectID: id,
+			Count:     t.count,
+			Evidence:  append([]uint64(nil), t.evidence...),
 		})
 	}
-	emit(DetectQueueBurst, "kernel-scope", d.burst, 1)
-	emit(DetectQueueShed, "kernel-scope", d.shed, 1)
+	for _, dr := range d.runs {
+		for _, s := range dr.tokens {
+			add(DetectImplicitClockTimer, "scope-token", dr.run, s.id, &s.t.zeroTimer, d.cfg.ImplicitClockMin)
+			add(DetectImplicitClockPost, "scope-token", dr.run, s.id, &s.t.msgCB, d.cfg.ImplicitClockMin)
+			if s.t.anyTimer.count >= d.cfg.ProbeMinTimers {
+				add(DetectEventLoopProbe, "scope-token", dr.run, s.id, &s.t.clockRead, d.cfg.ProbeMinReads)
+			}
+		}
+		for _, s := range dr.scopes {
+			add(DetectQueueBurst, "kernel-scope", dr.run, s.id, &s.t.burst, 1)
+			add(DetectQueueShed, "kernel-scope", dr.run, s.id, &s.t.shed, 1)
+		}
+	}
+	// Each (run, detector, subject) has at most one signature, so the
+	// order is total.
 	sort.Slice(sigs, func(i, j int) bool {
 		a, b := sigs[i], sigs[j]
 		if a.Run != b.Run {

@@ -91,7 +91,7 @@ const (
 // record the harness shapes are not built from: non-native records,
 // unknown kinds, worker-side events (scope token ≠ 1), interval timers
 // and Date.now reads.
-func measurementOf(r trace.Record) (Measurement, bool) {
+func measurementOf(r *trace.Record) (Measurement, bool) {
 	if r.Op != trace.OpNative || r.Value != mainToken {
 		return Measurement{}, false
 	}

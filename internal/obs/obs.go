@@ -18,7 +18,8 @@
 // Everything here consumes only the stamped record stream, so outputs
 // are byte-identical across reruns and across parallel widths: parallel
 // cells trace into private sessions that are absorbed into the parent in
-// cell-index order, and Absorb re-emits through the parent's sinks.
+// cell-index order, and Absorb hands each part's records, in order, to
+// the parent's sinks (the part's metrics registry is folded in whole).
 //
 // The forensics layer additionally reconstructs the paper's attack
 // measurements from the browser's observability events (extract.go):
@@ -45,28 +46,41 @@ import (
 // dropped as they arrive, and a kept event holds only what the
 // extractors read, in a 16-byte value with no pointers.
 type Collector struct {
-	byRun map[int][]Measurement
+	byRun map[int]*[]Measurement
+	run   int
+	cur   *[]Measurement // the last kept event's run
 }
 
 var _ trace.Sink = (*Collector)(nil)
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{byRun: make(map[int][]Measurement)}
+	return &Collector{byRun: make(map[int]*[]Measurement)}
 }
 
 // Observe keeps r when it is a measurement event.
 func (c *Collector) Observe(r trace.Record) {
-	m, ok := measurementOf(r)
+	m, ok := measurementOf(&r)
 	if !ok {
 		return
 	}
-	c.byRun[r.Run] = append(c.byRun[r.Run], m)
+	if c.cur == nil || c.run != r.Run {
+		c.cur = c.byRun[r.Run]
+		if c.cur == nil {
+			c.cur = new([]Measurement)
+			c.byRun[r.Run] = c.cur
+		}
+		c.run = r.Run
+	}
+	*c.cur = append(*c.cur, m)
 }
 
 // Measurements returns one run's measurement events in emission order.
 func (c *Collector) Measurements(run int) []Measurement {
-	return c.byRun[run]
+	if ms := c.byRun[run]; ms != nil {
+		return *ms
+	}
+	return nil
 }
 
 // CVEMirror is a Sink that replays one run's native events into a fresh

@@ -47,33 +47,64 @@ type RunProfile struct {
 	WaitTotal  sim.Duration `json:"wait_total_ns"`
 }
 
-// runAPI keys the call-level verdict memory.
-type runAPI struct {
-	run int
-	api string
-}
-
-// profKey keys one profile leaf.
-type profKey struct {
-	run   int
-	scope int
-	api   string
-	rule  string
-}
-
 // pendingEv is an enqueued-but-undispatched event awaiting attribution.
 type pendingEv struct {
 	enqVT sim.Time
 	rule  string
 }
 
+// apiRule is one API's last call-level verdict within a run.
+type apiRule struct{ api, rule string }
+
+// runProf is the profiler's state for one run. A run's APIs, rules and
+// (scope, API, rule) leaves are few, so they are found by a scan that
+// compares strings instead of hashing them.
+type runProf struct {
+	run    int
+	policy string // from the run's first install record naming one
+	maxVT  sim.Time
+	rules  []apiRule      // last call-level verdict per API
+	nodes  []*ProfileNode // the run's leaves, in first-dispatch order
+}
+
+// rule returns the rule the next registration of api is charged to.
+func (rp *runProf) rule(api string) string {
+	for i := range rp.rules {
+		if rp.rules[i].api == api {
+			return rp.rules[i].rule
+		}
+	}
+	return "scheduled"
+}
+
+// setRule records api's latest call-level verdict.
+func (rp *runProf) setRule(api, rule string) {
+	for i := range rp.rules {
+		if rp.rules[i].api == api {
+			rp.rules[i].rule = rule
+			return
+		}
+	}
+	rp.rules = append(rp.rules, apiRule{api, rule})
+}
+
+// node returns the run's leaf for (scope, api, rule), creating it.
+func (rp *runProf) node(scope int, api, rule string) *ProfileNode {
+	for _, n := range rp.nodes {
+		if n.Scope == scope && n.API == api && n.Rule == rule {
+			return n
+		}
+	}
+	n := &ProfileNode{Run: rp.run, Scope: scope, API: api, Rule: rule}
+	rp.nodes = append(rp.nodes, n)
+	return n
+}
+
 // Profiler accumulates the virtual-time profile from a record stream.
 type Profiler struct {
-	lastRule  map[runAPI]string
-	pending   map[uint64]pendingEv
-	nodes     map[profKey]*ProfileNode
-	runPolicy map[int]string
-	runMaxVT  map[int]sim.Time
+	runs    map[int]*runProf
+	cur     *runProf // the last record's run
+	pending map[uint64]pendingEv
 }
 
 var _ trace.Sink = (*Profiler)(nil)
@@ -81,60 +112,63 @@ var _ trace.Sink = (*Profiler)(nil)
 // NewProfiler returns an empty profiler.
 func NewProfiler() *Profiler {
 	return &Profiler{
-		lastRule:  make(map[runAPI]string),
-		pending:   make(map[uint64]pendingEv),
-		nodes:     make(map[profKey]*ProfileNode),
-		runPolicy: make(map[int]string),
-		runMaxVT:  make(map[int]sim.Time),
+		runs:    make(map[int]*runProf),
+		pending: make(map[uint64]pendingEv),
 	}
 }
 
 // eventKey mirrors trace.Record.key: scope IDs are session-unique and
 // event IDs are unique within a scope.
-func eventKey(r trace.Record) uint64 { return uint64(r.Scope)<<32 | r.Event }
+func eventKey(r *trace.Record) uint64 { return uint64(r.Scope)<<32 | r.Event }
+
+// run returns run's state, found once per change of run.
+func (p *Profiler) run(run int) *runProf {
+	if p.cur != nil && p.cur.run == run {
+		return p.cur
+	}
+	rp := p.runs[run]
+	if rp == nil {
+		rp = &runProf{run: run}
+		p.runs[run] = rp
+	}
+	p.cur = rp
+	return rp
+}
 
 // Observe folds one stamped record into the profile.
 func (p *Profiler) Observe(r trace.Record) {
-	if r.VT > p.runMaxVT[r.Run] {
-		p.runMaxVT[r.Run] = r.VT
+	rp := p.run(r.Run)
+	if r.VT > rp.maxVT {
+		rp.maxVT = r.VT
 	}
 	switch r.Op {
 	case trace.OpInstall:
-		if _, ok := p.runPolicy[r.Run]; !ok && r.Reason != "" {
-			p.runPolicy[r.Run] = r.Reason
+		if rp.policy == "" {
+			rp.policy = r.Reason
 		}
 	case trace.OpPolicy:
 		// Only call-level verdicts (Event 0) name the rule that admitted
 		// the next registration; the per-event "schedule" echo carries no
 		// extra attribution.
 		if r.Event == 0 {
-			p.lastRule[runAPI{r.Run, r.API}] = r.Action
+			rp.setRule(r.API, r.Action)
 		}
 	case trace.OpEnqueue:
 		if r.Event == 0 || r.Scope == 0 {
 			return
 		}
-		rule, ok := p.lastRule[runAPI{r.Run, r.API}]
-		if !ok {
-			rule = "scheduled"
-		}
-		p.pending[eventKey(r)] = pendingEv{enqVT: r.VT, rule: rule}
+		p.pending[eventKey(&r)] = pendingEv{enqVT: r.VT, rule: rp.rule(r.API)}
 	case trace.OpDispatch:
 		if r.Event == 0 || r.Scope == 0 {
 			return
 		}
-		k := eventKey(r)
+		k := eventKey(&r)
 		pe, ok := p.pending[k]
 		if !ok {
 			return
 		}
 		delete(p.pending, k)
-		nk := profKey{run: r.Run, scope: r.Scope, api: r.API, rule: pe.rule}
-		node := p.nodes[nk]
-		if node == nil {
-			node = &ProfileNode{Run: r.Run, Scope: r.Scope, API: r.API, Rule: pe.rule}
-			p.nodes[nk] = node
-		}
+		node := rp.node(r.Scope, r.API, pe.rule)
 		wait := r.VT - pe.enqVT
 		node.Count++
 		node.WaitTotal += sim.Duration(wait)
@@ -143,49 +177,50 @@ func (p *Profiler) Observe(r trace.Record) {
 		}
 	case trace.OpShed, trace.OpCancel, trace.OpExpire:
 		if r.Event != 0 && r.Scope != 0 {
-			delete(p.pending, eventKey(r))
+			delete(p.pending, eventKey(&r))
 		}
 	}
 }
 
 // Nodes returns the profile leaves sorted by (run, scope, API, rule).
 func (p *Profiler) Nodes() []ProfileNode {
-	keys := make([]profKey, 0, len(p.nodes))
-	for k := range p.nodes {
-		keys = append(keys, k)
+	n := 0
+	for _, rp := range p.runs {
+		n += len(rp.nodes)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.run != b.run {
-			return a.run < b.run
+	out := make([]ProfileNode, 0, n)
+	for _, rp := range p.runs {
+		for _, n := range rp.nodes {
+			out = append(out, *n)
 		}
-		if a.scope != b.scope {
-			return a.scope < b.scope
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if a.Run != b.Run {
+			return a.Run < b.Run
 		}
-		if a.api != b.api {
-			return a.api < b.api
+		if a.Scope != b.Scope {
+			return a.Scope < b.Scope
 		}
-		return a.rule < b.rule
+		if a.API != b.API {
+			return a.API < b.API
+		}
+		return a.Rule < b.Rule
 	})
-	out := make([]ProfileNode, len(keys))
-	for i, k := range keys {
-		out[i] = *p.nodes[k]
-	}
 	return out
 }
 
-// RunProfiles returns the per-run headers sorted by run.
+// RunProfiles returns the per-run headers sorted by run. A run whose
+// records all sit at virtual time zero consumed no simulated time and
+// gets no header.
 func (p *Profiler) RunProfiles() []RunProfile {
-	runs := make([]int, 0, len(p.runMaxVT))
-	for run := range p.runMaxVT {
-		runs = append(runs, run)
+	out := make([]RunProfile, 0, len(p.runs))
+	for _, rp := range p.runs {
+		if rp.maxVT > 0 {
+			out = append(out, RunProfile{Run: rp.run, Policy: rp.policy, VirtualEnd: rp.maxVT})
+		}
 	}
-	sort.Ints(runs)
-	out := make([]RunProfile, 0, len(runs))
-	for _, run := range runs {
-		rp := RunProfile{Run: run, Policy: p.runPolicy[run], VirtualEnd: p.runMaxVT[run]}
-		out = append(out, rp)
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Run < out[j].Run })
 	// Aggregate node totals into their runs (nodes are few; a second
 	// pass keeps the hot Observe path allocation-free).
 	for _, n := range p.Nodes() {

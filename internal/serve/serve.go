@@ -223,7 +223,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // queue closes during drain. These goroutines — and the ones in Start
 // and awaitDrain — are the audited entries in jsk-lint's goroutinescope
 // allowlist for this package: each runs simulations that share nothing
-// with its siblings (the same argument that sanctions runner.Map), and
+// with its siblings (the same argument that sanctions runner.Ordered), and
 // none outlives Shutdown.
 func (s *Server) startWorkers() {
 	for w := 0; w < s.cfg.pool(); w++ {

@@ -5,11 +5,14 @@ import "fmt"
 // Absorb merges a closed part session into this one, remapping the
 // part's run generations and scope IDs past this session's allocators so
 // (scope, event) keys and (run, thread) timelines never collide. Records
-// are re-emitted in the part's own order with fresh sequence numbers, so
-// the merged trace stays a total order and the metrics registry is
-// rebuilt record-by-record exactly as if the part had been traced into
-// this session directly. Interposition totals — counted outside records
-// — are transferred explicitly.
+// are re-stamped in the part's own order with fresh sequence numbers and
+// handed to this session's sinks (and its buffer, when it retains), so
+// the merged trace stays a total order and every sink sees exactly the
+// stream the part would have produced had it been traced here. The
+// part's finished metrics registry is folded in whole (Metrics.Merge,
+// with its scope IDs shifted by the same base), rather than rebuilt
+// record by record: a closed part's events have all retired, so it adds
+// nothing to the open-event ledger.
 //
 // The parallel experiment runner gives every cell its own Session and
 // absorbs the parts in cell-index order: because each part is internally
@@ -41,20 +44,27 @@ func (s *Session) Absorb(part *Session) error {
 	}
 	runBase, scopeBase := s.runs, s.scopes
 	for _, c := range part.chunks {
-		for _, r := range c {
+		for i := range c {
+			r := c[i]
 			if r.Run != 0 {
 				r.Run += runBase
 			}
 			if r.Scope != 0 {
 				r.Scope += scopeBase
 			}
-			r.Seq = 0 // Emit restamps
-			s.Emit(r)
+			s.emit(&r)
 		}
 	}
 	s.runs += part.runs
 	s.scopes += part.scopes
-	s.metrics.InterposeCrossings += part.metrics.InterposeCrossings
-	s.metrics.InterposeVirtual += part.metrics.InterposeVirtual
+	if part.maxVT > s.maxVT {
+		s.maxVT = part.maxVT
+	}
+	for scope, lc := range part.scopeLC.m {
+		if p := s.scopeLC.slot(scope + scopeBase); *lc > *p {
+			*p = *lc
+		}
+	}
+	s.metrics.merge(part.metrics, scopeBase)
 	return nil
 }

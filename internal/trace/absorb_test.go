@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"jskernel/internal/attack"
@@ -55,8 +56,8 @@ func TestAbsorbMergesValidly(t *testing.T) {
 		t.Fatalf("scopes %d, parts total %d — scope remapping collided", rep.Scopes, ra.Scopes+rb.Scopes)
 	}
 
-	// Metrics must be rebuilt exactly, including the explicitly
-	// transferred interposition totals.
+	// Metrics must fold exactly, including the interposition totals,
+	// which are counted outside records.
 	ma, mb, mm := a.Metrics(), b.Metrics(), merged.Metrics()
 	if mm.Dispatched != ma.Dispatched+mb.Dispatched {
 		t.Fatalf("dispatched metric %d, parts total %d", mm.Dispatched, ma.Dispatched+mb.Dispatched)
@@ -112,5 +113,32 @@ func TestAbsorbRejectsMisuse(t *testing.T) {
 	dst.Close()
 	if err := dst.Absorb(open); err == nil {
 		t.Fatal("closed session absorbed a part")
+	}
+}
+
+// TestAbsorbShiftsScopedMetrics: a part's registry folds into the
+// parent with its scope IDs shifted past the parent's allocator, like
+// its records, while scope 0 ("no scope") stays 0.
+func TestAbsorbShiftsScopedMetrics(t *testing.T) {
+	part := trace.NewSession()
+	sc := part.NextScope()
+	part.Emit(trace.Record{Thread: 2, Scope: sc, Op: trace.OpInstall, API: "window"})
+	part.Emit(trace.Record{Thread: 2, Scope: sc, Op: trace.OpEnqueue, API: "setTimeout", Event: 1, Depth: 3})
+	part.Emit(trace.Record{Thread: 2, Scope: sc, Op: trace.OpCancel, API: "setTimeout", Event: 1})
+	part.Emit(trace.Record{Thread: 2, Op: trace.OpEnqueue, API: "fetch", Depth: 5})
+	part.Close()
+
+	parent := trace.NewSession()
+	parent.NextScope()
+	parent.NextScope()
+	if err := parent.Absorb(part); err != nil {
+		t.Fatalf("absorb: %v", err)
+	}
+	want := []trace.ScopeDepth{{Scope: 0, Thread: 0, HighWater: 5}, {Scope: 3, Thread: 2, HighWater: 3}}
+	if got := parent.Metrics().QueueHighWater(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("queue high water %+v, want %+v", got, want)
+	}
+	if got := parent.Records(); got[0].Scope != 3 || got[3].Scope != 0 {
+		t.Fatalf("records remapped to scopes %d and %d, want 3 and 0", got[0].Scope, got[3].Scope)
 	}
 }

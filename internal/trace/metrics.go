@@ -113,26 +113,34 @@ type Metrics struct {
 	// its dispatch.
 	DispatchLatency Histogram
 
-	perAPI       map[string]uint64 // enqueues per API kind
-	perAction    map[string]uint64 // policy verdicts per action
-	depthHWM     map[int]int       // queue-depth high-water mark per scope
-	scopeThreads map[int]int       // scope → thread (from install/enqueue records)
+	perAPI    map[string]uint64 // enqueues per API kind
+	perAction map[string]uint64 // policy verdicts per action
+	scopes    lastKey[int, scopeStat]
+}
+
+// scopeStat is one scope's share of the registry.
+type scopeStat struct {
+	// seen marks a scope some record named; thread is the first thread
+	// such a record carried. Scope 0 is never seen.
+	seen   bool
+	thread int
+	// hwm is the scope's queue-depth high-water mark; a scope whose
+	// enqueues never raised it above 0 is not listed.
+	hwm int
 }
 
 func newMetrics() *Metrics {
 	return &Metrics{
-		perAPI:       make(map[string]uint64),
-		perAction:    make(map[string]uint64),
-		depthHWM:     make(map[int]int),
-		scopeThreads: make(map[int]int),
+		perAPI:    make(map[string]uint64),
+		perAction: make(map[string]uint64),
 	}
 }
 
 // observe folds one record into the registry.
-func (m *Metrics) observe(r Record) {
+func (m *Metrics) observe(r *Record) {
 	if r.Scope != 0 {
-		if _, ok := m.scopeThreads[r.Scope]; !ok {
-			m.scopeThreads[r.Scope] = r.Thread
+		if sc := m.scopes.at(r.Scope); !sc.seen {
+			sc.seen, sc.thread = true, r.Thread
 		}
 	}
 	switch r.Op {
@@ -141,8 +149,8 @@ func (m *Metrics) observe(r Record) {
 	case OpEnqueue:
 		m.Enqueued++
 		m.perAPI[r.API]++
-		if r.Depth > m.depthHWM[r.Scope] {
-			m.depthHWM[r.Scope] = r.Depth
+		if sc := m.scopes.at(r.Scope); r.Depth > sc.hwm {
+			sc.hwm = r.Depth
 		}
 	case OpPolicy:
 		m.PolicyDecisions++
@@ -175,7 +183,11 @@ func (m *Metrics) observeLatency(d sim.Duration) { m.DispatchLatency.Observe(d) 
 // sessions keeps one entry per ID ever used — the merged registry
 // stays as small as the largest session. The zero Metrics is a valid
 // receiver.
-func (m *Metrics) Merge(o *Metrics) {
+func (m *Metrics) Merge(o *Metrics) { m.merge(o, 0) }
+
+// merge is Merge with o's nonzero scope IDs shifted up by scopeBase,
+// the remap Session.Absorb applies to a part's records.
+func (m *Metrics) merge(o *Metrics, scopeBase int) {
 	m.Installs += o.Installs
 	m.Enqueued += o.Enqueued
 	m.Confirmed += o.Confirmed
@@ -193,8 +205,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	if m.perAPI == nil {
 		m.perAPI = make(map[string]uint64)
 		m.perAction = make(map[string]uint64)
-		m.depthHWM = make(map[int]int)
-		m.scopeThreads = make(map[int]int)
 	}
 	for k, v := range o.perAPI {
 		m.perAPI[k] += v
@@ -202,14 +212,16 @@ func (m *Metrics) Merge(o *Metrics) {
 	for k, v := range o.perAction {
 		m.perAction[k] += v
 	}
-	for s, d := range o.depthHWM {
-		if d > m.depthHWM[s] {
-			m.depthHWM[s] = d
+	for s, src := range o.scopes.m {
+		if s != 0 {
+			s += scopeBase
 		}
-	}
-	for s, t := range o.scopeThreads {
-		if _, ok := m.scopeThreads[s]; !ok {
-			m.scopeThreads[s] = t
+		sc := m.scopes.slot(s)
+		if !sc.seen && src.seen {
+			sc.seen, sc.thread = true, src.thread
+		}
+		if src.hwm > sc.hwm {
+			sc.hwm = src.hwm
 		}
 	}
 }
@@ -249,15 +261,13 @@ type ScopeDepth struct {
 // QueueHighWater returns per-scope queue-depth high-water marks sorted
 // by scope ID.
 func (m *Metrics) QueueHighWater() []ScopeDepth {
-	scopes := make([]int, 0, len(m.depthHWM))
-	for s := range m.depthHWM {
-		scopes = append(scopes, s)
+	var out []ScopeDepth
+	for s, sc := range m.scopes.m {
+		if sc.hwm > 0 {
+			out = append(out, ScopeDepth{Scope: s, Thread: sc.thread, HighWater: sc.hwm})
+		}
 	}
-	sort.Ints(scopes)
-	out := make([]ScopeDepth, 0, len(scopes))
-	for _, s := range scopes {
-		out = append(out, ScopeDepth{Scope: s, Thread: m.scopeThreads[s], HighWater: m.depthHWM[s]})
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Scope < out[j].Scope })
 	return out
 }
 

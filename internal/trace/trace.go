@@ -195,7 +195,54 @@ type Record struct {
 
 // key identifies one event uniquely within a session: scope IDs are
 // session-unique and event IDs are unique within a scope.
-func (r Record) key() uint64 { return uint64(r.Scope)<<32 | r.Event }
+func (r *Record) key() uint64 { return uint64(r.Scope)<<32 | r.Event }
+
+// lastKey maps keys to per-key state behind a cache of the last key
+// looked up. Consecutive records mostly share their scope and their
+// (run, thread), so the record path hashes a key only when it changes.
+// Each key's state is allocated once, on first use, and never moves.
+// Keys come from the stream, so nothing here is sized by a key's value.
+type lastKey[K comparable, V any] struct {
+	m    map[K]*V
+	key  K
+	last *V
+}
+
+// at returns k's state, creating a zero one on first use, and caches k.
+func (c *lastKey[K, V]) at(k K) *V {
+	if c.last != nil && c.key == k {
+		return c.last
+	}
+	v := c.slot(k)
+	c.key, c.last = k, v
+	return v
+}
+
+// slot is at without touching the cache. Folds that range over a map
+// use it: which key such a range visits last is random, and the cache
+// (which reflect.DeepEqual sees) must not depend on it.
+func (c *lastKey[K, V]) slot(k K) *V {
+	v := c.m[k]
+	if v == nil {
+		if c.m == nil {
+			c.m = make(map[K]*V)
+		}
+		v = new(V)
+		c.m[k] = v
+	}
+	return v
+}
+
+// get returns k's state, or nil when k was never used.
+func (c *lastKey[K, V]) get(k K) *V {
+	if c.last != nil && c.key == k {
+		return c.last
+	}
+	return c.m[k]
+}
+
+// len reports how many keys have state.
+func (c *lastKey[K, V]) len() int { return len(c.m) }
 
 // Sink observes every record a Session emits, in emission order, after
 // the session has stamped it (Seq assigned, VT/LC high-waters folded).
@@ -231,8 +278,8 @@ type Session struct {
 	scopes int // session-unique scope ID allocator
 	runs   int // session-unique environment-generation allocator
 
-	open    map[uint64]openEvent // enqueued-but-unretired events
-	scopeLC map[int]sim.Time     // per-scope logical-clock high-water
+	open    map[uint64]openEvent   // enqueued-but-unretired events
+	scopeLC lastKey[int, sim.Time] // per-scope logical-clock high-water
 	maxVT   sim.Time
 	closed  bool
 }
@@ -244,7 +291,6 @@ func NewSession() *Session {
 		retain:  true,
 		metrics: newMetrics(),
 		open:    make(map[uint64]openEvent),
-		scopeLC: make(map[int]sim.Time),
 	}
 }
 
@@ -295,42 +341,55 @@ func (s *Session) Emit(r Record) {
 	if s == nil {
 		return
 	}
-	s.seq++
-	r.Seq = s.seq
 	if r.VT > s.maxVT {
 		s.maxVT = r.VT
 	}
-	if r.Scope != 0 && !r.Op.cursorTimed() && r.LC > s.scopeLC[r.Scope] {
-		s.scopeLC[r.Scope] = r.LC
+	if r.Scope != 0 && !r.Op.cursorTimed() {
+		if lc := s.scopeLC.at(r.Scope); r.LC > *lc {
+			*lc = r.LC
+		}
 	}
+	s.track(&r)
+	s.metrics.observe(&r)
+	s.emit(&r)
+}
+
+// emit is the record path Emit and Absorb share: it stamps r's sequence
+// number, retains a copy when the session retains, and hands a copy to
+// each attached sink.
+func (s *Session) emit(r *Record) {
+	s.seq++
+	r.Seq = s.seq
 	if s.retain {
 		s.keep(r)
 	}
-	s.track(r)
-	s.metrics.observe(r)
 	for _, sink := range s.sinks {
-		sink.Observe(r)
+		sink.Observe(*r)
 	}
 }
 
-// recordChunk is how many records each retained chunk holds. The first
-// chunk grows by append up to this size, so short sessions pay only for
-// what they emit; every later chunk is allocated at full size, so a
-// long session never copies or re-zeroes records it already holds.
-const recordChunk = 4096
+// Retained records live in chunks that are allocated at their full
+// size and never grown: the first holds firstChunk records, each next
+// one twice its predecessor's, up to recordChunk. A short session pays
+// for at most about twice what it emits, and no session ever copies or
+// re-zeroes a record it already holds.
+const (
+	firstChunk  = 64
+	recordChunk = 4096
+)
 
 // keep appends r to the retained records.
-func (s *Session) keep(r Record) {
+func (s *Session) keep(r *Record) {
 	n := len(s.chunks)
-	if n == 0 || len(s.chunks[n-1]) == recordChunk {
-		var c []Record
+	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
+		size := firstChunk
 		if n > 0 {
-			c = make([]Record, 0, recordChunk)
+			size = min(2*cap(s.chunks[n-1]), recordChunk)
 		}
-		s.chunks = append(s.chunks, c)
+		s.chunks = append(s.chunks, make([]Record, 0, size))
 		n++
 	}
-	s.chunks[n-1] = append(s.chunks[n-1], r)
+	s.chunks[n-1] = append(s.chunks[n-1], *r)
 }
 
 // retained reports how many records the session holds.
@@ -344,7 +403,7 @@ func (s *Session) retained() int {
 
 // track maintains the open-event set used by Close and the
 // dispatch-latency metric.
-func (s *Session) track(r Record) {
+func (s *Session) track(r *Record) {
 	if r.Event == 0 || r.Scope == 0 {
 		return
 	}
@@ -399,9 +458,13 @@ func (s *Session) Close() {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
 		ev := s.open[k]
+		var lc sim.Time
+		if p := s.scopeLC.get(ev.scope); p != nil {
+			lc = *p
+		}
 		s.Emit(Record{
 			VT:       s.maxVT,
-			LC:       s.scopeLC[ev.scope],
+			LC:       lc,
 			Run:      ev.run,
 			Thread:   ev.thread,
 			Scope:    ev.scope,

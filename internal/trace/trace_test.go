@@ -126,13 +126,22 @@ func TestCloseRetiresOpenEvents(t *testing.T) {
 	}
 }
 
+// TestValidatorCatchesViolations runs each violation at event ID 1,
+// which the validator keeps in its dense per-scope table, and at an ID
+// far past it, which goes to the scope's sparse map.
 func TestValidatorCatchesViolations(t *testing.T) {
+	for _, ev := range []uint64{1, 1 << 40} {
+		validatorCases(t, ev)
+	}
+}
+
+func validatorCases(t *testing.T, ev uint64) {
 	base := func() []Record {
 		return []Record{
-			{Seq: 1, VT: 0, Thread: 1, Scope: 1, Op: OpPolicy, API: "setTimeout", Event: 1, Action: "schedule"},
-			{Seq: 2, VT: 0, Thread: 1, Scope: 1, Op: OpEnqueue, API: "setTimeout", Event: 1},
-			{Seq: 3, VT: 0, Thread: 1, Scope: 1, Op: OpConfirm, API: "setTimeout", Event: 1},
-			{Seq: 4, VT: 4 * sim.Millisecond, Thread: 1, Scope: 1, Op: OpDispatch, API: "setTimeout", Event: 1},
+			{Seq: 1, VT: 0, Thread: 1, Scope: 1, Op: OpPolicy, API: "setTimeout", Event: ev, Action: "schedule"},
+			{Seq: 2, VT: 0, Thread: 1, Scope: 1, Op: OpEnqueue, API: "setTimeout", Event: ev},
+			{Seq: 3, VT: 0, Thread: 1, Scope: 1, Op: OpConfirm, API: "setTimeout", Event: ev},
+			{Seq: 4, VT: 4 * sim.Millisecond, Thread: 1, Scope: 1, Op: OpDispatch, API: "setTimeout", Event: ev},
 		}
 	}
 
@@ -166,7 +175,7 @@ func TestValidatorCatchesViolations(t *testing.T) {
 			return r
 		}, "sequence"},
 		{"terminal for unknown event", func(r []Record) []Record {
-			return []Record{{Seq: 1, VT: 0, Thread: 1, Scope: 1, Op: OpCancel, API: "setTimeout", Event: 9}}
+			return []Record{{Seq: 1, VT: 0, Thread: 1, Scope: 1, Op: OpCancel, API: "setTimeout", Event: ev + 8}}
 		}, "never enqueued"},
 	}
 	for _, tc := range cases {
@@ -179,16 +188,16 @@ func TestValidatorCatchesViolations(t *testing.T) {
 		}
 		_, err := Validate(recs)
 		if err == nil {
-			t.Errorf("%s: validation passed, want failure", tc.name)
+			t.Errorf("event %d: %s: validation passed, want failure", ev, tc.name)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+			t.Errorf("event %d: %s: error %q does not mention %q", ev, tc.name, err, tc.want)
 		}
 	}
 
 	if _, err := Validate(base()); err != nil {
-		t.Fatalf("baseline trace should validate: %v", err)
+		t.Fatalf("event %d: baseline trace should validate: %v", ev, err)
 	}
 }
 
@@ -308,6 +317,8 @@ func TestWriteTextStableLayout(t *testing.T) {
 
 // TestRecordsAcrossChunks: a session retaining several chunks of records
 // returns them all in emission order, and a parent absorbs them intact.
+// Chunks double from firstChunk to recordChunk, and each is filled to
+// its capacity before the next is allocated.
 func TestRecordsAcrossChunks(t *testing.T) {
 	part := NewSession()
 	n := 2*recordChunk + 7
@@ -315,9 +326,18 @@ func TestRecordsAcrossChunks(t *testing.T) {
 		part.Emit(Record{Run: 1, Thread: 1, Op: OpNative, API: "tick", Value: int64(i)})
 	}
 	part.Close()
-	if len(part.chunks) != 3 || cap(part.chunks[1]) != recordChunk {
-		t.Fatalf("%d chunks (second of capacity %d), want 3 with later chunks of %d",
-			len(part.chunks), cap(part.chunks[1]), recordChunk)
+	want := firstChunk
+	for i, c := range part.chunks {
+		if cap(c) != want {
+			t.Fatalf("chunk %d has capacity %d, want %d", i, cap(c), want)
+		}
+		if i < len(part.chunks)-1 && len(c) != cap(c) {
+			t.Fatalf("chunk %d holds %d of %d records, but a later chunk exists", i, len(c), cap(c))
+		}
+		want = min(2*want, recordChunk)
+	}
+	if full := cap(part.chunks[len(part.chunks)-2]); full != recordChunk {
+		t.Fatalf("next-to-last chunk has capacity %d, want %d", full, recordChunk)
 	}
 	recs := part.Records()
 	if len(recs) != n {

@@ -99,6 +99,70 @@ type evState struct {
 	terminal  Op
 }
 
+// eventSlack bounds how far past a scope's dense event table an event
+// ID may land and still extend it. The kernel numbers each scope's
+// events 1, 2, 3, ... and records each as it numbers it, so its records
+// land inside; an ID further out goes to the scope's sparse map. No ID
+// taken from the stream sizes the table: a record grows it by at most
+// eventSlack entries of 4 bytes.
+const eventSlack = 16
+
+// vScope is the validator's state for one scope: its logical-clock
+// high water and its events' lifecycles, by value.
+type vScope struct {
+	lc     sim.Time
+	timed  bool      // lc holds a kernel record's reading
+	dense  []evState // events 1..len(dense), by ID-1
+	sparse map[uint64]evState
+}
+
+// get returns event id's state (zero before its first record).
+func (sc *vScope) get(id uint64) evState {
+	if i := id - 1; i < uint64(len(sc.dense)) {
+		return sc.dense[i]
+	}
+	return sc.sparse[id]
+}
+
+// put stores event id's state.
+func (sc *vScope) put(id uint64, st evState) {
+	i := id - 1
+	if i >= uint64(len(sc.dense)) && i < uint64(len(sc.dense))+eventSlack {
+		sc.dense = append(sc.dense, make([]evState, i+1-uint64(len(sc.dense)))...)
+	}
+	if i < uint64(len(sc.dense)) {
+		sc.dense[i] = st
+		return
+	}
+	if sc.sparse == nil {
+		sc.sparse = make(map[uint64]evState)
+	}
+	sc.sparse[id] = st
+}
+
+// open counts the scope's enqueued events with no terminal record.
+func (sc *vScope) open() int {
+	n := 0
+	for _, st := range sc.dense {
+		if st.enqueued && st.terminal == 0 {
+			n++
+		}
+	}
+	for _, st := range sc.sparse {
+		if st.enqueued && st.terminal == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// vThread is the validator's state for one (run, thread): the virtual
+// time of its last kernel record.
+type vThread struct {
+	vt    sim.Time
+	timed bool
+}
+
 // StreamValidator replays a trace record by record and asserts the
 // kernel's lifecycle invariants:
 //
@@ -134,11 +198,8 @@ type StreamValidator struct {
 	allowOpen bool
 
 	rep     Report
-	events  map[uint64]*evState
-	lastVT  map[uint64]sim.Time // per-(run, thread) kernel-record VT
-	lastLC  map[int]sim.Time    // per-scope logical clock
-	scopes  map[int]bool
-	threads map[uint64]bool
+	threads lastKey[uint64, vThread] // per (run, thread)
+	scopes  lastKey[int, vScope]     // per nonzero scope
 	lastSeq uint64
 	err     error
 }
@@ -146,14 +207,7 @@ type StreamValidator struct {
 // NewStreamValidator returns a streaming validator; allowOpen accepts
 // traces whose tail leaves events enqueued but unretired.
 func NewStreamValidator(allowOpen bool) *StreamValidator {
-	return &StreamValidator{
-		allowOpen: allowOpen,
-		events:    make(map[uint64]*evState),
-		lastVT:    make(map[uint64]sim.Time),
-		lastLC:    make(map[int]sim.Time),
-		scopes:    make(map[int]bool),
-		threads:   make(map[uint64]bool),
-	}
+	return &StreamValidator{allowOpen: allowOpen}
 }
 
 // Observe folds one record into the replay. Violations latch: once a
@@ -163,10 +217,10 @@ func (v *StreamValidator) Observe(r Record) {
 	if v.err != nil {
 		return
 	}
-	v.err = v.observe(r)
+	v.err = v.observe(&r)
 }
 
-func (v *StreamValidator) observe(r Record) error {
+func (v *StreamValidator) observe(r *Record) error {
 	fail := func(kind error, format string, args ...any) error {
 		return &ValidationError{
 			Kind: kind, Seq: r.Seq, Op: r.Op, API: r.API,
@@ -180,24 +234,24 @@ func (v *StreamValidator) observe(r Record) error {
 		return fail(ErrSeqOrder, "sequence not strictly increasing (prev %d)", v.lastSeq)
 	}
 	v.lastSeq = r.Seq
-	tk := uint64(r.Run)<<32 | uint64(uint32(r.Thread))
-	v.threads[tk] = true
+	th := v.threads.at(uint64(r.Run)<<32 | uint64(uint32(r.Thread)))
+	var sc *vScope
 	if r.Scope != 0 {
-		v.scopes[r.Scope] = true
+		sc = v.scopes.at(r.Scope)
 	}
 
 	if !r.Op.cursorTimed() {
-		if vt, ok := v.lastVT[tk]; ok && r.VT < vt {
+		if th.timed && r.VT < th.vt {
 			return fail(ErrTimeRegression, "virtual time moved backwards on run %d thread %d (%s < %s)",
-				r.Run, r.Thread, fmtVT(r.VT), fmtVT(vt))
+				r.Run, r.Thread, fmtVT(r.VT), fmtVT(th.vt))
 		}
-		v.lastVT[tk] = r.VT
-		if r.Scope != 0 {
-			if lc, ok := v.lastLC[r.Scope]; ok && r.LC < lc {
+		th.vt, th.timed = r.VT, true
+		if sc != nil {
+			if sc.timed && r.LC < sc.lc {
 				return fail(ErrClockRegression, "logical clock moved backwards on scope %d (%s < %s)",
-					r.Scope, fmtVT(r.LC), fmtVT(lc))
+					r.Scope, fmtVT(r.LC), fmtVT(sc.lc))
 			}
-			v.lastLC[r.Scope] = r.LC
+			sc.lc, sc.timed = r.LC, true
 		}
 	}
 
@@ -212,12 +266,7 @@ func (v *StreamValidator) observe(r Record) error {
 		return nil
 	}
 
-	k := r.key()
-	st := v.events[k]
-	if st == nil {
-		st = &evState{}
-		v.events[k] = st
-	}
+	st := sc.get(r.Event)
 	// A recovered panic is the one lifecycle record that follows its
 	// event's terminal dispatch: the callback runs after the dispatch
 	// record and panics inside it.
@@ -271,6 +320,7 @@ func (v *StreamValidator) observe(r Record) error {
 			return fail(ErrPanicOutsideDispatch, "panic recovery outside a dispatch")
 		}
 	}
+	sc.put(r.Event, st)
 	return nil
 }
 
@@ -281,13 +331,11 @@ func (v *StreamValidator) Finish() (*Report, error) {
 		return nil, v.err
 	}
 	rep := v.rep
-	for _, st := range v.events {
-		if st.enqueued && st.terminal == 0 {
-			rep.Open++
-		}
+	for _, sc := range v.scopes.m {
+		rep.Open += sc.open()
 	}
-	rep.Scopes = len(v.scopes)
-	rep.Threads = len(v.threads)
+	rep.Scopes = v.scopes.len()
+	rep.Threads = v.threads.len()
 
 	if rep.Open > 0 && !v.allowOpen {
 		return nil, &ValidationError{Kind: ErrOpenEvents, Msg: fmt.Sprintf(

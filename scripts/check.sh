@@ -71,11 +71,11 @@ test -s "$trace_tmp/dromaeo-trace.json" || fail "trace export smoke (empty outpu
 # Fuzz: each native fuzz target runs for a short fixed budget on top of
 # its checked-in seed corpus (which the unit-test stage above already
 # replays): the trace record codec, the /v1/eval request decoder and
-# resolver, the replay-token parser, the /metricsz exposition parser and
-# the client's /v1/events stream parser, all fed bytes from outside the
-# program. A failing input is written under the package's testdata/fuzz
-# directory for replay.
-stage "fuzz (FuzzReadRecords, FuzzEvalRequest, FuzzParseToken, FuzzParseExposition, FuzzEventStream; 10s each)"
+# resolver, the replay-token parser, the /metricsz exposition parser,
+# the client's /v1/events stream parser and jsk-lint's suppression
+# directives, all fed bytes from outside the program. A failing input is
+# written under the package's testdata/fuzz directory for replay.
+stage "fuzz (FuzzReadRecords, FuzzEvalRequest, FuzzParseToken, FuzzParseExposition, FuzzEventStream, FuzzSuppressions; 10s each)"
 go test -run '^$' -fuzz '^FuzzReadRecords$' -fuzztime 10s ./internal/trace || fail "fuzz FuzzReadRecords"
 go test -run '^$' -fuzz '^FuzzEvalRequest$' -fuzztime 10s ./internal/serve || fail "fuzz FuzzEvalRequest"
 go test -run '^$' -fuzz '^FuzzParseToken$' -fuzztime 10s ./internal/explore || fail "fuzz FuzzParseToken"
@@ -88,6 +88,7 @@ go test -run '^$' -fuzz '^FuzzParseExposition$' -fuzztime 10s -fuzzminimizetime 
 # default minimization cap the fuzzer stalled at about 4,700 executions
 # in 10 s, against about 38,000 with a 1 s cap.
 go test -run '^$' -fuzz '^FuzzEventStream$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve || fail "fuzz FuzzEventStream"
+go test -run '^$' -fuzz '^FuzzSuppressions$' -fuzztime 10s -fuzzminimizetime 1s ./internal/analysis || fail "fuzz FuzzSuppressions"
 
 # Observability smoke: the streaming consumers must attach, profile and
 # report without perturbing the run — flamegraph, telemetry report and
