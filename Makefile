@@ -41,9 +41,12 @@ chaos:
 races:
 	$(GO) run ./cmd/jsk-eval -race -reps 3
 
-# explore is the bounded schedule-search smoke: PCT + DPOR over two CVE
-# cells with the attack state machines unarmed; nonzero unless every
-# discovery's replay token reproduces its finding byte-identically.
+# explore is the bounded schedule-search smoke: two CVE cells with the
+# attack state machines unarmed; nonzero unless every discovery's replay
+# token reproduces its finding byte-identically. At seed 42 the
+# default-order schedule races on both cells, so DPOR does not run;
+# internal/explore/hidden_test.go (TestPCTDiscoversHiddenRace,
+# TestDPORDiscoversHiddenRace) checks search beyond the default order.
 explore:
 	$(GO) run ./cmd/jsk-explore -matrix -cves CVE-2018-5092,CVE-2014-3194 -budget 2 -dpor-budget 4
 

@@ -52,7 +52,7 @@ func run(w io.Writer, args []string) error {
 		addr      = fs.String("addr", "127.0.0.1:8571", "listen address")
 		pool      = fs.Int("pool", 0, "evaluation workers; each request builds its environments fresh (0 = one per CPU)")
 		queue     = fs.Int("queue", 0, "admission queue depth before 429s (0 = 4x pool)")
-		deadline  = fs.Duration("deadline", 30*time.Second, "default per-request completion budget")
+		deadline  = fs.Duration("deadline", 0, "default per-request completion budget (0 = 30s)")
 		reps      = fs.Int("reps", 0, "default repetition budget for timing rows (0 = 5)")
 		maxReps   = fs.Int("max-reps", 0, "repetition budget cap (0 = 25)")
 		drain     = fs.Duration("drain-timeout", 60*time.Second, "graceful drain bound after SIGTERM/SIGINT")

@@ -54,8 +54,6 @@ type Thread struct {
 	// onMessage is the native message handler slot. Defenses trap the
 	// setter; this field holds whatever the effective handler is.
 	onMessage func(g *Global, m MessageEvent)
-	// onError is the native error handler slot (worker onerror).
-	onError func(g *Global, err *WorkerError)
 	// inbox holds messages delivered before a handler was installed.
 	inbox []MessageEvent
 

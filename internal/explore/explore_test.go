@@ -118,11 +118,15 @@ func TestReplayExhaustionDefaults(t *testing.T) {
 // report must be byte-identical serial vs parallel — the determinism
 // acceptance criterion at two pool widths.
 func TestMatrixSmoke(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Budget = 2
-	cfg.DPORBudget = 6
-	cfg.CVEs = []vuln.CVE{vuln.CVE20185092, vuln.CVE20143194}
-	cfg.Parallel = 1
+	cfg := Config{
+		Seed:       42,
+		Budget:     2,
+		Depth:      3,
+		DPORBudget: 6,
+		Parallel:   1,
+		DefenseID:  "chrome",
+		CVEs:       []vuln.CVE{vuln.CVE20185092, vuln.CVE20143194},
+	}
 	serial, err := Matrix(cfg)
 	if err != nil {
 		t.Fatalf("matrix (serial): %v", err)

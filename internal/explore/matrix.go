@@ -22,32 +22,21 @@ type Config struct {
 	Budget int
 	// Depth is PCT's bug-depth parameter d (d−1 change points).
 	Depth int
-	// Horizon is the choice-point count PCT samples change points from.
-	Horizon int
 	// DPORBudget bounds DPOR executions per cell for cells PCT does not
 	// crack. Zero disables the DPOR phase.
 	DPORBudget int
 	// Parallel is the runner pool width (0 = one worker per CPU); any
 	// width produces a byte-identical report.
 	Parallel int
-	// DefenseID selects the defense column (default "chrome" — the
-	// undefended baseline where the paper's races are reachable).
+	// DefenseID selects the defense column, a Table I ID ("chrome" is
+	// the undefended baseline where the paper's races are reachable).
 	DefenseID string
 	// CVEs restricts the rows; empty means the full Table I corpus.
 	CVEs []vuln.CVE
 }
 
-// DefaultConfig returns the bounded budget the matrix smoke runs use.
-func DefaultConfig() Config {
-	return Config{
-		Seed:       42,
-		Budget:     6,
-		Depth:      3,
-		Horizon:    64,
-		DPORBudget: 12,
-		DefenseID:  "chrome",
-	}
-}
+// pctHorizon is the choice-point count PCT samples change points from.
+const pctHorizon = 64
 
 // Discovery is one rediscovered racing interleaving.
 type Discovery struct {
@@ -128,15 +117,6 @@ type schedOut struct {
 // and the byte-identical comparison recorded. Results are collected in
 // index order, so the report is identical at any Parallel width.
 func Matrix(cfg Config) (*Report, error) {
-	if cfg.DefenseID == "" {
-		cfg.DefenseID = "chrome"
-	}
-	if cfg.Depth < 1 {
-		cfg.Depth = 3
-	}
-	if cfg.Horizon < 1 {
-		cfg.Horizon = 64
-	}
 	defIdx, def, err := column(cfg.DefenseID)
 	if err != nil {
 		return nil, err
@@ -162,7 +142,7 @@ func Matrix(cfg Config) (*Report, error) {
 		base := seeds[cell]
 		var inner sim.Chooser
 		if s > 0 {
-			inner = NewPCT(sim.DeriveSeed(base, int64(s)), cfg.Depth, cfg.Horizon)
+			inner = NewPCT(sim.DeriveSeed(base, int64(s)), cfg.Depth, pctHorizon)
 		}
 		res := runSchedule(runSpec{
 			Attack:    rows[cell],

@@ -83,11 +83,6 @@ func (r *ChaosResult) Weakened() int {
 // fault plan, seed), so the whole experiment is reproducible
 // byte-for-byte.
 func Chaos(cfg Config) (*ChaosResult, error) {
-	return ChaosWithPlans(cfg, fault.StandardPlans())
-}
-
-// ChaosWithPlans runs the chaos matrix under a caller-chosen plan set.
-func ChaosWithPlans(cfg Config, plans []*fault.Plan) (*ChaosResult, error) {
 	base, err := Table1(cfg)
 	if err != nil {
 		return nil, err
@@ -103,7 +98,7 @@ func ChaosWithPlans(cfg Config, plans []*fault.Plan) (*ChaosResult, error) {
 		},
 	}
 
-	for _, plan := range plans {
+	for _, plan := range fault.StandardPlans() {
 		if plan.Counter == nil {
 			plan.Counter = &fault.AtomicCounts{}
 		}

@@ -13,9 +13,9 @@ import (
 // TestTable1PlainDeterminism is the plain-mode twin of the chaos
 // determinism test: the Table I matrix run twice in one process must
 // serialize byte-identically — rendered table, every per-cell verdict,
-// and every channel statistic down to the float bit pattern. This is
-// the property jsk-lint's analyzers exist to protect; the test catches
-// whatever a static check cannot.
+// and every channel statistic and raw sample down to the float bit
+// pattern. This is the property jsk-lint's analyzers exist to protect;
+// the test catches whatever a static check cannot.
 func TestTable1PlainDeterminism(t *testing.T) {
 	a := renderTable1(t, quickTable1(t))
 	fresh, err := Table1(QuickConfig())
@@ -56,6 +56,14 @@ func dumpOutcomeMatrix(sb *strings.Builder, label string, m map[string]map[strin
 			for _, ch := range o.Channels {
 				fmt.Fprintf(sb, " %s[a=%s b=%s d=%s leaks=%v]",
 					ch.Channel, hexFloat(ch.MeanA), hexFloat(ch.MeanB), hexFloat(ch.CohensD), ch.Leaks)
+			}
+			for _, ch := range sortedOutcomeKeys(o.Samples) {
+				for v, xs := range o.Samples[ch] {
+					fmt.Fprintf(sb, "\n  samples %s/%d:", ch, v)
+					for _, x := range xs {
+						sb.WriteString(" " + hexFloat(x))
+					}
+				}
 			}
 			sb.WriteByte('\n')
 		}

@@ -19,24 +19,9 @@
 package runner
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 )
-
-// Cell names one coordinate of an experiment matrix. Drivers fill the
-// fields they use; the runner itself only cares about Index.
-type Cell struct {
-	Index   int    // position in the canonical (serial) enumeration
-	Attack  string // attack/workload identifier, for labels and errors
-	Defense string // defense identifier
-	Rep     int    // repetition number within the (attack, defense) pair
-	Seed    int64  // per-cell seed, derived from (Config.Seed, Index)
-}
-
-func (c Cell) String() string {
-	return fmt.Sprintf("cell %d (%s/%s rep %d)", c.Index, c.Attack, c.Defense, c.Rep)
-}
 
 // cellPanic carries a worker panic back to the caller's goroutine.
 type cellPanic struct{ value any }

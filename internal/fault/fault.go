@@ -36,8 +36,6 @@ type NetFaults struct {
 	// ErrorRate is the probability that a non-cached fetch fails with a
 	// transient (retryable) error.
 	ErrorRate float64
-	// PerURL overrides ErrorRate for exact URL matches.
-	PerURL map[string]float64
 	// ExemptURLs lists URLs the injector never faults (errors or
 	// spikes). Chaos plans exempt the timing attacks' measurement
 	// resources: faulting the attacker's own probe trivially destroys
@@ -284,11 +282,7 @@ func (in *Injector) FetchFault(url string) webnet.FaultDecision {
 			return webnet.FaultDecision{}
 		}
 	}
-	rate := nf.ErrorRate
-	if r, ok := nf.PerURL[url]; ok {
-		rate = r
-	}
-	if rate > 0 && draw01(in.netRNG, url) < rate {
+	if nf.ErrorRate > 0 && draw01(in.netRNG, url) < nf.ErrorRate {
 		status := nf.ErrorStatus
 		if status == 0 {
 			status = 503
@@ -476,14 +470,4 @@ func StandardPlans() []*Plan {
 			},
 		},
 	}
-}
-
-// PlanByName resolves a standard plan.
-func PlanByName(name string) (*Plan, error) {
-	for _, p := range StandardPlans() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("fault: unknown plan %q", name)
 }

@@ -21,15 +21,6 @@ func TestStandardPlansAreDistinctAndResolvable(t *testing.T) {
 			t.Errorf("duplicate plan name %q", p.Name)
 		}
 		seen[p.Name] = true
-		got, err := PlanByName(p.Name)
-		if err != nil {
-			t.Errorf("PlanByName(%q): %v", p.Name, err)
-		} else if got.Name != p.Name || got.Seed != p.Seed {
-			t.Errorf("PlanByName(%q) resolved to %q/%d", p.Name, got.Name, got.Seed)
-		}
-	}
-	if _, err := PlanByName("no-such-plan"); err == nil {
-		t.Error("PlanByName should fail for unknown names")
 	}
 }
 
@@ -45,7 +36,6 @@ func TestFetchFaultRatesAndExemptions(t *testing.T) {
 			SpikeScaleMin: 2,
 			SpikeScaleMax: 4,
 			ExemptURLs:    []string{"https://safe.example/probe.js"},
-			PerURL:        map[string]float64{"https://always.example/x": 1},
 		},
 	}
 	in := NewInjector(plan, 1)
@@ -72,10 +62,11 @@ func TestFetchFaultRatesAndExemptions(t *testing.T) {
 		t.Fatalf("exempt URL bumped counts: %s", in2.Counts())
 	}
 
-	in3 := NewInjector(plan, 1)
-	d := in3.FetchFault("https://always.example/x")
+	always := *plan
+	always.Net.ErrorRate = 1
+	d := NewInjector(&always, 1).FetchFault("https://always.example/x")
 	if d.Err == nil {
-		t.Fatal("PerURL rate 1 must always fault")
+		t.Fatal("ErrorRate 1 must always fault")
 	}
 	if !webnet.IsTransient(d.Err) {
 		t.Fatalf("injected error should be transient, got %T", d.Err)

@@ -337,20 +337,6 @@ func (d *Detector) Findings() []Finding {
 	return out
 }
 
-// RacesOn counts findings on one target class.
-func (d *Detector) RacesOn(class string) int {
-	if d == nil {
-		return 0
-	}
-	n := 0
-	for _, f := range d.findings {
-		if f.Class == class {
-			n++
-		}
-	}
-	return n
-}
-
 // Replay runs the detector over a recorded trace (e.g. one re-imported
 // through trace.ReadRecords) and returns the findings.
 func Replay(recs []trace.Record) []Finding {

@@ -257,27 +257,6 @@ func (q *EventQueue) Pop() *Event {
 	return ev
 }
 
-// Lookup finds a queued event by ID. It scans the queue.
-func (q *EventQueue) Lookup(id EventID) (*Event, bool) {
-	for _, ev := range q.heap {
-		if ev.ID == id {
-			return ev, true
-		}
-	}
-	return nil, false
-}
-
-// Remove deletes an event from the queue regardless of its predicted time.
-// It reports whether the event was queued.
-func (q *EventQueue) Remove(id EventID) bool {
-	ev, ok := q.Lookup(id)
-	if !ok {
-		return false
-	}
-	heap.Remove(&q.heap, ev.index)
-	return true
-}
-
 // Validate checks the internal heap invariant; tests use it as a property
 // oracle.
 func (q *EventQueue) Validate() error {

@@ -49,48 +49,6 @@ func TestEventQueueTieBreakBySeq(t *testing.T) {
 	}
 }
 
-func TestEventQueueLookupRemove(t *testing.T) {
-	q := NewEventQueue()
-	ev := q.NewEvent("x", 50, nil)
-	got, ok := q.Lookup(ev.ID)
-	if !ok || got != ev {
-		t.Fatal("lookup failed")
-	}
-	if !q.Remove(ev.ID) {
-		t.Fatal("remove failed")
-	}
-	if q.Remove(ev.ID) {
-		t.Fatal("double remove should report false")
-	}
-	if _, ok := q.Lookup(ev.ID); ok {
-		t.Fatal("removed event still in lookup")
-	}
-}
-
-func TestEventQueueRemoveMiddleKeepsHeap(t *testing.T) {
-	q := NewEventQueue()
-	var evs []*Event
-	for i := 0; i < 20; i++ {
-		evs = append(evs, q.NewEvent("x", sim.Time(100-i), nil))
-	}
-	for i := 3; i < 20; i += 4 {
-		if !q.Remove(evs[i].ID) {
-			t.Fatalf("remove %d failed", i)
-		}
-	}
-	if err := q.Validate(); err != nil {
-		t.Fatalf("heap invariant: %v", err)
-	}
-	var last sim.Time = -1
-	for q.Len() > 0 {
-		ev := q.Pop()
-		if ev.Predicted < last {
-			t.Fatal("pop order violated after removals")
-		}
-		last = ev.Predicted
-	}
-}
-
 func TestPropertyQueueMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -106,28 +64,17 @@ func TestPropertyQueueMatchesReference(t *testing.T) {
 			ev := q.NewEvent("p", pred, nil)
 			refs = append(refs, ref{pred: pred, id: ev.ID})
 		}
-		// Remove a random subset.
-		kept := refs[:0]
-		for _, r := range refs {
-			if rng.Intn(4) == 0 {
-				if !q.Remove(r.id) {
-					return false
-				}
-				continue
-			}
-			kept = append(kept, r)
-		}
 		if err := q.Validate(); err != nil {
 			return false
 		}
 		// Stable sort by (pred, insertion order) — ids are insertion-ordered.
-		for i := 1; i < len(kept); i++ {
-			for j := i; j > 0 && (kept[j-1].pred > kept[j].pred ||
-				(kept[j-1].pred == kept[j].pred && kept[j-1].id > kept[j].id)); j-- {
-				kept[j-1], kept[j] = kept[j], kept[j-1]
+		for i := 1; i < len(refs); i++ {
+			for j := i; j > 0 && (refs[j-1].pred > refs[j].pred ||
+				(refs[j-1].pred == refs[j].pred && refs[j-1].id > refs[j].id)); j-- {
+				refs[j-1], refs[j] = refs[j], refs[j-1]
 			}
 		}
-		for _, want := range kept {
+		for _, want := range refs {
 			got := q.Pop()
 			if got == nil || got.ID != want.id {
 				return false

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"jskernel/internal/hb"
 	"jskernel/internal/trace"
 )
 
@@ -26,10 +25,6 @@ type ReportInput struct {
 	Profiler *Profiler
 	// Signatures are the detectors' findings (pass Detectors.Finish()).
 	Signatures []Signature
-	// Races are the happens-before analysis's findings (pass
-	// hb.Detector.Findings()), joined into the same report so one
-	// document carries both the forensic and the race-detection story.
-	Races []hb.Finding
 	// Metrics is the session's metrics registry.
 	Metrics *trace.Metrics
 	// Validation carries the lifecycle validator's report and error.
@@ -43,7 +38,6 @@ type reportJSON struct {
 	Runs            []RunProfile    `json:"runs"`
 	Profile         []ProfileNode   `json:"profile"`
 	Signatures      []Signature     `json:"signatures"`
-	Races           []hb.Finding    `json:"races,omitempty"`
 	Metrics         json.RawMessage `json:"metrics,omitempty"`
 	Validation      *trace.Report   `json:"validation,omitempty"`
 	ValidationError string          `json:"validation_error,omitempty"`
@@ -56,7 +50,6 @@ func WriteReportJSON(w io.Writer, in ReportInput) error {
 		Runs:       []RunProfile{},
 		Profile:    []ProfileNode{},
 		Signatures: in.Signatures,
-		Races:      in.Races,
 		Validation: in.Validation,
 	}
 	if doc.Signatures == nil {
@@ -116,19 +109,6 @@ func WriteReportSummary(w io.Writer, in ReportInput) error {
 		if _, err := fmt.Fprintf(w, "  %s run=%d %s=%d count=%d evidence=%v\n",
 			s.Detector, s.Run, s.Subject, s.SubjectID, s.Count, s.Evidence); err != nil {
 			return err
-		}
-	}
-	if len(in.Races) > 0 {
-		if _, err := fmt.Fprintf(w, "races: %d\n", len(in.Races)); err != nil {
-			return err
-		}
-		for _, f := range in.Races {
-			if _, err := fmt.Fprintf(w, "  run=%d %s/%d %s(%s)#%d vs %s(%s)#%d guardian=%v\n",
-				f.Run, f.Class, f.Target,
-				f.First.Context, f.First.Action, f.First.Seq,
-				f.Second.Context, f.Second.Action, f.Second.Seq, f.Guardian); err != nil {
-				return err
-			}
 		}
 	}
 	if in.Profiler != nil {

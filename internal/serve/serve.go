@@ -194,10 +194,7 @@ func New(cfg Config) *Server {
 	s.breaker.cooldown = breakerCooldown
 	s.breaker.log = s.cfg.log()
 	if cfg.Telemetry {
-		s.plane = telemetry.NewPlane(telemetry.PlaneConfig{
-			EventRing: cfg.telemetryEventRing,
-			Ledger:    telemetry.DefaultLedgerConfig(),
-		})
+		s.plane = telemetry.NewPlane(cfg.telemetryEventRing)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/eval", s.handleEval)
@@ -305,7 +302,7 @@ func (s *Server) serveJob(j *job) {
 		// construction.
 		out.link = &telemetry.SpanLink{
 			Runs:    res.Trace.Runs(),
-			LastSeq: res.Trace.LastSeq(),
+			LastSeq: uint64(res.Trace.Len()),
 			VTMaxMs: res.Trace.MaxVT().Milliseconds(),
 		}
 		s.plane.SubmitEval(&telemetry.EvalRecord{

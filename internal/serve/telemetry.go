@@ -46,10 +46,9 @@ func captureFragments(tallies []obs.FragmentCount, races []hb.Finding) []telemet
 	for _, f := range tallies {
 		frags = append(frags, telemetry.ClassFragment{Class: f.Detector, Score: int64(f.Count)})
 	}
-	raceWeight := telemetry.DefaultLedgerConfig().RaceWeight
 	byClass := map[string]int64{}
 	for _, f := range races {
-		byClass["race-"+f.Class] += raceWeight
+		byClass["race-"+f.Class] += telemetry.RaceWeight
 	}
 	for _, f := range telemetry.SortedFragments(byClass) {
 		frags = append(frags, f)

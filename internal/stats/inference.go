@@ -1,14 +1,10 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // This file adds the inferential statistics used for sensitivity analysis
-// of the distinguishability criterion: Welch's t-test (an alternative to
-// the Cohen's d threshold) and bootstrap confidence intervals for the
-// mean values reported in Tables II and III.
+// of the distinguishability criterion: Welch's t-test, an alternative to
+// the Cohen's d threshold.
 
 // WelchT returns Welch's t statistic and the Welch–Satterthwaite degrees
 // of freedom for two samples. It returns (0, 0) when either sample has
@@ -75,32 +71,4 @@ func WelchDistinguishable(a, b []float64) bool {
 		return false
 	}
 	return math.Abs(t) > welchCriticalT(df)
-}
-
-// BootstrapCI returns a percentile bootstrap confidence interval for the
-// mean of xs at the given confidence level (e.g. 0.95), using resamples
-// drawn from rng for reproducibility.
-func BootstrapCI(xs []float64, level float64, resamples int, rng *rand.Rand) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	if len(xs) == 1 {
-		return xs[0], xs[0]
-	}
-	if resamples <= 0 {
-		resamples = 1000
-	}
-	if level <= 0 || level >= 1 {
-		level = 0.95
-	}
-	means := make([]float64, resamples)
-	for r := 0; r < resamples; r++ {
-		sum := 0.0
-		for i := 0; i < len(xs); i++ {
-			sum += xs[rng.Intn(len(xs))]
-		}
-		means[r] = sum / float64(len(xs))
-	}
-	alpha := (1 - level) / 2 * 100
-	return Percentile(means, alpha), Percentile(means, 100-alpha)
 }

@@ -2,9 +2,7 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestWelchTSeparatedSamples(t *testing.T) {
@@ -78,62 +76,5 @@ func TestWelchCriticalTMonotone(t *testing.T) {
 	}
 	if c := welchCriticalT(1e12); c != 2.58 {
 		t.Fatalf("asymptotic critical value = %v", c)
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = 50 + rng.NormFloat64()*5
-	}
-	lo, hi, err := 0.0, 0.0, error(nil)
-	_ = err
-	lo, hi = BootstrapCI(xs, 0.95, 2000, rand.New(rand.NewSource(2)))
-	m := Mean(xs)
-	if lo > m || hi < m {
-		t.Fatalf("CI [%v, %v] does not cover the sample mean %v", lo, hi, m)
-	}
-	if hi-lo <= 0 || hi-lo > 5 {
-		t.Fatalf("CI width %v implausible for n=100, sd=5", hi-lo)
-	}
-}
-
-func TestBootstrapCIDegenerate(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	if lo, hi := BootstrapCI(nil, 0.95, 100, rng); lo != 0 || hi != 0 {
-		t.Fatal("empty sample CI should be zero")
-	}
-	if lo, hi := BootstrapCI([]float64{7}, 0.95, 100, rng); lo != 7 || hi != 7 {
-		t.Fatal("single sample CI should collapse")
-	}
-	// Bad parameters fall back to defaults.
-	lo, hi := BootstrapCI([]float64{1, 2, 3}, -1, -1, rng)
-	if lo > hi {
-		t.Fatal("default-parameter CI inverted")
-	}
-}
-
-func TestPropertyBootstrapCIWithinRange(t *testing.T) {
-	f := func(raw []float64, seed int64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		for i, v := range raw {
-			// Clamp to a range where bootstrap sums cannot overflow.
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
-				raw[i] = 0
-			}
-		}
-		rng := rand.New(rand.NewSource(seed))
-		lo, hi := BootstrapCI(raw, 0.9, 200, rng)
-		mn, mx, err := MinMax(raw)
-		if err != nil {
-			return false
-		}
-		return lo >= mn-1e-9 && hi <= mx+1e-9 && lo <= hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -238,23 +238,3 @@ func LinearSlope(xs, ys []float64) float64 {
 	}
 	return num / den
 }
-
-// PearsonR returns the Pearson correlation coefficient between xs and ys,
-// or 0 when it is undefined (constant input or mismatched lengths).
-func PearsonR(xs, ys []float64) float64 {
-	n := len(xs)
-	if n == 0 || n != len(ys) {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var num, dx, dy float64
-	for i := 0; i < n; i++ {
-		num += (xs[i] - mx) * (ys[i] - my)
-		dx += (xs[i] - mx) * (xs[i] - mx)
-		dy += (ys[i] - my) * (ys[i] - my)
-	}
-	if dx == 0 || dy == 0 {
-		return 0
-	}
-	return num / math.Sqrt(dx*dy)
-}

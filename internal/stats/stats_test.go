@@ -176,21 +176,6 @@ func TestLinearSlope(t *testing.T) {
 	}
 }
 
-func TestPearsonR(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if got := PearsonR(xs, ys); !almost(got, 1) {
-		t.Fatalf("r = %v", got)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if got := PearsonR(xs, neg); !almost(got, -1) {
-		t.Fatalf("r = %v", got)
-	}
-	if got := PearsonR(xs, []float64{5, 5, 5, 5}); got != 0 {
-		t.Fatalf("constant r = %v", got)
-	}
-}
-
 func TestPropertyPercentileWithinRange(t *testing.T) {
 	f := func(raw []float64, p float64) bool {
 		if len(raw) == 0 {

@@ -20,49 +20,26 @@ import (
 // deterministic), and flags when the decayed mass and the number of
 // distinct contributing requests both cross their campaign thresholds.
 
-// LedgerConfig tunes accumulation and flagging.
-type LedgerConfig struct {
-	// Decay scales a tenant's accumulated scores to score*Num/Den, an
-	// integer floor division, on each of that tenant's requests before
-	// the new fragments are added, so old probing fades as a tenant
-	// sends innocuous traffic. Integer arithmetic keeps the verdicts
-	// platform-independent. Default 3/4.
-	DecayNum, DecayDen int64
-	// CampaignScore is the decayed fragment mass at which an entry
-	// flags. Default 96.
-	CampaignScore int64
-	// CampaignMinRequests is the minimum number of distinct contributing
+// The ledger's thresholds. Integer arithmetic keeps the verdicts
+// platform-independent.
+const (
+	// Each of a tenant's requests first scales that tenant's scores by
+	// decayNum/decayDen, an integer floor division, before its own
+	// fragments add, so old probing fades as a tenant sends innocuous
+	// traffic.
+	decayNum, decayDen = 3, 4
+	// campaignScore is the decayed fragment mass at which an entry
+	// flags.
+	campaignScore = 96
+	// campaignMinRequests is the minimum number of distinct contributing
 	// requests before an entry may flag — the "no single request trips
 	// it" guarantee: below this, no per-request fragment volume can
-	// raise a campaign. Default 3.
-	CampaignMinRequests int
+	// raise a campaign.
+	campaignMinRequests = 3
 	// RaceWeight scores one happens-before race finding relative to one
-	// structural fragment event. Default 16.
-	RaceWeight int64
-}
-
-// DefaultLedgerConfig returns the thresholds used by jsk-serve.
-func DefaultLedgerConfig() LedgerConfig {
-	return LedgerConfig{DecayNum: 3, DecayDen: 4, CampaignScore: 96, CampaignMinRequests: 3, RaceWeight: 16}
-}
-
-func (c *LedgerConfig) withDefaults() LedgerConfig {
-	out := *c
-	d := DefaultLedgerConfig()
-	if out.DecayNum <= 0 || out.DecayDen <= 0 || out.DecayNum > out.DecayDen {
-		out.DecayNum, out.DecayDen = d.DecayNum, d.DecayDen
-	}
-	if out.CampaignScore <= 0 {
-		out.CampaignScore = d.CampaignScore
-	}
-	if out.CampaignMinRequests <= 0 {
-		out.CampaignMinRequests = d.CampaignMinRequests
-	}
-	if out.RaceWeight <= 0 {
-		out.RaceWeight = d.RaceWeight
-	}
-	return out
-}
+	// structural fragment event.
+	RaceWeight = 16
+)
 
 // ClassFragment is one request's structural evidence on one channel
 // class, already collapsed from the raw detector tallies by the caller
@@ -141,8 +118,6 @@ type tenantLedger struct {
 // full or the plane is closed; the mutex serializes those calls and
 // concurrent Report/WriteJSON snapshots.
 type Ledger struct {
-	cfg LedgerConfig
-
 	mu       sync.Mutex
 	tenants  map[string]*tenantLedger
 	flagged  uint64
@@ -150,17 +125,9 @@ type Ledger struct {
 }
 
 // NewLedger builds an empty ledger.
-func NewLedger(cfg LedgerConfig) *Ledger {
-	return &Ledger{
-		cfg:     cfg.withDefaults(),
-		tenants: make(map[string]*tenantLedger),
-	}
+func NewLedger() *Ledger {
+	return &Ledger{tenants: make(map[string]*tenantLedger)}
 }
-
-// Config returns the ledger's effective (defaulted) configuration, so
-// callers weighting fragments — e.g. races via RaceWeight — use the
-// same numbers the ledger thresholds against.
-func (l *Ledger) Config() LedgerConfig { return l.cfg }
 
 // Observe folds one request's fragments into the tenant's cells and
 // returns any campaigns newly raised by this request. Every entry of
@@ -180,8 +147,8 @@ func (l *Ledger) Observe(requestID, tenant, scope string, frags []ClassFragment)
 	tl.requests++
 
 	for _, e := range tl.entries {
-		e.score = e.score * l.cfg.DecayNum / l.cfg.DecayDen
-		if e.flagged && e.score < l.cfg.CampaignScore/2 {
+		e.score = e.score * decayNum / decayDen
+		if e.flagged && e.score < campaignScore/2 {
 			e.flagged = false
 		}
 	}
@@ -205,7 +172,7 @@ func (l *Ledger) Observe(requestID, tenant, scope string, frags []ClassFragment)
 		} else {
 			e.requestIDs = append(e.requestIDs, requestID)
 		}
-		if !e.flagged && e.score >= l.cfg.CampaignScore && e.requests >= l.cfg.CampaignMinRequests {
+		if !e.flagged && e.score >= campaignScore && e.requests >= campaignMinRequests {
 			e.flagged = true
 			l.flagged++
 			found = append(found, CampaignFinding{

@@ -18,14 +18,6 @@ const (
 	batchMax = 64
 )
 
-// PlaneConfig tunes the observability plane.
-type PlaneConfig struct {
-	// EventRing is the hub's replay ring capacity. Default 1024.
-	EventRing int
-	// Ledger tunes the cross-request forensics ledger.
-	Ledger LedgerConfig
-}
-
 // EvalRecord is the worker-side telemetry of one evaluation: the
 // kernel metrics registry to aggregate, the forensic payload to
 // stream, and the signature fragments to feed the ledger. It is pure
@@ -109,11 +101,12 @@ type Plane struct {
 	syncFallbacks atomic.Uint64 // inline applications forced by a full queue
 }
 
-// NewPlane builds and starts the plane. Callers must Close it.
-func NewPlane(cfg PlaneConfig) *Plane {
+// NewPlane builds and starts the plane; eventRing is the hub's replay
+// ring capacity (0 = 1024). Callers must Close it.
+func NewPlane(eventRing int) *Plane {
 	p := &Plane{
-		Hub:    NewHub(cfg.EventRing),
-		Ledger: NewLedger(cfg.Ledger),
+		Hub:    NewHub(eventRing),
+		Ledger: NewLedger(),
 		ch:     make(chan item, queueDepth),
 		done:   make(chan struct{}),
 	}

@@ -21,7 +21,7 @@ func metricsFixture(t *testing.T) *trace.Metrics {
 }
 
 func TestPlaneFoldsAndPublishes(t *testing.T) {
-	p := NewPlane(PlaneConfig{})
+	p := NewPlane(0)
 	defer p.Close()
 	m := metricsFixture(t)
 	p.SubmitEval(&EvalRecord{
@@ -56,7 +56,7 @@ func TestPlaneFoldsAndPublishes(t *testing.T) {
 }
 
 func TestPlaneSubmitAfterCloseNeverDrops(t *testing.T) {
-	p := NewPlane(PlaneConfig{})
+	p := NewPlane(0)
 	p.Close()
 	p.SubmitEval(&EvalRecord{RequestID: "late", Metrics: metricsFixture(t)})
 	if agg := p.KernelSnapshot(); agg.Requests != 1 {
@@ -74,7 +74,7 @@ func TestPlaneSubmitAfterCloseNeverDrops(t *testing.T) {
 }
 
 func TestPlaneBatches(t *testing.T) {
-	p := NewPlane(PlaneConfig{})
+	p := NewPlane(0)
 	defer p.Close()
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -94,14 +94,14 @@ func TestPlaneBatches(t *testing.T) {
 }
 
 func TestPlaneCampaignFlowsToHub(t *testing.T) {
-	p := NewPlane(PlaneConfig{Ledger: LedgerConfig{CampaignScore: 10, CampaignMinRequests: 2}})
+	p := NewPlane(0)
 	defer p.Close()
 	for i := 0; i < 3; i++ {
 		p.SubmitEval(&EvalRecord{
 			RequestID: "r",
 			Tenant:    "t",
 			Scope:     "loopscan",
-			Fragments: []ClassFragment{{Class: "implicit-clock", Score: 8}},
+			Fragments: probe(48),
 		})
 	}
 	p.Barrier()
@@ -121,7 +121,7 @@ func TestPlaneCampaignFlowsToHub(t *testing.T) {
 }
 
 func TestPlaneExpositionSelfChecks(t *testing.T) {
-	p := NewPlane(PlaneConfig{})
+	p := NewPlane(0)
 	defer p.Close()
 	p.SubmitEval(&EvalRecord{RequestID: "r", Metrics: metricsFixture(t)})
 	p.SubmitSpan(&Span{RequestID: "r", Attack: "a", Defense: "d", EvalNs: 100})

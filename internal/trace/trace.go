@@ -482,7 +482,10 @@ func (s *Session) Close() {
 // Closed reports whether Close has run.
 func (s *Session) Closed() bool { return s != nil && s.closed }
 
-// Len reports the number of records emitted so far (retained or not).
+// Len reports the number of records emitted so far (retained or not),
+// which is also the last record's sequence number. Together with Runs
+// and MaxVT it forms the span-link coordinates joining a wall-clock
+// service span to this session's virtual-time trace.
 func (s *Session) Len() int {
 	if s == nil {
 		return 0
@@ -508,17 +511,6 @@ func (s *Session) Metrics() *Metrics {
 		return nil
 	}
 	return s.metrics
-}
-
-// LastSeq reports the sequence number of the most recently emitted
-// record (0 when none). Together with Runs and MaxVT it forms the
-// span-link coordinates joining a wall-clock service span to this
-// session's virtual-time trace.
-func (s *Session) LastSeq() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.seq
 }
 
 // Runs reports how many environment generations the session has

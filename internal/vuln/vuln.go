@@ -10,7 +10,6 @@
 package vuln
 
 import (
-	"sort"
 	"strings"
 	"sync"
 
@@ -95,7 +94,7 @@ type bufAccess struct {
 type Registry struct {
 	mu        sync.Mutex
 	armed     map[CVE]bool
-	exploited map[CVE]sim.Time
+	exploited map[CVE]bool
 
 	// per-CVE state machines
 	orphanedWorkers map[int]bool   // workers terminated with pending fetch
@@ -112,7 +111,7 @@ func NewRegistry(cves ...CVE) *Registry {
 	}
 	r := &Registry{
 		armed:           make(map[CVE]bool, len(cves)),
-		exploited:       make(map[CVE]sim.Time),
+		exploited:       make(map[CVE]bool),
 		orphanedWorkers: make(map[int]bool),
 		transferredBufs: make(map[int64]bool),
 		lastBufAccess:   make(map[int64]bufAccess),
@@ -131,7 +130,7 @@ func NewRegistry(cves ...CVE) *Registry {
 func NewUnarmedRegistry() *Registry {
 	return &Registry{
 		armed:           make(map[CVE]bool),
-		exploited:       make(map[CVE]sim.Time),
+		exploited:       make(map[CVE]bool),
 		orphanedWorkers: make(map[int]bool),
 		transferredBufs: make(map[int64]bool),
 		lastBufAccess:   make(map[int64]bufAccess),
@@ -142,47 +141,13 @@ func NewUnarmedRegistry() *Registry {
 func (r *Registry) Exploited(c CVE) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, ok := r.exploited[c]
-	return ok
-}
-
-// ExploitedAt returns the virtual time of first exploitation.
-func (r *Registry) ExploitedAt(c CVE) (sim.Time, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	at, ok := r.exploited[c]
-	return at, ok
-}
-
-// AllExploited lists every triggered CVE in stable order.
-func (r *Registry) AllExploited() []CVE {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]CVE, 0, len(r.exploited))
-	for c := range r.exploited {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Reset clears all exploitation state (armed set is preserved).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.exploited = make(map[CVE]sim.Time)
-	r.orphanedWorkers = make(map[int]bool)
-	r.transferredBufs = make(map[int64]bool)
-	r.lastBufAccess = make(map[int64]bufAccess)
+	return r.exploited[c]
 }
 
 // mark records an exploitation if the CVE is armed.
-func (r *Registry) mark(c CVE, at sim.Time) {
-	if !r.armed[c] {
-		return
-	}
-	if _, done := r.exploited[c]; !done {
-		r.exploited[c] = at
+func (r *Registry) mark(c CVE) {
+	if r.armed[c] {
+		r.exploited[c] = true
 	}
 }
 
@@ -197,48 +162,48 @@ func (r *Registry) Trace(ev browser.TraceEvent) {
 			r.orphanedWorkers[ev.WorkerID] = true
 		}
 		if strings.Contains(ev.Detail, "pending-messages") {
-			r.mark(CVE20141719, ev.At)
+			r.mark(CVE20141719)
 		}
 
 	case browser.TraceFetchAbort:
 		if ev.Detail == "orphaned" {
-			r.mark(CVE20185092, ev.At)
+			r.mark(CVE20185092)
 		}
 
 	case browser.TraceIndexedDBPut:
 		if ev.Detail == "private-mode" {
-			r.mark(CVE20177843, ev.At)
+			r.mark(CVE20177843)
 		}
 
 	case browser.TraceNavigationError:
 		switch ev.Detail {
 		case "leaky-error":
-			r.mark(CVE20157215, ev.At)
+			r.mark(CVE20157215)
 		case "location-leak":
-			r.mark(CVE20111190, ev.At)
+			r.mark(CVE20111190)
 		}
 
 	case browser.TraceWorkerError:
 		if ev.Detail == "cross-origin-create" {
-			r.mark(CVE20141487, ev.At)
+			r.mark(CVE20141487)
 		}
 
 	case browser.TraceOnMessageSet:
 		if ev.Detail == "null-deref" {
-			r.mark(CVE20135602, ev.At)
+			r.mark(CVE20135602)
 		}
 
 	case browser.TraceXHR:
 		if ev.Detail == "cross-origin-worker" {
-			r.mark(CVE20131714, ev.At)
+			r.mark(CVE20131714)
 		}
 
 	case browser.TraceMessageDelivered:
 		switch ev.Detail {
 		case "after-teardown":
-			r.mark(CVE20104576, ev.At)
+			r.mark(CVE20104576)
 		case "released-use":
-			r.mark(CVE20136646, ev.At)
+			r.mark(CVE20136646)
 		}
 
 	case browser.TraceTransferable:
@@ -248,7 +213,7 @@ func (r *Registry) Trace(ev browser.TraceEvent) {
 
 	case browser.TraceSharedBufferOp:
 		if strings.Contains(ev.Detail, "use-after-free") && r.transferredBufs[ev.Value] {
-			r.mark(CVE20141488, ev.At)
+			r.mark(CVE20141488)
 		}
 		r.checkRace(ev)
 	}
@@ -260,7 +225,7 @@ func (r *Registry) checkRace(ev browser.TraceEvent) {
 	write := strings.HasPrefix(ev.Detail, "write")
 	prev, ok := r.lastBufAccess[ev.Value]
 	if ok && prev.threadID != ev.ThreadID && ev.At-prev.at <= raceWindow && (write || prev.write) {
-		r.mark(CVE20143194, ev.At)
+		r.mark(CVE20143194)
 	}
 	r.lastBufAccess[ev.Value] = bufAccess{threadID: ev.ThreadID, at: ev.At, write: write}
 }

@@ -113,7 +113,7 @@ func TestCVE20143194Race(t *testing.T) {
 	}
 	// Different threads, read-read: no race.
 	r.Trace(browser.TraceEvent{Kind: browser.TraceSharedBufferOp, ThreadID: 2, Value: 3, At: 20, Detail: "read"})
-	r.Reset()
+	r = NewRegistry()
 	r.Trace(browser.TraceEvent{Kind: browser.TraceSharedBufferOp, ThreadID: 1, Value: 3, At: 0, Detail: "read"})
 	r.Trace(browser.TraceEvent{Kind: browser.TraceSharedBufferOp, ThreadID: 2, Value: 3, At: 10, Detail: "read"})
 	if r.Exploited(CVE20143194) {
@@ -144,38 +144,5 @@ func TestArmedSubset(t *testing.T) {
 	r.Trace(browser.TraceEvent{Kind: browser.TraceIndexedDBPut, Detail: "private-mode"})
 	if !r.Exploited(CVE20177843) {
 		t.Fatal("armed CVE should be marked")
-	}
-}
-
-func TestExploitedAtRecordsFirstTime(t *testing.T) {
-	r := NewRegistry()
-	r.Trace(browser.TraceEvent{Kind: browser.TraceIndexedDBPut, Detail: "private-mode", At: 42})
-	r.Trace(browser.TraceEvent{Kind: browser.TraceIndexedDBPut, Detail: "private-mode", At: 99})
-	at, ok := r.ExploitedAt(CVE20177843)
-	if !ok || at != 42 {
-		t.Fatalf("ExploitedAt = %v, %v; want 42, true", at, ok)
-	}
-}
-
-func TestResetClearsState(t *testing.T) {
-	r := NewRegistry()
-	r.Trace(browser.TraceEvent{Kind: browser.TraceIndexedDBPut, Detail: "private-mode"})
-	r.Reset()
-	if len(r.AllExploited()) != 0 {
-		t.Fatal("reset did not clear exploitation state")
-	}
-	r.Trace(browser.TraceEvent{Kind: browser.TraceIndexedDBPut, Detail: "private-mode"})
-	if !r.Exploited(CVE20177843) {
-		t.Fatal("registry should still be armed after reset")
-	}
-}
-
-func TestAllExploitedSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Trace(browser.TraceEvent{Kind: browser.TraceXHR, Detail: "cross-origin-worker"})
-	r.Trace(browser.TraceEvent{Kind: browser.TraceIndexedDBPut, Detail: "private-mode"})
-	got := r.AllExploited()
-	if len(got) != 2 || got[0] != CVE20131714 || got[1] != CVE20177843 {
-		t.Fatalf("AllExploited = %v", got)
 	}
 }
