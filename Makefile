@@ -24,9 +24,11 @@ race:
 
 # check is the pre-merge gate: compile, vet, the perfbench module's vet
 # and unit tests, jsk-lint, the full test suite under the race
-# detector, the native fuzz targets (FuzzReadRecords, FuzzEvalRequest,
-# FuzzParseToken, FuzzParseExposition, FuzzEventStream,
-# FuzzSuppressions; 10 s each), and the smoke stages.
+# detector, the golden traces, the paper-scale output pin (jsk-eval
+# -all -paper diffed against eval_paper.txt), the native fuzz targets
+# (FuzzReadRecords, FuzzEvalRequest, FuzzParseToken,
+# FuzzParseExposition, FuzzEventStream, FuzzSuppressions; 10 s each),
+# and the smoke stages.
 check:
 	./scripts/check.sh
 

@@ -12,8 +12,9 @@ package jskernel_test
 //	BenchmarkWorkerCreation — §V-A1 16-worker benchmark
 //	BenchmarkCompat*  — §V-B compatibility studies
 //
-// plus micro-benchmarks of the substrate, the kernel hot paths and the
-// record path (BenchmarkEmit, BenchmarkAbsorb, BenchmarkSinks).
+// plus micro-benchmarks of the substrate, the kernel hot paths, the
+// record path (BenchmarkEmit, BenchmarkAbsorb, BenchmarkSinks) and the
+// serve plane's instruments over Table I (BenchmarkPlaneCells).
 
 import (
 	"fmt"
@@ -341,6 +342,44 @@ func BenchmarkSinks(b *testing.B) {
 			}
 			reportNsPerRecord(b, len(recs))
 		})
+	}
+}
+
+// BenchmarkPlaneCells prices the work jsk-serve's telemetry plane adds
+// to every evaluation, without perfbench: one pass runs the 176 Table I
+// cells at reps 1 through expr.RunCell with the instruments
+// serve.evaluate attaches when the plane is on. Every cell gets the
+// forensic and race instruments the plane forces; one cell in five also
+// asks for a validated trace summary and another one in five for
+// forensics, as perfbench's serve mix sets trace and forensics.
+func BenchmarkPlaneCells(b *testing.B) {
+	var cells []expr.Cell
+	for _, a := range attack.TimingAttacks() {
+		for _, d := range defense.TableIDefenses() {
+			cells = append(cells, expr.Cell{Timing: a, Defense: d, Reps: 1})
+		}
+	}
+	for _, a := range attack.CVEAttacks() {
+		for _, d := range defense.TableIDefenses() {
+			cells = append(cells, expr.Cell{CVE: a, Defense: d})
+		}
+	}
+	for i := range cells {
+		cells[i].Seed = sim.DeriveSeed(42, int64(i))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j, c := range cells {
+			res := expr.RunCell(c, expr.Instruments{
+				Validate:  j%5 == 0,
+				Obs:       j%5 == 2,
+				Forensics: true,
+				Races:     true,
+			})
+			if res.Verdict == nil || res.ReportErr != nil {
+				b.Fatalf("cell %d: verdict %v, validation error %v", j, res.Verdict, res.ReportErr)
+			}
+		}
 	}
 }
 

@@ -48,7 +48,11 @@ type Browser struct {
 	visited      map[string]bool // link history for sniffing attacks
 	tracer       Tracer
 	obsEvents    bool
+	tornDown     bool
 	installScope func(g *Global)
+	// obsFree heads the free list of released timer and animation-frame
+	// observability wrappers (obs.go); it stays nil with obs events off.
+	obsFree *obsTimer
 	// nextScopeToken allocates the per-global observability token; the
 	// main window always takes token 1 (New creates it first).
 	nextScopeToken int64
@@ -65,7 +69,6 @@ type Browser struct {
 	redirects     map[string]string // worker src → final (possibly cross-origin) URL
 	idb           *indexedDB
 	fetches       map[FetchID]*fetchRecord
-	tornDown      bool
 	faults        *FaultHooks
 }
 

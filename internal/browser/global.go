@@ -144,7 +144,7 @@ func (g *Global) Frozen() bool { return g.frozen }
 // SetTimeout schedules cb after at least d of virtual time.
 func (g *Global) SetTimeout(cb func(*Global), d sim.Duration) int {
 	if g.browser.obsEvents {
-		cb = g.obsTimerCB(cb, d, "")
+		cb = g.obsTimerCB(cb, d, false)
 	}
 	return g.bindings.SetTimeout(cb, d)
 }
@@ -155,7 +155,7 @@ func (g *Global) ClearTimeout(id int) { g.bindings.ClearTimeout(id) }
 // SetInterval schedules cb repeatedly every d.
 func (g *Global) SetInterval(cb func(*Global), d sim.Duration) int {
 	if g.browser.obsEvents {
-		cb = g.obsTimerCB(cb, d, "interval")
+		cb = g.obsTimerCB(cb, d, true)
 	}
 	return g.bindings.SetInterval(cb, d)
 }

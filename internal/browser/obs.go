@@ -21,25 +21,19 @@ import (
 // obsMessageCB, which records the delivery-time token — for message
 // handlers the interesting fact is where the message landed.
 
-// obsTimerCB wraps a timer callback; Aux carries the user-requested
-// delay in virtual nanoseconds (pre-clamp, pre-fuzz — what the attacker
-// asked for, not what the defense granted).
-func (g *Global) obsTimerCB(cb func(*Global), d sim.Duration, detail string) func(*Global) {
+// obsTimerCB wraps a setTimeout or setInterval callback; Aux carries
+// the user-requested delay in virtual nanoseconds (pre-clamp, pre-fuzz —
+// what the attacker asked for, not what the defense granted).
+func (g *Global) obsTimerCB(cb func(*Global), d sim.Duration, interval bool) func(*Global) {
 	if cb == nil {
 		return nil
 	}
-	tok := g.token
-	return func(gg *Global) {
-		gg.browser.trace(TraceEvent{
-			Kind:     TraceTimerFired,
-			At:       gg.thread.Now(),
-			ThreadID: gg.thread.id,
-			Detail:   detail,
-			Value:    tok,
-			Aux:      int64(d),
-		})
-		cb(gg)
+	w := g.browser.takeObsTimer(g.token)
+	w.cb, w.delay = cb, d
+	if interval {
+		w.state = obsInterval
 	}
+	return w.onTimer
 }
 
 // obsRAFCB wraps a requestAnimationFrame callback as a frame tick.
@@ -47,18 +41,103 @@ func (g *Global) obsRAFCB(cb func(*Global, float64)) func(*Global, float64) {
 	if cb == nil {
 		return nil
 	}
-	tok := g.token
-	return func(gg *Global, ts float64) {
-		gg.browser.trace(TraceEvent{
-			Kind:     TraceFrameTick,
-			At:       gg.thread.Now(),
-			ThreadID: gg.thread.id,
-			Detail:   "raf",
-			Value:    tok,
-			Aux:      int64(math.Float64bits(ts)),
-		})
-		cb(gg, ts)
+	w := g.browser.takeObsTimer(g.token)
+	w.frameCB = cb
+	return w.onFrame
+}
+
+// obsTimer is the wrapper of a timer or animation-frame callback. A
+// tick loop re-registers on every tick, so these wrappers are pooled:
+// each binds its two method values once, when it is made, and a
+// one-shot wrapper (setTimeout, requestAnimationFrame) goes back on its
+// browser's free list when it fires, before the user callback runs, so
+// a callback that re-registers reuses it. That is sound because every
+// binding runs a one-shot callback at most once: the native timer table
+// frees a timer's slot before firing it, the kernel runs a dispatched
+// event's callback once, and the defenses that wrap setTimeout or
+// requestAnimationFrame forward the callback once. A wrapper whose
+// callback never runs (cleared, shed, quarantined, or fault-panicked
+// before dispatch) is never released, so it is never reused. An
+// interval's wrapper fires on every tick and is never released.
+type obsTimer struct {
+	onTimer func(*Global)          // w.fireTimer, bound once
+	onFrame func(*Global, float64) // w.fireFrame, bound once
+	cb      func(*Global)
+	frameCB func(*Global, float64)
+	token   int64
+	delay   sim.Duration
+	state   obsTimerState
+	next    *obsTimer // free-list link while released
+}
+
+// obsTimerState says how an obsTimer may fire.
+type obsTimerState uint8
+
+const (
+	obsReleased obsTimerState = iota // on the free list: must not fire
+	obsOnce                          // setTimeout or requestAnimationFrame
+	obsInterval                      // setInterval: fires every tick
+)
+
+// takeObsTimer takes a wrapper off the free list, or makes one, for a
+// one-shot registration by the scope with the given token.
+func (b *Browser) takeObsTimer(token int64) *obsTimer {
+	w := b.obsFree
+	if w != nil {
+		b.obsFree, w.next = w.next, nil
+	} else {
+		w = &obsTimer{}
+		w.onTimer, w.onFrame = w.fireTimer, w.fireFrame
 	}
+	w.token, w.state = token, obsOnce
+	return w
+}
+
+// release puts a fired one-shot wrapper back on b's free list, dropping
+// the user callback it held.
+func (w *obsTimer) release(b *Browser) {
+	w.cb, w.frameCB, w.state = nil, nil, obsReleased
+	w.next, b.obsFree = b.obsFree, w
+}
+
+// fired checks that w may fire and, for a one-shot wrapper, releases it.
+func (w *obsTimer) fired(b *Browser) {
+	switch w.state {
+	case obsReleased:
+		panic("browser: a released timer obs wrapper fired again: a binding ran a one-shot callback twice")
+	case obsOnce:
+		w.release(b)
+	}
+}
+
+func (w *obsTimer) fireTimer(gg *Global) {
+	cb, ev := w.cb, TraceEvent{
+		Kind:     TraceTimerFired,
+		At:       gg.thread.Now(),
+		ThreadID: gg.thread.id,
+		Value:    w.token,
+		Aux:      int64(w.delay),
+	}
+	if w.state == obsInterval {
+		ev.Detail = "interval"
+	}
+	w.fired(gg.browser)
+	gg.browser.trace(ev)
+	cb(gg)
+}
+
+func (w *obsTimer) fireFrame(gg *Global, ts float64) {
+	cb, tok := w.frameCB, w.token
+	w.fired(gg.browser)
+	gg.browser.trace(TraceEvent{
+		Kind:     TraceFrameTick,
+		At:       gg.thread.Now(),
+		ThreadID: gg.thread.id,
+		Detail:   "raf",
+		Value:    tok,
+		Aux:      int64(math.Float64bits(ts)),
+	})
+	cb(gg, ts)
 }
 
 // obsFrameCB wraps an indexed per-frame callback (CSS animation frames,

@@ -145,3 +145,67 @@ func TestFaultsActuallyFire(t *testing.T) {
 		t.Errorf("no callback panics fired: %s", c)
 	}
 }
+
+// TestObsTimerWrappersUnderCallbackPanics: with obs events on, under
+// the chaos plan's callback faults and with page callbacks that panic
+// after re-registering, each timer-fired event is emitted at the entry
+// of the callback it names. A fault-panicked or quarantined callback
+// never runs its wrapper, so it emits nothing; a callback that panics
+// has already emitted its own event, with its own registration's
+// delay, and the wrapper it re-registered with fires as the next tick.
+func TestObsTimerWrappersUnderCallbackPanics(t *testing.T) {
+	sess := trace.NewSession()
+	env := JSKernel("chrome").WithFaults(chaosPlan()).WithTracer(sess).WithObs(true).NewEnv(EnvOptions{Seed: 11})
+	b := env.Browser
+	rec := &browser.Recorder{}
+	b.AddTracer(rec)
+	// Each registration's delay names it: chain c, tick k. The plan's
+	// cancel storms register whole milliseconds, which no tag is.
+	const chains, ticks = 4, 40
+	tag := func(c, k int) sim.Duration { return 7*sim.Millisecond + 500 + sim.Duration(c*ticks+k) }
+	var ran []int64
+	b.RunScript("main", func(g *browser.Global) {
+		for c := 0; c < chains; c++ {
+			k := 0
+			var tick func(*browser.Global)
+			tick = func(gg *browser.Global) {
+				ran = append(ran, int64(tag(c, k)))
+				if k++; k < ticks {
+					gg.SetTimeout(tick, tag(c, k))
+				}
+				if k%3 == 0 {
+					panic("page callback panic")
+				}
+			}
+			g.SetTimeout(tick, tag(c, 0))
+		}
+	})
+	if err := b.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	sess.Close()
+	var fired []int64
+	for _, ev := range rec.Events() {
+		if ev.Kind == browser.TraceTimerFired && ev.Aux >= int64(tag(0, 0)) && ev.Aux < int64(tag(chains, 0)) {
+			fired = append(fired, ev.Aux)
+		}
+	}
+	if len(ran) == 0 || fmt.Sprint(fired) != fmt.Sprint(ran) {
+		t.Fatalf("timer-fired events name registrations %v; the callbacks that ran were %v", fired, ran)
+	}
+	var faults, pagePanics int
+	for _, r := range sess.Records() {
+		switch {
+		case r.Op != trace.OpPanic:
+		case strings.Contains(r.Reason, "fault: injected"):
+			faults++
+		case strings.Contains(r.Reason, "page callback panic"):
+			pagePanics++
+		default:
+			t.Fatalf("unexpected callback panic: %s", r.Reason)
+		}
+	}
+	if faults == 0 || pagePanics == 0 {
+		t.Fatalf("%d injected faults and %d page panics, want both", faults, pagePanics)
+	}
+}

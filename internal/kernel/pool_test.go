@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"jskernel/internal/browser"
@@ -37,27 +38,46 @@ func runAll(t *testing.T, b *browser.Browser) {
 	}
 }
 
+// callbackEvents counts the timer-fired and frame-tick events it sees
+// and keeps none.
+type callbackEvents int
+
+func (c *callbackEvents) Trace(ev browser.TraceEvent) {
+	if ev.Kind == browser.TraceTimerFired || ev.Kind == browser.TraceFrameTick {
+		*c++
+	}
+}
+
 // TestKernelTimerRoundTripsAllocFree: a kernelized setTimeout and a
 // kernelized requestAnimationFrame, from registration through native
 // confirmation to dispatch, allocate nothing beyond the caller's own
 // callback: the event comes from the kernel's pool and confirms as the
-// native timer's typed target.
+// native timer's typed target. With obs events on, the callback's obs
+// wrapper is pooled too: the one a fired registration released is the
+// next registration's.
 func TestKernelTimerRoundTripsAllocFree(t *testing.T) {
-	b, _ := newPinBrowser(t, nil)
-	g := b.Window()
-	timeouts, frames := 0, 0
-	onTimeout := func(*browser.Global) { timeouts++ }
-	onFrame := func(*browser.Global, float64) { frames++ }
-	pinAllocFree(t, "kernelized setTimeout→dispatch", func() {
-		g.SetTimeout(onTimeout, sim.Millisecond)
-		runAll(t, b)
-	})
-	pinAllocFree(t, "kernelized rAF→dispatch", func() {
-		g.RequestAnimationFrame(onFrame)
-		runAll(t, b)
-	})
-	if timeouts == 0 || frames == 0 {
-		t.Fatalf("dispatched %d timeouts and %d frames", timeouts, frames)
+	for _, obs := range []bool{false, true} {
+		var events callbackEvents
+		s := sim.New(1)
+		b := browser.New(s, browser.Options{InstallScope: NewShared(quantumPolicy{}).Install, ObsEvents: obs, Tracer: &events})
+		g := b.Window()
+		timeouts, frames := 0, 0
+		onTimeout := func(*browser.Global) { timeouts++ }
+		onFrame := func(*browser.Global, float64) { frames++ }
+		pinAllocFree(t, fmt.Sprintf("kernelized setTimeout→dispatch (obs %v)", obs), func() {
+			g.SetTimeout(onTimeout, sim.Millisecond)
+			runAll(t, b)
+		})
+		pinAllocFree(t, fmt.Sprintf("kernelized rAF→dispatch (obs %v)", obs), func() {
+			g.RequestAnimationFrame(onFrame)
+			runAll(t, b)
+		})
+		if timeouts == 0 || frames == 0 {
+			t.Fatalf("obs %v: dispatched %d timeouts and %d frames", obs, timeouts, frames)
+		}
+		if obs && int(events) != timeouts+frames {
+			t.Fatalf("%d callbacks ran and %d obs events were emitted", timeouts+frames, events)
+		}
 	}
 }
 

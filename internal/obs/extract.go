@@ -24,6 +24,12 @@ import (
 // nil, which mirrors exactly how a failed measurement contributes no
 // samples to the verdict.
 //
+// The stream arrives run-length coded: one Measurement stands for n
+// consecutive identical events, so a tick loop's timer fires or a
+// clock-edge loop's repeated reads are one entry. The extractors read
+// the counts and return exactly what a replay of the events one by one
+// returns; the tests keep that per-event replay as their reference.
+//
 // The channel names and harness constants below are deliberate mirrors
 // of internal/attack (which obs must not import: the forensics layer's
 // value is that it reconstructs measurements from the stream alone,
@@ -52,16 +58,25 @@ const (
 	loopscanMinProbes = 10
 )
 
-// Measurement is one measurement event a Collector keeps: a native
+// Measurement is one entry of the run-length coded stream a Collector
+// keeps: n consecutive, identical measurement events, each a native
 // observability record of the main window reduced to what the harness
 // shapes read.
 type Measurement struct {
 	kind measureKind
 	// frame codes a frame tick's detail; zero for other kinds.
 	frame frameDetail
+	// n is how many consecutive events the entry stands for, at least 1.
+	n uint32
 	// aux is the record's Aux: a timer's requested delay, a clock read's
 	// value bits, a frame or cue index.
 	aux int64
+}
+
+// sameEvent reports whether m and o code the same event, whatever their
+// counts.
+func (m Measurement) sameEvent(o Measurement) bool {
+	return m.kind == o.kind && m.frame == o.frame && m.aux == o.aux
 }
 
 // measureKind is a Measurement's native kind.
@@ -99,7 +114,7 @@ func measurementOf(r *trace.Record) (Measurement, bool) {
 	if !ok {
 		return Measurement{}, false
 	}
-	m := Measurement{aux: r.Aux}
+	m := Measurement{n: 1, aux: r.Aux}
 	switch kind {
 	case browser.TraceTimerFired:
 		if r.Reason != "" { // interval timers: not used by harnesses
@@ -130,10 +145,10 @@ func measurementOf(r *trace.Record) (Measurement, bool) {
 }
 
 // ExtractReadings reconstructs the per-channel measurement of one
-// timing-attack run from the measurement events a Collector kept for
-// it. It returns nil when the run's measurement cannot be reconstructed
-// (harness never completed under this defense), mirroring a skipped
-// variant.
+// timing-attack run from the run-length coded measurement events a
+// Collector kept for it. It returns nil when the run's measurement
+// cannot be reconstructed (harness never completed under this defense),
+// mirroring a skipped variant.
 func ExtractReadings(attackID string, fs []Measurement) map[string]float64 {
 	switch attackID {
 	case "history-sniffing", "svg-filtering", "floating-point":
@@ -157,6 +172,11 @@ func clockValue(ev Measurement) float64 {
 	return math.Float64frombits(uint64(ev.aux))
 }
 
+// The helpers below take and return entry indices. A marker the
+// extractors look for (the warmup, a closing timer, a load, a probe) is
+// a timer or load entry that no counting predicate matches, so whether
+// a marker stands for its entry's first or last event changes no count.
+
 // warmupIndex finds the harness's warmup timer: the first main-window
 // timer callback whose requested delay is the 60ms warmup.
 func warmupIndex(fs []Measurement) int {
@@ -168,7 +188,7 @@ func warmupIndex(fs []Measurement) int {
 	return -1
 }
 
-// firstAfter finds the first event after index w matching pred.
+// firstAfter finds the first entry after entry w matching pred.
 func firstAfter(fs []Measurement, w int, pred func(Measurement) bool) int {
 	for i := w + 1; i < len(fs); i++ {
 		if pred(fs[i]) {
@@ -178,20 +198,20 @@ func firstAfter(fs []Measurement, w int, pred func(Measurement) bool) int {
 	return -1
 }
 
-// countBetween counts events strictly between indices lo and hi
-// matching pred.
+// countBetween counts the events of the entries strictly between
+// entries lo and hi matching pred.
 func countBetween(fs []Measurement, lo, hi int, pred func(Measurement) bool) int {
 	n := 0
 	for i := lo + 1; i < hi; i++ {
 		if pred(fs[i]) {
-			n++
+			n += int(fs[i].n)
 		}
 	}
 	return n
 }
 
-// nextClock returns the index of the first clock read at or after i,
-// or len(fs) when there is none.
+// nextClock returns the index of the first clock-read entry at or after
+// i, or len(fs) when there is none.
 func nextClock(fs []Measurement, i int) int {
 	for i < len(fs) && fs[i].kind != mClock {
 		i++
@@ -201,12 +221,18 @@ func nextClock(fs []Measurement, i int) int {
 
 // perfNowDelta reads the measurement's two explicit clock samples —
 // the first two performance.now reads after the warmup fired — and
-// returns their difference.
+// returns their difference. When the first read's entry holds more than
+// one read, the second read is its repeat.
 func perfNowDelta(fs []Measurement, w int) (float64, bool) {
 	first := nextClock(fs, w+1)
-	second := nextClock(fs, first+1)
-	if second >= len(fs) {
+	if first >= len(fs) {
 		return 0, false
+	}
+	second := first
+	if fs[first].n == 1 {
+		if second = nextClock(fs, first+1); second >= len(fs) {
+			return 0, false
+		}
 	}
 	return clockValue(fs[second]) - clockValue(fs[first]), true
 }
@@ -282,53 +308,76 @@ func extractFrame(fs []Measurement, detail frameDetail, channel string) map[stri
 	return map[string]float64{channel: float64(frames), chPerfNow: dt}
 }
 
+// clockReads consumes a run's clock reads in order, whole entries at a
+// time where it can.
+type clockReads struct {
+	fs   []Measurement
+	j    int    // the entry holding the next read; len(fs) when none is left
+	left uint32 // reads left in fs[j]
+}
+
+// seek moves to the first clock-read entry at or after j.
+func (c *clockReads) seek(j int) {
+	if c.j = nextClock(c.fs, j); c.j < len(c.fs) {
+		c.left = c.fs[c.j].n
+	}
+}
+
+// take consumes k of the current entry's reads, k ≤ c.left.
+func (c *clockReads) take(k uint32) {
+	if c.left -= k; c.left == 0 {
+		c.seek(c.j + 1)
+	}
+}
+
+// read consumes the next read.
+func (c *clockReads) read() (float64, bool) {
+	if c.j >= len(c.fs) {
+		return 0, false
+	}
+	v := clockValue(c.fs[c.j])
+	c.take(1)
+	return v, true
+}
+
+// skip consumes the next reads while they equal v, at most max of them,
+// and returns how many it consumed.
+func (c *clockReads) skip(v float64, max int) int {
+	k := 0
+	for k < max && c.j < len(c.fs) && clockValue(c.fs[c.j]) == v {
+		n := min(int(c.left), max-k)
+		k += n
+		c.take(uint32(n))
+	}
+	return k
+}
+
 // extractEdge replays the clock-edge attack loop over the run's ordered
 // clock-read values. The harness reads the clock once per loop-condition
 // evaluation (including the evaluation that exits), so the replay must
-// consume reads identically and end with every read accounted for.
+// consume reads identically and end with every read accounted for. Each
+// loop counts the reads equal to its reference value, up to
+// edgeMaxProbe, and then consumes the read that ends it.
 func extractEdge(fs []Measurement) map[string]float64 {
-	i := nextClock(fs, 0)
-	read := func() (float64, bool) {
-		if i >= len(fs) {
-			return 0, false
-		}
-		v := clockValue(fs[i])
-		i = nextClock(fs, i+1)
-		return v, true
-	}
-	start, ok := read()
+	c := clockReads{fs: fs}
+	c.seek(0)
+	start, ok := c.read()
 	if !ok {
 		return nil
 	}
-	guard := 0
-	for {
-		v, ok := read()
-		if !ok {
-			return nil
-		}
-		if v == start && guard < edgeMaxProbe {
-			guard++
-			continue
-		}
-		break
+	c.skip(start, edgeMaxProbe)
+	if _, ok := c.read(); !ok {
+		return nil
 	}
-	cur, ok := read()
+	cur, ok := c.read()
 	if !ok {
 		return nil
 	}
-	pad := 0
-	for {
-		v, ok := read()
-		if !ok {
-			return nil
-		}
-		if v == cur && pad < edgeMaxProbe {
-			pad++
-			continue
-		}
-		break
+	pad := c.skip(cur, edgeMaxProbe)
+	if _, ok := c.read(); !ok {
+		return nil
 	}
-	if i != len(fs) {
+	if c.j != len(fs) {
 		// Leftover reads mean the stream is not a clock-edge run.
 		return nil
 	}
@@ -338,9 +387,10 @@ func extractEdge(fs []Measurement) map[string]float64 {
 // extractLoopscan reconstructs measureLoopscan. Probe tasks are
 // identified structurally: a probe is the only main-window timer
 // callback immediately followed by a clock read (victim bursts only
-// busy-loop; worker-spray callbacks only post). Probe k's first read is
-// its gap check against probe k-1's last read, so the maxima replay
-// directly.
+// busy-loop; worker-spray callbacks only post), so it is the last event
+// of a timer entry that a clock-read entry follows. Probe k's first
+// read is its gap check against probe k-1's last read, so the maxima
+// replay directly.
 func extractLoopscan(fs []Measurement) map[string]float64 {
 	var probes []int
 	for i, ev := range fs {

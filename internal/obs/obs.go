@@ -30,9 +30,19 @@
 // agreement with Table I's verdicts. A CVEMirror re-judges a CVE row the
 // same way, feeding the native stream to a vulnerability registry as it
 // passes.
+//
+// A measurement loop costs the plane no garbage per iteration. The
+// browser's setTimeout, setInterval and requestAnimationFrame obs
+// wrappers come from a per-browser free list, and a one-shot wrapper
+// goes back on it as it fires, before the user callback runs, so a tick
+// loop that re-registers reuses one wrapper. The Collector keeps its
+// stream run-length coded: consecutive identical events share one
+// counted entry, so a tick loop or a clock-read loop is one entry.
 package obs
 
 import (
+	"math"
+
 	"jskernel/internal/browser"
 	"jskernel/internal/trace"
 	"jskernel/internal/vuln"
@@ -43,8 +53,10 @@ import (
 // main window's plain timer fires and performance.now reads, and every
 // message callback, frame tick and load completion it sees. Worker-side
 // events, interval timers, Date.now reads and every other record are
-// dropped as they arrive, and a kept event holds only what the
-// extractors read, in a 16-byte value with no pointers.
+// dropped as they arrive. A kept event holds only what the extractors
+// read, and consecutive identical events share one entry, a 16-byte
+// Measurement with no pointers that counts them: a run's tick loop or
+// clock-read loop costs one entry, not one per event.
 type Collector struct {
 	byRun map[int]*[]Measurement
 	run   int
@@ -72,10 +84,16 @@ func (c *Collector) Observe(r trace.Record) {
 		}
 		c.run = r.Run
 	}
-	*c.cur = append(*c.cur, m)
+	ms := *c.cur
+	if k := len(ms) - 1; k >= 0 && ms[k].sameEvent(m) && ms[k].n < math.MaxUint32 {
+		ms[k].n++
+		return
+	}
+	*c.cur = append(ms, m)
 }
 
-// Measurements returns one run's measurement events in emission order.
+// Measurements returns one run's measurement events in emission order,
+// run-length coded.
 func (c *Collector) Measurements(run int) []Measurement {
 	if ms := c.byRun[run]; ms != nil {
 		return *ms

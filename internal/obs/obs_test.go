@@ -36,6 +36,11 @@ func collect(recs ...trace.Record) *Collector {
 	return c
 }
 
+// TestCollectorGroupsByRun: the Collector keeps each run's measurement
+// events apart, in emission order and run-length coded: consecutive
+// kept events of one run that code the same event (kind, frame detail
+// and aux) share an entry, whatever other runs and dropped records
+// arrive between them.
 func TestCollectorGroupsByRun(t *testing.T) {
 	c := collect(
 		nat(1, 1, "timer-fired", "", 1, 0),
@@ -52,18 +57,36 @@ func TestCollectorGroupsByRun(t *testing.T) {
 		nat(8, 2, "frame-tick", "animation", 1, 8),
 		nat(9, 2, "frame-tick", "cue", 1, 9),
 		nat(10, 2, "load-done", "image", 1, 0),
+		// Repeats extend the run's last entry, across another run's
+		// record and a dropped one.
+		nat(11, 1, "message-callback", "", 1, 0),
+		nat(12, 2, "clock-read", "", 1, 42),
+		nat(13, 1, "message-callback", "", 2, 0),
+		nat(14, 1, "message-callback", "", 1, 0),
+		// The same kind with another aux or frame detail starts a new
+		// entry.
+		nat(15, 2, "load-done", "script", 1, 0),
+		nat(16, 2, "frame-tick", "cue", 1, 9),
+		nat(17, 2, "frame-tick", "animation", 1, 9),
+		nat(18, 2, "frame-tick", "animation", 1, 9),
+		nat(19, 2, "frame-tick", "animation", 1, 10),
 	)
 	r1 := c.Measurements(1)
-	if want := []Measurement{{kind: mTimer}, {kind: mMessage}}; !reflect.DeepEqual(r1, want) {
-		t.Fatalf("run 1 events = %+v, want the timer then the message callback", r1)
+	if want := []Measurement{{kind: mTimer, n: 1}, {kind: mMessage, n: 3}}; !reflect.DeepEqual(r1, want) {
+		t.Fatalf("run 1 events = %+v, want the timer then three message callbacks", r1)
 	}
 	r2 := c.Measurements(2)
 	want := []Measurement{
-		{kind: mClock, aux: 42},
-		{kind: mFrame, frame: frameOther, aux: 7},
-		{kind: mFrame, frame: frameAnimation, aux: 8},
-		{kind: mFrame, frame: frameCue, aux: 9},
-		{kind: mLoad},
+		{kind: mClock, n: 1, aux: 42},
+		{kind: mFrame, frame: frameOther, n: 1, aux: 7},
+		{kind: mFrame, frame: frameAnimation, n: 1, aux: 8},
+		{kind: mFrame, frame: frameCue, n: 1, aux: 9},
+		{kind: mLoad, n: 1},
+		{kind: mClock, n: 1, aux: 42},
+		{kind: mLoad, n: 1},
+		{kind: mFrame, frame: frameCue, n: 1, aux: 9},
+		{kind: mFrame, frame: frameAnimation, n: 2, aux: 9},
+		{kind: mFrame, frame: frameAnimation, n: 1, aux: 10},
 	}
 	if !reflect.DeepEqual(r2, want) {
 		t.Fatalf("run 2 events = %+v, want %+v", r2, want)
@@ -246,8 +269,17 @@ func TestExtractSync(t *testing.T) {
 		nat(9, 1, "timer-fired", "", 1, 0),
 	}
 	events := collect(recs...).Measurements(1)
-	if len(events) != 7 {
-		t.Fatalf("Collector kept %d events, want 7 (the worker message and interval fire dropped)", len(events))
+	// The worker message and interval fire are dropped, and the three
+	// worker ticks share one entry: 7 events in 5 entries.
+	wantEvents := []Measurement{
+		{kind: mTimer, n: 1, aux: int64(60 * sim.Millisecond)},
+		{kind: mClock, n: 1, aux: clockBits(100)},
+		{kind: mClock, n: 1, aux: clockBits(103.5)},
+		{kind: mMessage, n: 3},
+		{kind: mTimer, n: 1},
+	}
+	if !reflect.DeepEqual(events, wantEvents) {
+		t.Fatalf("Collector kept %+v, want %+v", events, wantEvents)
 	}
 	got := ExtractReadings("history-sniffing", events)
 	want := map[string]float64{"worker-ticks": 3, "perf-now": 3.5}
@@ -257,6 +289,12 @@ func TestExtractSync(t *testing.T) {
 	// Without the closing timer the measurement never completed.
 	if got := ExtractReadings("history-sniffing", collect(recs[:8]...).Measurements(1)); got != nil {
 		t.Fatalf("incomplete run extracted %v, want nil", got)
+	}
+	// A repeated start read is also the end read: the delta is zero.
+	repeated := append(append([]trace.Record{}, recs[:4]...), recs[3])
+	repeated = append(repeated, recs[5:]...)
+	if got := ExtractReadings("history-sniffing", collect(repeated...).Measurements(1)); !reflect.DeepEqual(got, map[string]float64{"worker-ticks": 3, "perf-now": 0}) {
+		t.Fatalf("repeated start read extracted %v, want 3 worker ticks and a zero delta", got)
 	}
 	// Unknown attacks have no shape.
 	if got := ExtractReadings("no-such-attack", events); got != nil {

@@ -128,7 +128,12 @@ func (sc *vScope) get(id uint64) evState {
 func (sc *vScope) put(id uint64, st evState) {
 	i := id - 1
 	if i >= uint64(len(sc.dense)) && i < uint64(len(sc.dense))+eventSlack {
-		sc.dense = append(sc.dense, make([]evState, i+1-uint64(len(sc.dense)))...)
+		// One zero entry at a time: under the race detector the
+		// compiler does not fuse append(s, make(...)...), and the
+		// make would allocate on every call.
+		for uint64(len(sc.dense)) <= i {
+			sc.dense = append(sc.dense, evState{})
+		}
 	}
 	if i < uint64(len(sc.dense)) {
 		sc.dense[i] = st

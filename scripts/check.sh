@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the pre-merge gate: build, vet, perfbench, gofmt, jsk-lint,
-# race-test, golden traces, fuzz (each native fuzz target for 10 s),
-# smoke stages.
+# race-test, golden traces, the paper-scale output pin (jsk-eval -all
+# -paper against eval_paper.txt), fuzz (each native fuzz target for
+# 10 s), smoke stages.
 # Usage: ./scripts/check.sh   (or: make check)
 #
 # Fails fast: the first failing stage stops the run, and the banner
@@ -67,6 +68,15 @@ trace_tmp="$(mktemp -d)"
 trap 'rm -rf "$trace_tmp"' EXIT
 go run ./cmd/jsk-eval -dromaeo -trace "$trace_tmp/dromaeo-trace.json" >/dev/null || fail "trace export smoke"
 test -s "$trace_tmp/dromaeo-trace.json" || fail "trace export smoke (empty output)"
+
+# eval_paper.txt is the paper-scale output EXPERIMENTS.md cites. A fresh
+# run must reproduce it byte for byte, so a change that moves any
+# paper-scale table or figure re-pins the file on purpose. The run takes
+# about 6 s at 15 MB maxrss on a 2-vCPU host.
+stage "paper-scale output (jsk-eval -all -paper vs eval_paper.txt)"
+go run ./cmd/jsk-eval -all -paper >"$trace_tmp/eval_paper.txt" || fail "jsk-eval -all -paper"
+diff -u eval_paper.txt "$trace_tmp/eval_paper.txt" \
+	|| fail "paper-scale output differs from eval_paper.txt"
 
 # Fuzz: each native fuzz target runs for a short fixed budget on top of
 # its checked-in seed corpus (which the unit-test stage above already
